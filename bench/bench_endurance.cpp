@@ -20,6 +20,10 @@
 // Phase 3 (determinism): re-running the naive campaign with the same
 // seed must reproduce the wear ledger byte-for-byte (same JSON).
 //
+// Every engine runs the shadow oracle on every batch: the served logits
+// must equal a modeled re-run over the same (retried, remapped, pinned)
+// cells.
+//
 //   usage: bench_endurance [--smoke] [--wear-out FILE] [seed]
 #include <chrono>
 #include <cstdio>
@@ -64,6 +68,8 @@ struct CampaignResult {
   i64 publishes_survived = 0;  ///< successful swaps before first failure
   bool hit_cap = false;        ///< never failed within the publish cap
   bool bit_exact = true;       ///< every surviving publish served exactly
+  i64 shadow_checks = 0;
+  i64 shadow_mismatches = 0;
   WearCounters wear;
   std::string wear_json;
 };
@@ -81,6 +87,7 @@ CampaignResult run_campaign(RepNetModel& model, const TrainTestSplit& data,
   options.queue_capacity = 16;
   options.batcher = {.max_batch_rows = 1, .max_wait_us = 0.0};
   options.wear = wear;
+  options.shadow_every_batches = 1;
   ServingEngine engine(model, data.train, options);
 
   auto image_a = std::make_shared<DeploymentImage>(
@@ -117,9 +124,12 @@ CampaignResult run_campaign(RepNetModel& model, const TrainTestSplit& data,
     }
   }
   result.hit_cap = result.publishes_survived == cap;
-  result.wear = engine.metrics().snapshot().wear;
+  engine.shutdown();  // joins the workers: every shadow check has run
+  const MetricsSnapshot snapshot = engine.metrics().snapshot();
+  result.shadow_checks = snapshot.shadow_checks;
+  result.shadow_mismatches = snapshot.shadow_mismatches;
+  result.wear = snapshot.wear;
   result.wear_json = ServingMetrics::wear_to_json(result.wear);
-  engine.shutdown();
   return result;
 }
 
@@ -196,6 +206,7 @@ int main(int argc, char** argv) {
   managed_options.wear.endurance_writes = 1'000'000'000ull;
   managed_options.wear.device.write_error_rate = 2e-3;
   managed_options.wear.seed = seed;
+  managed_options.shadow_every_batches = 1;
   ServingEngine engine(model, data.train, managed_options);
 
   bool parity_exact = true;
@@ -332,7 +343,25 @@ int main(int argc, char** argv) {
     std::printf("wear JSON written to %s\n\n", wear_out.c_str());
   }
 
+  i64 shadow_checks = lane_snapshot.shadow_checks;
+  i64 shadow_mismatches = lane_snapshot.shadow_mismatches;
+  for (const CampaignResult* r :
+       {&naive_run, &managed_run, &base_run, &leveled_run, &replay}) {
+    shadow_checks += r->shadow_checks;
+    shadow_mismatches += r->shadow_mismatches;
+  }
+  std::printf("shadow oracle: %lld check(s), %lld mismatch(es)\n\n",
+              static_cast<long long>(shadow_checks),
+              static_cast<long long>(shadow_mismatches));
+
   bool pass = true;
+  if (shadow_checks == 0 || shadow_mismatches != 0) {
+    std::printf("FAILED: shadow oracle ran %lld check(s), %lld "
+                "mismatch(es)\n",
+                static_cast<long long>(shadow_checks),
+                static_cast<long long>(shadow_mismatches));
+    pass = false;
+  }
   if (!parity_exact) {
     std::printf("FAILED: wear-managed engine is not bit-exact with the "
                 "unmanaged engine on a healthy medium\n");

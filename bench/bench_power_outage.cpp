@@ -16,7 +16,9 @@
 //   - the torn publish is rolled past (never served, never booted),
 //   - availability >= 99% outside the outage windows (power-loss
 //     victims excluded; nothing else may fail),
-//   - the lane adapts across the storm (>= 1 gated publish), and
+//   - the lane adapts across the storm (>= 1 gated publish),
+//   - the shadow oracle ran and every modeled re-run matched the served
+//     logits, across outages and warm restarts, and
 //   - the whole scenario is same-seed deterministic: a second run
 //     produces byte-identical durable state and identical lane counters.
 //   usage: bench_power_outage [--smoke] [seed]
@@ -82,6 +84,8 @@ struct ScenarioResult {
   i64 power_loss = 0;
   i64 other_bad = 0;   ///< rejected/failed/shed/timed out (none allowed)
   i64 corrupted = 0;   ///< kOk replies matching no published generation
+  i64 shadow_checks = 0;
+  i64 shadow_mismatches = 0;
   // Outage lifecycle.
   i64 outages = 0;
   i64 recoveries = 0;
@@ -158,6 +162,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   options.queue_capacity = 256;
   options.batcher = {.max_batch_rows = 4, .max_wait_us = 200.0};
   options.executor.ecc = EccMode::kSecDed;  // scrub repairs the drift
+  // Shadow oracle: re-run every 4th batch on the modeled kernels over the
+  // same cells, including those a warm restart brought back.
+  options.shadow_every_batches = 4;
 
   // Durable store, seeded with the factory boot image (generation 1).
   DurableState durable(dir);
@@ -363,6 +370,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   learner.reset();
   engine.shutdown();
   result.metrics_json = engine.metrics_json();
+  const MetricsSnapshot snapshot = engine.metrics().snapshot();
+  result.shadow_checks = snapshot.shadow_checks;
+  result.shadow_mismatches = snapshot.shadow_mismatches;
 
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     result.durable_files[entry.path().filename().string()] =
@@ -415,6 +425,9 @@ int main(int argc, char** argv) {
   row("power loss (outage victims)", first.power_loss, second.power_loss);
   row("other failures", first.other_bad, second.other_bad);
   row("corrupted responses", first.corrupted, second.corrupted);
+  row("shadow checks", first.shadow_checks, second.shadow_checks);
+  row("shadow mismatches", first.shadow_mismatches,
+      second.shadow_mismatches);
   row("outages", first.outages, second.outages);
   row("recoveries", first.recoveries, second.recoveries);
   row("workers warm", first.workers_warm, second.workers_warm);
@@ -484,6 +497,15 @@ int main(int argc, char** argv) {
     if (first.publishes < 1) {
       std::printf("FAILED: the lane never published across the storm\n");
       pass = false;
+    }
+    for (const auto* run : {&first, &second}) {
+      if (run->shadow_checks == 0 || run->shadow_mismatches != 0) {
+        std::printf("FAILED: shadow oracle ran %lld check(s), %lld "
+                    "mismatch(es)\n",
+                    static_cast<long long>(run->shadow_checks),
+                    static_cast<long long>(run->shadow_mismatches));
+        pass = false;
+      }
     }
     // Recovery determinism: both runs must leave byte-identical durable
     // state and identical lane trajectories.

@@ -37,6 +37,8 @@ struct ChaosResult {
   f64 p50_ms = 0.0;
   f64 p99_ms = 0.0;
   i64 healthy_workers = 0;
+  i64 shadow_checks = 0;
+  i64 shadow_mismatches = 0;
   std::string metrics_json;
 };
 
@@ -86,6 +88,8 @@ ChaosResult run(RepNetModel& model, const Dataset& calibration,
   r.p50_ms = s.total_latency.percentile_us(50.0) / 1e3;
   r.p99_ms = s.total_latency.percentile_us(99.0) / 1e3;
   r.healthy_workers = engine.healthy_workers();
+  r.shadow_checks = s.shadow_checks;
+  r.shadow_mismatches = s.shadow_mismatches;
   r.metrics_json = ServingMetrics::to_json(s);
   return r;
 }
@@ -147,6 +151,9 @@ int main(int argc, char** argv) {
   options.executor.ecc = EccMode::kSecDed;
   options.max_retries = 3;
   options.scrub_every_batches = 4;
+  // Shadow oracle: every other batch re-runs on the modeled kernels over
+  // the same (possibly corrupted, scrubbed, healed) cells.
+  options.shadow_every_batches = 2;
 
   std::printf("=== Serving chaos: %lld requests, %.0f img/s offered, "
               "seed %llu ===\n\n",
@@ -163,13 +170,16 @@ int main(int argc, char** argv) {
                                 rate, faults, chaos_rng);
 
   AsciiTable table({"run", "ok", "timed out", "failed", "rejected", "retries",
-                    "heals", "p50 (ms)", "p99 (ms)", "healthy workers"});
+                    "heals", "p50 (ms)", "p99 (ms)", "healthy workers",
+                    "shadow checks", "shadow mismatches"});
   const auto row = [&](const char* name, const ChaosResult& r) {
     table.add_row({name, std::to_string(r.ok), std::to_string(r.timed_out),
                    std::to_string(r.failed), std::to_string(r.rejected),
                    std::to_string(r.retries), std::to_string(r.heals),
                    AsciiTable::num(r.p50_ms, 2), AsciiTable::num(r.p99_ms, 2),
-                   std::to_string(r.healthy_workers)});
+                   std::to_string(r.healthy_workers),
+                   std::to_string(r.shadow_checks),
+                   std::to_string(r.shadow_mismatches)});
   };
   row("baseline", baseline);
   row("chaos", chaos);
@@ -195,11 +205,22 @@ int main(int argc, char** argv) {
                 static_cast<long long>(options.workers));
     return 1;
   }
+  // The served (raw) logits must equal the modeled re-run on the same
+  // live cells, faults and all.
+  if (chaos.shadow_checks == 0 ||
+      chaos.shadow_mismatches + baseline.shadow_mismatches != 0) {
+    std::printf("FAILED: shadow oracle ran %lld check(s), %lld mismatch(es)\n",
+                static_cast<long long>(chaos.shadow_checks),
+                static_cast<long long>(chaos.shadow_mismatches +
+                                       baseline.shadow_mismatches));
+    return 1;
+  }
   std::printf(
       "shape check: every accepted request resolves kOk or kTimedOut under "
       "chaos (never kFailed); crashes surface as retries + heals, NVM "
       "corruption as scrub corrections (and heals when uncorrectable); the "
       "engine ends with all workers healthy and p99 inflated only "
-      "modestly by redeploy pauses.\n");
+      "modestly by redeploy pauses; every shadow re-run on the modeled "
+      "kernels matches the served logits.\n");
   return 0;
 }

@@ -57,7 +57,11 @@ int main() {
 
   // --- Deploy everything on the hybrid core. ---
   std::printf("[3/4] deploying to the hybrid core ...\n");
-  PimRepNetExecutor executor(model, data.train);
+  // The modeled backend: the energy bill below prices its PE events,
+  // which the raw default does not count.
+  PimExecutorOptions exec_options;
+  exec_options.backend = KernelBackend::kModeled;
+  PimRepNetExecutor executor(model, data.train, exec_options);
   std::printf("      %lld convs + classifier deployed; %lld with sparse "
               "1:4 packing\n",
               static_cast<long long>(executor.deployed_convs()),

@@ -100,6 +100,11 @@ class HybridCore {
   i64 last_makespan() const { return last_makespan_; }
   f64 last_utilization() const { return last_utilization_; }
 
+  /// Switches the compute backend of subsequent dispatches. Deployments
+  /// are backend-independent (both backends read the same live tile
+  /// cells), so switching between dispatches is safe and changes no cell.
+  void set_backend(KernelBackend backend) { options_.backend = backend; }
+
   /// Aggregated PE events since construction (or the last reset).
   PeEventCounts pe_events() const;
   const Bus& bus() const { return bus_; }

@@ -683,6 +683,18 @@ Tensor PimRepNetExecutor::forward(const Tensor& images) {
   return walk(images, Mode::kHardware);
 }
 
+Tensor PimRepNetExecutor::forward_with(KernelBackend backend,
+                                       const Tensor& images) {
+  // Restores the executor's backend on every exit, throws included.
+  struct Restore {
+    HybridCore& core;
+    KernelBackend backend;
+    ~Restore() { core.set_backend(backend); }
+  } restore{core_, options_.backend};
+  core_.set_backend(backend);
+  return forward(images);
+}
+
 f64 PimRepNetExecutor::evaluate(const Dataset& test, i64 batch) {
   MSH_REQUIRE(test.size() > 0);
   f64 weighted = 0.0;

@@ -57,14 +57,15 @@ struct PimExecutorOptions {
   std::shared_ptr<MramWearTracker> wear;
   /// Metrics attribution for this deployment's programming pulses.
   WearPath wear_path = WearPath::kDeploy;
-  /// Compute backend (DESIGN §5i). kModeled (the default) walks the
-  /// functional PE datapaths with full cycle/event accounting; kRaw runs
-  /// the SIMD host kernels over the same live cells — bit-identical
-  /// forwards, exported images and verify probes, but modeled metrics
-  /// (PE events, bus/buffer traffic, makespan) report zero. Overrides
+  /// Compute backend (DESIGN §5i). kRaw (the default) runs the SIMD
+  /// host kernels over the live cells — bit-identical forwards, exported
+  /// images and verify probes, but modeled metrics (PE events, bus/buffer
+  /// traffic, makespan) report zero. kModeled walks the functional PE
+  /// datapaths with full cycle/event accounting: request it explicitly
+  /// wherever core().pe_events() or last_makespan() is read. Overrides
   /// core.backend; clones and image deployments inherit it, so heal,
   /// swap and recovery rebuilds stay on the chosen backend.
-  KernelBackend backend = KernelBackend::kModeled;
+  KernelBackend backend = KernelBackend::kRaw;
 };
 
 class PimRepNetExecutor {
@@ -90,6 +91,14 @@ class PimRepNetExecutor {
   /// model (see src/runtime). Replica- and row-level parallelism compose:
   /// total host threads = workers x intra_op_threads.
   Tensor forward(const Tensor& images);
+
+  /// forward() on `backend` for this one call, then back to the
+  /// executor's own backend. Both backends read the same live cells, so
+  /// this is the serving engine's shadow oracle: a raw-served batch
+  /// re-run through the modeled kernels on the very cells (faults
+  /// included) that produced it. A modeled call's events accumulate on
+  /// core().
+  Tensor forward_with(KernelBackend backend, const Tensor& images);
 
   /// Top-1 accuracy over a dataset, computed on the hardware.
   f64 evaluate(const Dataset& test, i64 batch = 32);

@@ -23,7 +23,6 @@ struct Param {
   Tensor value;
   Tensor grad;
   const NmMask* mask = nullptr;  ///< non-owning; null = dense
-  /// The 2-D view shape the mask applies to (value may be rank != 2).
   bool trainable = true;
 
   explicit Param(std::string n, Tensor v)

@@ -98,6 +98,7 @@ void RepNetModel::copy_state_from(RepNetModel& other) {
     for (size_t i = 0; i < dst.size(); ++i) {
       MSH_REQUIRE(dst[i]->value.shape() == src[i]->value.shape());
       dst[i]->value = src[i]->value;
+      dst[i]->mask = src[i]->mask;
       dst[i]->zero_grad();
     }
   };

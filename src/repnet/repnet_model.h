@@ -61,10 +61,14 @@ class RepNetModel {
   /// Swaps in a freshly initialized classifier head for a new task.
   void start_new_task(i64 num_classes, Rng& rng);
 
-  /// Copies every parameter value and BatchNorm running statistic from
-  /// `other`, which must have the identical architecture (same configs
-  /// and class count). Used to stand up a dedicated trainer model that
-  /// mirrors a serving model bit-exactly without retraining.
+  /// Copies every parameter value, N:M mask and BatchNorm running
+  /// statistic from `other`, which must have the identical architecture
+  /// (same configs and class count). Used to stand up a dedicated
+  /// trainer model that mirrors a serving model bit-exactly without
+  /// retraining: the optimizer then keeps the served sparsity pattern,
+  /// so every exported image fits the served N:M deployments. Masks stay
+  /// non-owning — whatever owns `other`'s masks must outlive this model's
+  /// training.
   void copy_state_from(RepNetModel& other);
 
   i64 feature_dim() const { return backbone_.config().feature_channels(); }

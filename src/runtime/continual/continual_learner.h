@@ -5,9 +5,10 @@
 //
 // Isolation model: the lane never touches the engine's serving model or
 // replicas. At construction the trainer model mirrors the served weights
-// (RepNetModel::copy_state_from) and a trainer-side executor replica is
-// calibrated on the same data as the engine, so a published image is
-// exactly what the engine would have deployed from the adapted weights.
+// and N:M masks (RepNetModel::copy_state_from) and a trainer-side
+// executor replica is calibrated on the same data as the engine, so a
+// published image is exactly what the engine would have deployed from
+// the adapted weights — with the served sparsity pattern intact.
 //
 // One training step is hardware-in-the-loop (paper §4, Fig 6-2):
 //
@@ -163,7 +164,11 @@ class ContinualLearner {
   /// Trainer-side executor bound to trainer_model_: calibration source,
   /// candidate re-quantization (clone) and image export.
   std::unique_ptr<PimRepNetExecutor> trainer_exec_;
-  HybridCore head_core_;  ///< dedicated SRAM arrays for the head trainer
+  /// Dedicated SRAM arrays for the head trainer. Built from
+  /// `executor.core`, whose backend stays modeled while the engine's
+  /// replicas serve raw: the head's modeled cycles are the lane's
+  /// train_pe_cycles metric (DESIGN §5i).
+  HybridCore head_core_;
   std::unique_ptr<PimLinearTrainer> head_;
   std::unique_ptr<Sgd> sgd_;
   Rng poison_rng_;

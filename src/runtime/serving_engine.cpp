@@ -60,6 +60,7 @@ ServingEngine::ServingEngine(RepNetModel& model, const Dataset& calibration,
   MSH_REQUIRE(options_.max_retries >= 0);
   MSH_REQUIRE(options_.request_deadline_us >= 0.0);
   MSH_REQUIRE(options_.scrub_every_batches >= 0);
+  MSH_REQUIRE(options_.shadow_every_batches >= 0);
   MSH_REQUIRE(options_.breaker.failure_threshold > 0);
   MSH_REQUIRE(options_.breaker.cooldown_us >= 0.0);
   input_amax_ = replicas_[0]->input_amax();
@@ -72,7 +73,8 @@ ServingEngine::ServingEngine(RepNetModel& model, const Dataset& calibration,
            options_.batcher.max_batch_rows, " rows, max wait ",
            options_.batcher.max_wait_us, " us, retry budget ",
            options_.max_retries, ", ecc ",
-           ecc_mode_name(options_.executor.ecc));
+           ecc_mode_name(options_.executor.ecc), ", backend ",
+           to_string(options_.executor.backend));
   refresh_wear_metrics();  // initial deployment already cost pulses
   if (options_.autostart) start();
 }
@@ -645,6 +647,26 @@ void ServingEngine::scrub_and_heal(i64 index) {
   }
 }
 
+void ServingEngine::shadow_check(i64 index, const Tensor& images,
+                                 const Tensor& served) {
+  std::string why;
+  try {
+    const Tensor modeled =
+        replicas_[static_cast<size_t>(index)]->forward_with(
+            KernelBackend::kModeled, images);
+    if (std::memcmp(modeled.data(), served.data(),
+                    sizeof(f32) * static_cast<size_t>(served.numel())) != 0)
+      why = "logits differ by up to " +
+            std::to_string(max_abs_diff(modeled, served));
+  } catch (const std::exception& e) {
+    why = std::string("modeled re-run threw: ") + e.what();
+  }
+  metrics_.record_shadow(why.empty());
+  if (!why.empty())
+    log_error("worker ", index, ": shadow check mismatch on ",
+              images.shape()[0], " row(s): ", why);
+}
+
 void ServingEngine::power_kill(detail::PendingRequest& request, i64 worker) {
   InferenceResponse response;
   response.status = RequestStatus::kPowerLoss;
@@ -779,6 +801,17 @@ void ServingEngine::serve_batch(i64 index, MicroBatch& batch) {
   est_us_per_row_.store(prev <= 0.0 ? per_row : 0.8 * prev + 0.2 * per_row,
                         std::memory_order_relaxed);
 
+  // The shadow oracle compares against exactly what was served; keep a
+  // copy before the logits move into the responses.
+  Tensor shadow_served;
+  const bool shadow_due =
+      options_.shadow_every_batches > 0 &&
+      ++state.batches_since_shadow >= options_.shadow_every_batches;
+  if (shadow_due) {
+    state.batches_since_shadow = 0;
+    shadow_served = logits;
+  }
+
   i64 row = 0;
   for (auto& request : batch.requests) {
     InferenceResponse response;
@@ -815,6 +848,10 @@ void ServingEngine::serve_batch(i64 index, MicroBatch& batch) {
   } else {
     breaker_success(index);
   }
+
+  // Off the reply path, and before any scrub repairs the cells the batch
+  // was served from.
+  if (shadow_due) shadow_check(index, batch.images, shadow_served);
 
   if (options_.scrub_every_batches > 0 &&
       ++state.batches_since_scrub >= options_.scrub_every_batches) {

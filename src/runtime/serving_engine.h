@@ -130,6 +130,12 @@ struct ServingEngineOptions {
   /// with self_heal, uncorrectable or silent corruption triggers a
   /// redeploy.
   i64 scrub_every_batches = 0;
+  /// Shadow oracle: re-run every Nth served batch on a worker through
+  /// the modeled kernels on the same replica's live cells, after its
+  /// responses resolved, and compare the logits byte for byte (0 =
+  /// never). A mismatch means the serving backend diverged from the
+  /// cycle model; it is counted in metrics "resilience" and logged.
+  i64 shadow_every_batches = 0;
   /// MRAM endurance management. With `wear.enabled`, each worker gets a
   /// persistent MramWearTracker modeling its accelerator's physical
   /// medium: every programming path (deploy, heal, swap, publish, scrub
@@ -321,8 +327,8 @@ class ServingEngine {
   };
   enum class BreakerState { kClosed, kOpen, kHalfOpen };
   /// Per-worker mutable state. `pending` and the swap handoff slots are
-  /// the cross-thread channels (guarded by `mutex`); breaker fields and
-  /// `crash_next` / `batches_since_scrub` are owner-thread only;
+  /// the cross-thread channels (guarded by `mutex`); breaker fields,
+  /// `crash_next` and the batch cadence counters are owner-thread only;
   /// `healthy` is read by observers.
   struct WorkerState {
     std::mutex mutex;
@@ -335,6 +341,7 @@ class ServingEngine {
     std::condition_variable swap_cv;
     bool crash_next = false;
     i64 batches_since_scrub = 0;
+    i64 batches_since_shadow = 0;
     BreakerState breaker = BreakerState::kClosed;
     i64 consecutive_failures = 0;
     f64 open_until_us = 0.0;
@@ -350,6 +357,9 @@ class ServingEngine {
   void serve_batch(i64 index, MicroBatch& batch);
   void apply_pending_faults(i64 index);
   void scrub_and_heal(i64 index);
+  /// Shadow oracle: re-runs `images` on worker `index`'s replica through
+  /// the modeled kernels and compares against the `served` logits.
+  void shadow_check(i64 index, const Tensor& images, const Tensor& served);
   /// Quarantines worker `index` and redeploys its replica from its
   /// deployment source (the shared golden model, or the swapped image).
   /// Runs on the owning worker thread.

@@ -100,6 +100,12 @@ void ServingMetrics::record_scrub(i64 corrected, i64 detected_uncorrectable,
   ecc_silent_ += silent;
 }
 
+void ServingMetrics::record_shadow(bool match) {
+  const std::lock_guard<std::mutex> guard(mutex_);
+  shadow_checks_ += 1;
+  if (!match) shadow_mismatches_ += 1;
+}
+
 void ServingMetrics::record_batch(i64 rows) {
   MSH_REQUIRE(rows >= 0);
   const std::lock_guard<std::mutex> guard(mutex_);
@@ -263,6 +269,8 @@ MetricsSnapshot ServingMetrics::snapshot() const {
   s.ecc_corrected = ecc_corrected_;
   s.ecc_detected_uncorrectable = ecc_detected_uncorrectable_;
   s.ecc_silent = ecc_silent_;
+  s.shadow_checks = shadow_checks_;
+  s.shadow_mismatches = shadow_mismatches_;
   s.breaker_opens = breaker_opens_;
   s.breaker_half_opens = breaker_half_opens_;
   s.breaker_closes = breaker_closes_;
@@ -343,7 +351,9 @@ std::string ServingMetrics::to_json(const MetricsSnapshot& s) {
      << ",\"heals\":" << s.heals << ",\"scrubs\":" << s.scrubs
      << ",\"ecc_corrected\":" << s.ecc_corrected
      << ",\"ecc_detected_uncorrectable\":" << s.ecc_detected_uncorrectable
-     << ",\"ecc_silent\":" << s.ecc_silent << '}'
+     << ",\"ecc_silent\":" << s.ecc_silent
+     << ",\"shadow_checks\":" << s.shadow_checks
+     << ",\"shadow_mismatches\":" << s.shadow_mismatches << '}'
      << ",\"breaker\":{\"opens\":" << s.breaker_opens
      << ",\"half_opens\":" << s.breaker_half_opens
      << ",\"closes\":" << s.breaker_closes << '}'

@@ -137,6 +137,8 @@ struct MetricsSnapshot {
   i64 ecc_corrected = 0;  ///< single-bit errors repaired by scrubs
   i64 ecc_detected_uncorrectable = 0;
   i64 ecc_silent = 0;
+  i64 shadow_checks = 0;      ///< served batches re-run on modeled kernels
+  i64 shadow_mismatches = 0;  ///< re-runs whose logits differed
   // Circuit-breaker transitions (overload control).
   i64 breaker_opens = 0;
   i64 breaker_half_opens = 0;
@@ -176,6 +178,8 @@ class ServingMetrics {
   void record_heal();
   /// One scrub pass: corrected / detected-uncorrectable / silent totals.
   void record_scrub(i64 corrected, i64 detected_uncorrectable, i64 silent);
+  /// One shadow-oracle check; `match` = modeled logits equal the served.
+  void record_shadow(bool match);
   void record_batch(i64 rows);
   void sample_queue_depth(i64 depth);
   /// One breaker edge: closed->open, open->half-open, or ->closed.
@@ -250,6 +254,8 @@ class ServingMetrics {
   i64 ecc_corrected_ = 0;
   i64 ecc_detected_uncorrectable_ = 0;
   i64 ecc_silent_ = 0;
+  i64 shadow_checks_ = 0;
+  i64 shadow_mismatches_ = 0;
   i64 breaker_opens_ = 0;
   i64 breaker_half_opens_ = 0;
   i64 breaker_closes_ = 0;

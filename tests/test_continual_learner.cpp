@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "repnet/sparsify.h"
 #include "runtime/continual/continual_learner.h"
 #include "workloads/task_suite.h"
 
@@ -150,6 +151,30 @@ TEST_F(ContinualLearnerTest, AdaptationImprovesAndPublishesGatedImages) {
   EXPECT_NE(json.find("\"training_lane\":{\"active\":true"),
             std::string::npos);
   EXPECT_NE(json.find("\"accuracy_trajectory\":["), std::string::npos);
+  engine->shutdown();
+}
+
+TEST_F(ContinualLearnerTest, PrunedEnginePublishesWithoutFailedSwaps) {
+  // The served Rep convs are 1:4-pruned, so they deploy sparse. The
+  // mirrored trainer model must keep that pattern through SGD: a
+  // candidate whose pruned zeros refilled would deploy dense 4:4 and
+  // fail every publish's swap against the served 1:4 layers.
+  SparsityPlan plan;
+  ASSERT_GT(plan.prune(model_->rep_conv_params(), kSparse1of4,
+                       /*use_gradient_saliency=*/false),
+            0);
+  auto engine = make_engine();
+  ContinualLearner learner(*engine, *trainer_model_,
+                           TaskStream(make_synthetic_dataset(adaptation_spec()), 5),
+                           data_.train, lane_options());
+
+  for (i64 r = 0; r < 10; ++r) learner.run_round();
+
+  const MetricsSnapshot snapshot = engine->metrics().snapshot();
+  EXPECT_GE(learner.publishes(), 1);
+  EXPECT_EQ(snapshot.swaps_failed, 0);
+  EXPECT_EQ(snapshot.training_lane.publish_failures, 0);
+  EXPECT_EQ(snapshot.swaps_completed, learner.publishes());
   engine->shutdown();
 }
 

@@ -133,7 +133,10 @@ TEST_F(ExecutorTest, SparseDeploymentsCoverRepPath) {
 }
 
 TEST_F(ExecutorTest, BothPeTypesDoWork) {
-  PimRepNetExecutor executor(*model_, data_.train);
+  // PE events are modeled-only: the raw default reports none.
+  PimExecutorOptions options;
+  options.backend = KernelBackend::kModeled;
+  PimRepNetExecutor executor(*model_, data_.train, options);
   executor.forward(data_.test.batch_images(0, 2));
   const PeEventCounts events = executor.core().pe_events();
   EXPECT_GT(events.mram_row_reads, 0);      // backbone on MRAM

@@ -4,6 +4,7 @@
 // the single-threaded executor on the same inputs.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -941,6 +942,103 @@ TEST_F(ServingEngineTest, RestartRefusedUnlessPoweredOff) {
   EXPECT_EQ(engine.submit(data_.test.batch_images(0, 1)).get().status,
             RequestStatus::kOk);
   EXPECT_EQ(engine.metrics().snapshot().recovery.recoveries, 0);
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(f32) * static_cast<size_t>(a.numel())) == 0;
+}
+
+TEST_F(ServingEngineTest, ShadowOracleReadsLiveCellsNotGolden) {
+  PimRepNetExecutor golden(*model_, data_.train);
+
+  ServingEngineOptions options;
+  options.workers = 1;
+  options.queue_capacity = 16;
+  options.batcher = {.max_batch_rows = 1, .max_wait_us = 0.0};
+  options.autostart = false;
+  options.self_heal = false;  // keep the corrupt cells in service
+  options.shadow_every_batches = 1;
+  ServingEngine engine(*model_, data_.train, options);
+
+  std::vector<ResponseFuture> futures;
+  for (i64 i = 0; i < 6; ++i)
+    futures.push_back(engine.submit(data_.test.batch_images(i, 1)));
+  engine.inject_worker_fault(0, WorkerFault::kCorruptNvm,
+                             MtjFaultModel::symmetric(5e-3), /*seed=*/77);
+  engine.start();
+
+  i64 diverged = 0;
+  for (i64 i = 0; i < 6; ++i) {
+    const InferenceResponse response = futures[static_cast<size_t>(i)].get();
+    ASSERT_EQ(response.status, RequestStatus::kOk);
+    if (!same_bytes(response.logits,
+                    golden.forward(data_.test.batch_images(i, 1))))
+      ++diverged;
+  }
+  engine.shutdown();  // joins the workers: every shadow check has run
+
+  // The faults landed (a golden re-run would disagree), yet every modeled
+  // re-run matched what the raw kernels served from the same cells.
+  EXPECT_GT(diverged, 0);
+  const MetricsSnapshot snapshot = engine.metrics().snapshot();
+  EXPECT_EQ(snapshot.shadow_checks, snapshot.batches);
+  EXPECT_EQ(snapshot.shadow_checks, 6);
+  EXPECT_EQ(snapshot.shadow_mismatches, 0);
+  EXPECT_EQ(snapshot.heals, 0);
+  EXPECT_NE(ServingMetrics::to_json(snapshot).find("\"shadow_checks\":6"),
+            std::string::npos);
+}
+
+TEST_F(ServingEngineTest, RawDefaultBitExactToModeledAcrossSwapAndHeal) {
+  ServingEngineOptions raw_options;
+  raw_options.workers = 1;
+  raw_options.batcher = {.max_batch_rows = 2, .max_wait_us = 0.0};
+  ServingEngineOptions modeled_options = raw_options;
+  modeled_options.executor.backend = KernelBackend::kModeled;
+  ASSERT_EQ(raw_options.executor.backend, KernelBackend::kRaw);
+  ServingEngine raw(*model_, data_.train, raw_options);
+  ServingEngine modeled(*model_, data_.train, modeled_options);
+
+  const Tensor probe = data_.test.batch_images(0, 3);
+  const auto expect_same = [&](const char* stage) {
+    const InferenceResponse a = raw.submit(probe).get();
+    const InferenceResponse b = modeled.submit(probe).get();
+    ASSERT_EQ(a.status, RequestStatus::kOk) << stage;
+    ASSERT_EQ(b.status, RequestStatus::kOk) << stage;
+    EXPECT_TRUE(same_bytes(a.logits, b.logits)) << stage;
+  };
+  expect_same("initial deployment");
+
+  // Swap both engines onto an image of differently initialized weights,
+  // so the post-swap logits really come from new cells.
+  Rng rng(23);
+  BackboneConfig backbone;
+  backbone.stem_channels = 8;
+  backbone.stage_channels = {8, 16};
+  backbone.blocks_per_stage = {1, 1};
+  backbone.stage_strides = {1, 2};
+  RepNetModel other(backbone,
+                    RepNetConfig{.bottleneck_divisor = 8, .min_bottleneck = 8},
+                    4, rng);
+  auto image = std::make_shared<DeploymentImage>(
+      PimRepNetExecutor(other, data_.train).export_image());
+  const Tensor before = raw.submit(probe).get().logits;
+  ASSERT_TRUE(raw.swap_model(image));
+  ASSERT_TRUE(modeled.swap_model(image));
+  EXPECT_FALSE(same_bytes(raw.submit(probe).get().logits, before));
+  expect_same("after swap_model");
+
+  // A crash heals each replica by redeploying from the swapped image.
+  raw.inject_worker_fault(0, WorkerFault::kCrashNextBatch);
+  modeled.inject_worker_fault(0, WorkerFault::kCrashNextBatch);
+  expect_same("after heal");
+  raw.shutdown();
+  modeled.shutdown();
+  EXPECT_EQ(raw.metrics().snapshot().heals, 1);
+  EXPECT_EQ(modeled.metrics().snapshot().heals, 1);
+  EXPECT_EQ(raw.replica(0).source_image(), image);
 }
 
 TEST_F(ServingEngineTest, PowerFailDamageIsSeedDeterministic) {

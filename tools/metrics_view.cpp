@@ -286,6 +286,10 @@ void print_resilience(const JsonValue& root) {
                      resilience.count("ecc_detected_uncorrectable"))});
   table.add_row(
       {"ecc silent", std::to_string(resilience.count("ecc_silent"))});
+  table.add_row({"shadow checks",
+                 std::to_string(resilience.count("shadow_checks"))});
+  table.add_row({"shadow mismatches",
+                 std::to_string(resilience.count("shadow_mismatches"))});
   table.add_row(
       {"breaker opens", std::to_string(breaker.count("opens"))});
   table.add_row(
