@@ -172,41 +172,50 @@ void HybridCore::absorb_row(Deployment& dep, std::span<const i8> activations,
   bus_.transfer(dep.cols * 32);
 }
 
-std::vector<i32> HybridCore::raw_matmul(const Deployment& dep,
-                                        std::span<const i8> activations,
-                                        i64 batch) {
+void HybridCore::raw_matmul(const Deployment& dep,
+                            std::span<const i8> activations, i64 batch,
+                            std::span<i32> out) {
   // Rebuilt from the live cells every dispatch, so fault injection,
   // scrub repairs and wear-limited programming are picked up exactly as
   // the modeled walk would see them (see kernels/flat_csc.h).
   arena_.reset();
   FlatCsc flat;
   if (dep.is_sram) {
-    std::vector<const SramPeTile*> tiles;
-    tiles.reserve(dep.sram_pes.size());
-    for (const auto& pe : dep.sram_pes) tiles.push_back(&pe->tile());
+    std::span<const SramPeTile*> tiles =
+        arena_.alloc<const SramPeTile*>(dep.pe_count());
+    for (size_t i = 0; i < tiles.size(); ++i)
+      tiles[i] = &dep.sram_pes[i]->tile();
     flat = build_flat_csc_sram(tiles, dep.cols, dep.dense_rows, arena_);
   } else {
-    std::vector<const MramPeTile*> tiles;
-    tiles.reserve(dep.mram_pes.size());
-    for (const auto& pe : dep.mram_pes) tiles.push_back(&pe->tile());
+    std::span<const MramPeTile*> tiles =
+        arena_.alloc<const MramPeTile*>(dep.pe_count());
+    for (size_t i = 0; i < tiles.size(); ++i)
+      tiles[i] = &dep.mram_pes[i]->tile();
     flat = build_flat_csc_mram(tiles, dep.cols, dep.dense_rows, arena_);
   }
-  std::vector<i32> out(static_cast<size_t>(batch * dep.cols));
   raw_csc_matmul(flat, activations, batch, out, arena_, intra_pool_);
   // Cycle metrics are modeled-only: the raw backend reports zero.
   last_makespan_ = 0;
   last_utilization_ = 0.0;
-  return out;
+}
+
+HybridCore::Deployment& HybridCore::checked_deployment(
+    i64 handle, std::span<const i8> activations, i64 batch) {
+  MSH_REQUIRE(handle >= 0 &&
+              handle < static_cast<i64>(deployments_.size()));
+  Deployment& dep = deployments_[static_cast<size_t>(handle)];
+  MSH_REQUIRE(static_cast<i64>(activations.size()) ==
+              batch * dep.dense_rows);
+  return dep;
 }
 
 std::vector<i32> HybridCore::matvec(i64 handle,
                                     std::span<const i8> activations) {
-  MSH_REQUIRE(handle >= 0 &&
-              handle < static_cast<i64>(deployments_.size()));
-  Deployment& dep = deployments_[static_cast<size_t>(handle)];
-  MSH_REQUIRE(static_cast<i64>(activations.size()) == dep.dense_rows);
+  Deployment& dep = checked_deployment(handle, activations, 1);
   if (options_.backend == KernelBackend::kRaw) {
-    return raw_matmul(dep, activations, 1);
+    std::vector<i32> out(static_cast<size_t>(dep.cols));
+    raw_matmul(dep, activations, 1, out);
+    return out;
   }
 
   RowCompute row = compute_row(dep, activations);
@@ -219,15 +228,30 @@ std::vector<i32> HybridCore::matvec(i64 handle,
 std::vector<i32> HybridCore::matmul(i64 handle,
                                     std::span<const i8> activations,
                                     i64 batch) {
-  MSH_REQUIRE(handle >= 0 &&
-              handle < static_cast<i64>(deployments_.size()));
-  Deployment& dep = deployments_[static_cast<size_t>(handle)];
-  MSH_REQUIRE(static_cast<i64>(activations.size()) ==
-              batch * dep.dense_rows);
+  Deployment& dep = checked_deployment(handle, activations, batch);
   if (options_.backend == KernelBackend::kRaw) {
-    return raw_matmul(dep, activations, batch);
+    std::vector<i32> out(static_cast<size_t>(batch * dep.cols));
+    raw_matmul(dep, activations, batch, out);
+    return out;
   }
+  return modeled_matmul(handle, dep, activations, batch);
+}
 
+void HybridCore::matmul_into(i64 handle, std::span<const i8> activations,
+                             i64 batch, std::span<i32> out) {
+  Deployment& dep = checked_deployment(handle, activations, batch);
+  MSH_REQUIRE(static_cast<i64>(out.size()) == batch * dep.cols);
+  if (options_.backend == KernelBackend::kRaw) {
+    raw_matmul(dep, activations, batch, out);
+    return;
+  }
+  const std::vector<i32> y = modeled_matmul(handle, dep, activations, batch);
+  std::copy(y.begin(), y.end(), out.begin());
+}
+
+std::vector<i32> HybridCore::modeled_matmul(i64 handle, Deployment& dep,
+                                            std::span<const i8> activations,
+                                            i64 batch) {
   ThreadPool* pool = intra_pool_;
   if (pool == nullptr || pool->size() <= 1 || batch <= 1) {
     std::vector<i32> out;

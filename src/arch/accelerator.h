@@ -70,6 +70,26 @@ class HybridCore {
   std::vector<i32> matmul(i64 handle, std::span<const i8> activations,
                           i64 batch);
 
+  /// matmul() into a caller-owned [batch x cols] buffer. On the raw
+  /// backend the dispatch then allocates nothing on the heap: its flat
+  /// CSC, widened activations and tile lists live in the core's kernel
+  /// arena, reused at its high-water mark.
+  void matmul_into(i64 handle, std::span<const i8> activations, i64 batch,
+                   std::span<i32> out);
+
+  /// Per-dispatch scratch for the layer wrappers that feed this core
+  /// (quantized inputs, gathered code rows, accumulators). The caller
+  /// resets it at the start of each layer dispatch; the core itself never
+  /// does, so spans taken from it stay valid across matmul_into(). Same
+  /// single-thread contract as the core.
+  KernelArena& io_scratch() { return io_arena_; }
+
+  /// Heap bytes held by the core's kernel and I/O arenas: constant once
+  /// a repeated workload has reached its high-water mark.
+  size_t scratch_bytes_reserved() const {
+    return arena_.bytes_reserved() + io_arena_.bytes_reserved();
+  }
+
   /// Attaches a host thread pool for intra-batch (row-level) parallel
   /// matmul. Non-owning; nullptr (the default) keeps every path
   /// sequential. The pool must outlive the core or be detached first.
@@ -143,14 +163,21 @@ class HybridCore {
   void absorb_row(Deployment& dep, std::span<const i8> activations,
                   const RowCompute& row);
 
+  Deployment& checked_deployment(i64 handle, std::span<const i8> activations,
+                                 i64 batch);
+
   /// Raw-backend dispatch: flattens the deployment's live tile cells
-  /// into CSC form in the arena and runs the SIMD matmul, sharding
-  /// columns over the intra-op pool. No accounting.
-  std::vector<i32> raw_matmul(const Deployment& dep,
-                              std::span<const i8> activations, i64 batch);
+  /// into CSC form in the arena and runs the SIMD matmul into `out`,
+  /// sharding columns over the intra-op pool. No accounting.
+  void raw_matmul(const Deployment& dep, std::span<const i8> activations,
+                  i64 batch, std::span<i32> out);
+  /// Modeled-backend batched walk (sequential or row lanes).
+  std::vector<i32> modeled_matmul(i64 handle, Deployment& dep,
+                                  std::span<const i8> activations, i64 batch);
 
   Options options_;
-  KernelArena arena_;  ///< raw-backend scratch, reset per dispatch
+  KernelArena arena_;     ///< raw-backend scratch, reset per dispatch
+  KernelArena io_arena_;  ///< layer-wrapper scratch (io_scratch())
   Bus bus_;
   ActivationBuffer buffer_;
   std::vector<Deployment> deployments_;

@@ -45,9 +45,6 @@ class PimMatmulLayer {
   /// is bit-identical to the sequential walk.
   Tensor matmul(const Tensor& x, const Tensor* bias = nullptr);
 
-  /// The core's intra-op pool (null when execution is sequential).
-  ThreadPool* intra_op_pool() const { return core_.intra_op_pool(); }
-
   /// Rewrites the deployment with updated weights (same shape; the N:M
   /// pattern must still hold if the layer deployed sparse). SRAM
   /// deployments only — the continual-learning write path.
@@ -58,11 +55,14 @@ class PimMatmulLayer {
   void set_activation_scale(f32 scale);
 
   f32 activation_scale() const { return act_params_.scale; }
+  const QuantParams& activation_params() const { return act_params_; }
   f32 weight_scale() const { return weight_scale_; }
   NmConfig packed_config() const { return packed_cfg_; }
   bool deployed_sparse() const { return deployed_sparse_; }
   i64 stored_slots() const { return stored_slots_; }
   i64 handle() const { return handle_; }
+  /// Reduction length as deployed: K zero-padded to the group size.
+  i64 padded_k() const { return padded_k_; }
 
   /// The as-programmed quantized matrix (golden copy, serialization /
   /// verify source). Physical PE cells may have drifted since (faults);
@@ -83,19 +83,33 @@ class PimMatmulLayer {
   QuantizedNmMatrix deployed_;
 };
 
-/// A conv layer on the hardware: im2col lowering around a PimMatmulLayer,
-/// bias added digitally.
+/// A conv layer on the hardware: the input is lowered straight to INT8
+/// im2col rows for a PimMatmulLayer's deployment, and the accumulators
+/// are dequantized, biased and scattered back to NCHW in one pass.
 class PimConv {
  public:
   PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
           f32 activation_scale, const QuantizedNmMatrix* preset = nullptr);
 
   /// x: [B, C, H, W] float activations -> [B, out, Ho, Wo].
+  ///
+  /// Each input value is quantized once (quantize_activations), then
+  /// every output position's receptive field is gathered as codes into
+  /// the [positions x padded_k] rows HybridCore::matmul takes — padding
+  /// taps and the K tail are code 0, which is quantize(0.0f). The output
+  /// is scale * acc + bias per element (bias 0.0f when the conv has
+  /// none): the same two FP32 roundings, in the same order, as
+  /// dequantizing im2col rows and adding bias after. Every buffer but
+  /// the returned tensor lives in the core's scratch arenas. Quantize,
+  /// gather and scatter shard over the core's intra-op pool, one lane
+  /// per row or plane, so the result is bit-identical at any thread
+  /// count.
   Tensor forward(const Tensor& x);
 
   const PimMatmulLayer& matmul_layer() const { return matmul_; }
 
  private:
+  HybridCore& core_;
   Conv2dGeometry geom_;
   PimMatmulLayer matmul_;
   Tensor bias_;  ///< [out] or empty

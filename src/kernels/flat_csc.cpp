@@ -119,13 +119,8 @@ void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
 
   for (i64 b0 = 0; b0 < batch; b0 += kBlock) {
     const i64 nb = std::min(kBlock, batch - b0);
-    for (i64 r = 0; r < w.dense_rows; ++r) {
-      i16* row = xt.data() + r * nb;
-      for (i64 j = 0; j < nb; ++j) {
-        row[j] = static_cast<i16>(
-            acts[static_cast<size_t>((b0 + j) * w.dense_rows + r)]);
-      }
-    }
+    simd::widen_transpose(acts.data() + b0 * w.dense_rows, nb, w.dense_rows,
+                          xt.data());
     parallel_for(pool, w.cols, [&](i64 begin, i64 end) {
       i32 acc[kBlock];
       for (i64 c = begin; c < end; ++c) {

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "kernels/simd.h"
+
 namespace msh {
 
 void quantize_activations(const f32* x, i64 batch, i64 k, i64 padded_k,
@@ -11,9 +13,7 @@ void quantize_activations(const f32* x, i64 batch, i64 k, i64 padded_k,
   parallel_for(pool, batch, [&](i64 begin, i64 end) {
     for (i64 b = begin; b < end; ++b) {
       i8* row = codes + b * padded_k;
-      for (i64 i = 0; i < k; ++i) {
-        row[i] = static_cast<i8>(params.quantize(x[b * k + i]));
-      }
+      simd::quantize(x + b * k, k, params, row);
       if (padded_k > k) {
         std::memset(row + k, 0, static_cast<size_t>(padded_k - k));
       }

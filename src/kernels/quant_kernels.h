@@ -1,9 +1,15 @@
 // Activation quantize / output dequantize, shared by BOTH backends: the
 // float<->INT8 boundary must be a single implementation so backend
-// choice can never move a value across a rounding edge. Kept scalar on
-// purpose — vectorizing the float path would expose it to FMA
-// contraction differences between compilers, and it is a small fraction
-// of a forward next to the matmul itself.
+// choice can never move a value across a rounding edge.
+//
+// Quantize is vectorized (simd::quantize, AVX2/SSE2/NEON) and checked
+// bit-exact against the scalar QuantParams::quantize, its fallback and
+// reference: it is one divide, a clamp and a round-half-even convert,
+// with nothing an FMA could contract. Its saturation contract is total —
+// ±inf and out-of-range values clamp to qmax/qmin, NaN to qmin —
+// identically on every ISA. Dequantize stays scalar: scale * acc + bias
+// is exactly the multiply-add a compiler may fuse, so it is written as
+// two operations and built with FP contraction off.
 #pragma once
 
 #include "common/thread_pool.h"

@@ -1,5 +1,6 @@
 #include "quant/quant.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace msh {
@@ -15,10 +16,14 @@ QuantParams QuantParams::calibrate(const Tensor& t, i32 bits) {
 }
 
 i32 QuantParams::quantize(f32 v) const {
-  const f32 q = v / scale;
+  // Saturate in float before converting: float->int conversion is only
+  // defined in range, so clamping the integer afterwards would let +inf
+  // or a huge |v| wrap to INT_MIN and flip sign. std::max keeps its
+  // first argument on an unordered compare, so NaN lands on qmin.
+  const f32 q = std::min(static_cast<f32>(qmax),
+                         std::max(static_cast<f32>(qmin), v / scale));
   // Round half to even, matching typical fixed-point RTL rounding.
-  const i32 r = static_cast<i32>(std::nearbyint(q));
-  return std::min(qmax, std::max(qmin, r));
+  return static_cast<i32>(std::nearbyint(q));
 }
 
 QuantizedTensor quantize(const Tensor& t, const QuantParams& params) {

@@ -18,6 +18,9 @@ struct QuantParams {
   /// Calibrates scale from the tensor's absolute maximum.
   static QuantParams calibrate(const Tensor& t, i32 bits = 8);
 
+  /// round_half_even(v / scale) saturated to [qmin, qmax]. Total: ±inf
+  /// and out-of-range values saturate to the matching end, NaN maps to
+  /// qmin. The reference every SIMD quantizer is checked against.
   i32 quantize(f32 v) const;
   f32 dequantize(i32 q) const { return scale * static_cast<f32>(q); }
 };

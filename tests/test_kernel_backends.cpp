@@ -7,7 +7,11 @@
 // assembly the raw path serves through.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "deploy/pim_executor.h"
+#include "kernels/quant_kernels.h"
 #include "kernels/simd.h"
 #include "runtime/dynamic_batcher.h"
 #include "sparse/nm_mask.h"
@@ -15,6 +19,27 @@
 
 namespace msh {
 namespace {
+
+BackboneConfig tiny_backbone() {
+  BackboneConfig cfg;
+  cfg.stem_channels = 8;
+  cfg.stage_channels = {8};
+  cfg.blocks_per_stage = {1};
+  cfg.stage_strides = {1};
+  return cfg;
+}
+
+SyntheticSpec tiny_task() {
+  SyntheticSpec spec;
+  spec.name = "backend-task";
+  spec.classes = 3;
+  spec.train_per_class = 8;
+  spec.test_per_class = 4;
+  spec.image_size = 10;
+  spec.noise = 0.2f;
+  spec.seed = 7;
+  return spec;
+}
 
 Tensor sparse_weight(i64 out, i64 k, NmConfig cfg, u64 seed) {
   Rng rng(seed);
@@ -129,6 +154,30 @@ TEST(KernelArenaTest, ReusesOneSlabAfterReset) {
   (void)arena.alloc<i8>(3333);
   // Steady state: no new slabs once the high-water mark is learned.
   EXPECT_EQ(arena.bytes_reserved(), reserved);
+
+  // The same holds for a whole raw forward: every layer's codes,
+  // accumulators, flat CSC and tile lists come from the core's arenas,
+  // so repeated forwards at one batch size stop reserving heap.
+  Rng model_rng(17);
+  const TrainTestSplit data = make_synthetic_dataset(tiny_task());
+  RepNetModel model(tiny_backbone(),
+                    RepNetConfig{.bottleneck_divisor = 8,
+                                 .min_bottleneck = 8},
+                    3, model_rng);
+  PimExecutorOptions options;
+  options.backend = KernelBackend::kRaw;
+  options.calibration_batch = 8;
+  options.calibration_batches = 1;
+  PimRepNetExecutor exec(model, data.train, options);
+  const Tensor images = data.test.batch_images(0, 4);
+  (void)exec.forward(images);
+  (void)exec.forward(images);
+  const size_t forward_reserved = exec.core().scratch_bytes_reserved();
+  EXPECT_GT(forward_reserved, 0u);
+  for (int round = 0; round < 3; ++round) {
+    (void)exec.forward(images);
+    EXPECT_EQ(exec.core().scratch_bytes_reserved(), forward_reserved);
+  }
 }
 
 TEST(SimdTest, MultiplyAccumulateMatchesScalarWithWrap) {
@@ -151,31 +200,106 @@ TEST(SimdTest, MultiplyAccumulateMatchesScalarWithWrap) {
   }
 }
 
+TEST(SimdTest, WidenTransposeMatchesScalar) {
+  // Shapes around the 8 x 16 tile: full tiles, row and column edges, and
+  // blocks smaller than one tile, over the whole INT8 range.
+  Rng rng(5);
+  for (const i64 rows : {1, 7, 8, 9, 16, 23, 64}) {
+    for (const i64 cols : {1, 15, 16, 17, 28, 72, 145}) {
+      std::vector<i8> x(static_cast<size_t>(rows * cols));
+      for (i8& v : x) v = static_cast<i8>(rng.uniform_int(-128, 127));
+      std::vector<i16> xt(x.size());
+      simd::widen_transpose(x.data(), rows, cols, xt.data());
+      for (i64 r = 0; r < rows; ++r) {
+        for (i64 c = 0; c < cols; ++c) {
+          ASSERT_EQ(xt[static_cast<size_t>(c * rows + r)],
+                    x[static_cast<size_t>(r * cols + c)])
+              << rows << "x" << cols << " at (" << r << ", " << c << ") on "
+              << simd::kIsa;
+        }
+      }
+    }
+  }
+}
+
+// ----- SIMD quantizer vs the scalar reference -------------------------
+
+/// Quantizes `x` as one row through the shared kernel and checks every
+/// code against QuantParams::quantize.
+void expect_quantize_matches(const std::vector<f32>& x,
+                             const QuantParams& params) {
+  std::vector<i8> codes(x.size());
+  quantize_activations(x.data(), 1, static_cast<i64>(x.size()),
+                       static_cast<i64>(x.size()), params, codes.data(),
+                       nullptr);
+  for (size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(static_cast<i32>(codes[i]), params.quantize(x[i]))
+        << "bits " << std::bit_cast<u32>(x[i]) << " on " << simd::kIsa;
+  }
+}
+
+QuantParams params_for(f32 scale, i32 bits) {
+  QuantParams p;
+  p.scale = scale;
+  p.qmax = (1 << (bits - 1)) - 1;
+  p.qmin = -p.qmax;
+  return p;
+}
+
+TEST(SimdTest, QuantizeMatchesScalarOverFloatBitPatterns) {
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  std::vector<f32> x = {
+      0.0f, -0.0f, inf, -inf, nan, -nan,
+      std::bit_cast<f32>(u32{0x7f800001}),  // signaling NaN
+      std::numeric_limits<f32>::max(), std::numeric_limits<f32>::lowest(),
+      std::numeric_limits<f32>::denorm_min(), 1e30f, -1e30f, 2e8f, -2e8f,
+      0.5f, 1.5f, 2.5f, -0.5f, -1.5f, -2.5f, 126.5f, 127.5f, -127.5f,
+      2147483648.0f, -2147483648.0f};
+  // Every 997th bit pattern: all signs, exponents and NaN payload ranges.
+  for (u64 bits = 0; bits <= 0xffffffffu; bits += 997) {
+    x.push_back(std::bit_cast<f32>(static_cast<u32>(bits)));
+  }
+  for (const f32 scale : {1.0f, 0.05f, 1e-3f, 3.7f, 1e-30f, 1e30f}) {
+    SCOPED_TRACE("scale " + std::to_string(scale));
+    expect_quantize_matches(x, params_for(scale, 8));
+  }
+  for (i32 bits = 2; bits < 8; ++bits) {
+    SCOPED_TRACE("bits " + std::to_string(bits));
+    expect_quantize_matches(x, params_for(0.05f, bits));
+  }
+}
+
+TEST(SimdTest, QuantizeCoversTailsAndPad) {
+  // Every length through two full 16-wide bodies plus a tail, with a pad
+  // past k, over several rows sharded on a pool: codes match the scalar
+  // reference and the pad is zero.
+  Rng rng(11);
+  ThreadPool pool(3);
+  const QuantParams params = params_for(0.02f, 8);
+  for (i64 k = 0; k <= 33; ++k) {
+    for (const i64 pad : {0, 3}) {
+      const i64 batch = 5, padded_k = k + pad;
+      const Tensor x = Tensor::randn(Shape{batch, std::max<i64>(k, 1)}, rng);
+      std::vector<i8> codes(static_cast<size_t>(batch * padded_k), 99);
+      quantize_activations(x.data(), batch, k, padded_k, params,
+                           codes.data(), &pool);
+      for (i64 b = 0; b < batch; ++b) {
+        for (i64 i = 0; i < padded_k; ++i) {
+          const i32 want = i < k ? params.quantize(x[b * k + i]) : 0;
+          ASSERT_EQ(codes[static_cast<size_t>(b * padded_k + i)], want)
+              << "k=" << k << " padded_k=" << padded_k << " row " << b
+              << " col " << i;
+        }
+      }
+    }
+  }
+}
+
 // ----- executor-level differential: full model, protection, images ----
 
 class BackendExecutorTest : public ::testing::Test {
  protected:
-  static BackboneConfig tiny_backbone() {
-    BackboneConfig cfg;
-    cfg.stem_channels = 8;
-    cfg.stage_channels = {8};
-    cfg.blocks_per_stage = {1};
-    cfg.stage_strides = {1};
-    return cfg;
-  }
-
-  static SyntheticSpec tiny_task() {
-    SyntheticSpec spec;
-    spec.name = "backend-task";
-    spec.classes = 3;
-    spec.train_per_class = 8;
-    spec.test_per_class = 4;
-    spec.image_size = 10;
-    spec.noise = 0.2f;
-    spec.seed = 7;
-    return spec;
-  }
-
   static PimExecutorOptions options_for(KernelBackend backend, EccMode ecc,
                                         i64 threads = 1) {
     PimExecutorOptions options;

@@ -3,8 +3,11 @@
 // totals, and bus/buffer accounting identical to the sequential walk at
 // every batch x thread combination — the determinism contract that lets
 // serving replicas turn on intra_op_threads without changing results.
+// Also pins PimConv's INT8 lowering to the float im2col composition it
+// replaced, byte for byte, on both backends.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "deploy/pim_executor.h"
 #include "deploy/pim_layer.h"
+#include "kernels/quant_kernels.h"
 #include "sparse/nm_mask.h"
 #include "workloads/task_suite.h"
 
@@ -211,6 +215,131 @@ TEST(PimParallel, InlinePoolMatchesNullPool) {
     for (i64 i = 0; i < y.numel(); ++i) ASSERT_EQ(y[i], y_ref[i]);
     EXPECT_EQ(core.last_makespan(), ref_core.last_makespan());
     expect_events_equal(core.pe_events(), ref_core.pe_events());
+  }
+}
+
+// ----- conv lowering: INT8 im2col vs the float composition ------------
+
+/// The float lowering PimConv::forward replaced, kept as its reference:
+/// im2col -> transpose -> quantize_activations -> HybridCore::matmul ->
+/// dequantize_outputs -> NCHW scatter + bias (0.0f when absent).
+Tensor reference_conv_forward(HybridCore& core, const PimConv& conv,
+                              const Conv2dGeometry& geom, const Tensor& bias,
+                              const Tensor& x) {
+  const PimMatmulLayer& mm = conv.matmul_layer();
+  ThreadPool* pool = core.intra_op_pool();
+  const Tensor rows = im2col(x, geom).transposed();  // [positions, K]
+  const i64 positions = rows.shape()[0], k = rows.shape()[1];
+  const i64 out = geom.out_channels;
+  std::vector<i8> codes(static_cast<size_t>(positions * mm.padded_k()));
+  quantize_activations(rows.data(), positions, k, mm.padded_k(),
+                       mm.activation_params(), codes.data(), pool);
+  const std::vector<i32> acc = core.matmul(mm.handle(), codes, positions);
+  std::vector<f32> flat(static_cast<size_t>(positions * out));
+  dequantize_outputs(acc.data(), positions, out,
+                     mm.activation_scale() * mm.weight_scale(), nullptr,
+                     flat.data(), pool);
+
+  const i64 n = x.shape()[0];
+  const i64 ho = geom.out_dim(x.shape()[2]), wo = geom.out_dim(x.shape()[3]);
+  const i64 spatial = ho * wo;
+  Tensor y(Shape{n, out, ho, wo});
+  for (i64 img = 0; img < n; ++img) {
+    for (i64 oc = 0; oc < out; ++oc) {
+      const f32 b = bias.empty() ? 0.0f : bias[oc];
+      for (i64 s = 0; s < spatial; ++s) {
+        y[(img * out + oc) * spatial + s] =
+            flat[static_cast<size_t>((img * spatial + s) * out + oc)] + b;
+      }
+    }
+  }
+  return y;
+}
+
+TEST(PimConvLowering, MatchesFloatIm2colReferenceBitExactly) {
+  // kernel x stride x padding x bias x batch x backend x threads. Kernel
+  // 2 takes the gather's generic path, 1 and 3 its unrolled ones. Odd
+  // cases deploy dense, with K = 27 (the stem's) and 6 not multiples of
+  // the group size M = 4, so the K tail is padded; even cases deploy
+  // 1:4 sparse. A 7x5 input catches any H/W mix-up.
+  i64 case_id = 0;
+  for (const i64 kernel : {1, 2, 3}) {
+    for (const i64 stride : {1, 2}) {
+      for (const i64 padding : {0, 1}) {
+        for (const bool with_bias : {false, true}) {
+          ++case_id;
+          const bool sparse = case_id % 2 == 0;
+          const i64 in_ch = sparse ? 4 : (kernel == 3 ? 3 : 6);
+          const Conv2dGeometry geom{.in_channels = in_ch,
+                                    .out_channels = 5,
+                                    .kernel = kernel,
+                                    .stride = stride,
+                                    .padding = padding};
+          Rng rng(100 + static_cast<u64>(case_id));
+          Conv2d conv(geom, rng, with_bias);
+          const i64 k = in_ch * kernel * kernel;
+          if (sparse) conv.set_weight(sparse_weight(5, k, 200 + case_id));
+          if (with_bias) conv.bias().value = Tensor::randn(Shape{5}, rng);
+
+          for (const i64 batch : {1, 7, 32}) {
+            // Wide enough that ~10% of codes saturate at the 0.02 scale,
+            // with some exact zeros mixed in.
+            Tensor x = Tensor::randn(Shape{batch, in_ch, 7, 5}, rng, 0.0f,
+                                     1.0f);
+            for (i64 i = 0; i < x.numel(); i += 11) x[i] = 0.0f;
+            for (const KernelBackend backend :
+                 {KernelBackend::kModeled, KernelBackend::kRaw}) {
+              HybridCoreOptions options;
+              options.backend = backend;
+              HybridCore ref_core(options);
+              PimConv ref_conv(ref_core, conv, kSparse1of4, PeKind::kSram,
+                               0.02f);
+              const Tensor want = reference_conv_forward(
+                  ref_core, ref_conv, geom,
+                  with_bias ? conv.bias().value : Tensor(), x);
+              for (const i64 threads : {1, 3}) {
+                SCOPED_TRACE("k" + std::to_string(kernel) + " s" +
+                             std::to_string(stride) + " p" +
+                             std::to_string(padding) +
+                             (with_bias ? " bias" : " nobias") + " b" +
+                             std::to_string(batch) + " " +
+                             to_string(backend) + " t" +
+                             std::to_string(threads));
+                ThreadPool pool(threads);
+                HybridCore core(options);
+                if (threads > 1) core.set_intra_op_pool(&pool);
+                PimConv lowered(core, conv, kSparse1of4, PeKind::kSram,
+                                0.02f);
+                ASSERT_EQ(lowered.matmul_layer().deployed_sparse(), sparse);
+
+                const Tensor got = lowered.forward(x);
+                ASSERT_EQ(got.shape(), want.shape());
+                for (i64 i = 0; i < got.numel(); ++i) {
+                  // Byte equality: also tells 0.0f from -0.0f.
+                  ASSERT_EQ(std::bit_cast<u32>(got[i]),
+                            std::bit_cast<u32>(want[i]))
+                      << "output element " << i;
+                }
+                // The modeled walk sees the same code rows, so every
+                // event, bus and buffer counter matches the sequential
+                // reference too.
+                expect_events_equal(core.pe_events(), ref_core.pe_events());
+                EXPECT_EQ(core.shared_accumulator_ops(),
+                          ref_core.shared_accumulator_ops());
+                EXPECT_EQ(core.bus().bits_moved(),
+                          ref_core.bus().bits_moved());
+                EXPECT_EQ(core.bus().busy_cycles(),
+                          ref_core.bus().busy_cycles());
+                EXPECT_EQ(core.buffer().bytes_loaded(),
+                          ref_core.buffer().bytes_loaded());
+                EXPECT_EQ(core.buffer().bytes_read(),
+                          ref_core.buffer().bytes_read());
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 

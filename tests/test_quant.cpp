@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "quant/quant.h"
 #include "tensor/ops.h"
@@ -33,6 +34,22 @@ TEST(QuantParams, SaturatesAtRange) {
   QuantParams p{.scale = 1.0f};
   EXPECT_EQ(p.quantize(500.0f), 127);
   EXPECT_EQ(p.quantize(-500.0f), -127);
+  // Saturation happens in float, before the conversion: values past the
+  // i32 range and infinities keep their sign, NaN lands on qmin.
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  EXPECT_EQ(p.quantize(inf), 127);
+  EXPECT_EQ(p.quantize(-inf), -127);
+  EXPECT_EQ(p.quantize(1e30f), 127);
+  EXPECT_EQ(p.quantize(-1e30f), -127);
+  EXPECT_EQ(p.quantize(std::numeric_limits<f32>::quiet_NaN()), -127);
+  const QuantParams fine{.scale = 0.05f};
+  EXPECT_EQ(fine.quantize(2e8f), 127);  // 4e9 after scaling: > INT32_MAX
+  EXPECT_EQ(fine.quantize(inf), 127);
+  // Ties round half to even.
+  EXPECT_EQ(p.quantize(0.5f), 0);
+  EXPECT_EQ(p.quantize(1.5f), 2);
+  EXPECT_EQ(p.quantize(2.5f), 2);
+  EXPECT_EQ(p.quantize(-0.5f), 0);
 }
 
 TEST(Quantize, RoundTripErrorBounded) {
