@@ -9,14 +9,10 @@ namespace msh {
 
 namespace {
 
-Tensor relu_eval(Tensor x) {
-  for (i64 i = 0; i < x.numel(); ++i) x[i] = std::max(x[i], 0.0f);
-  return x;
-}
-
-// Side-effect-free average pool. The nn::AvgPool2d layer caches its input
-// shape for backward even in eval mode; hardware-mode inference must not
-// write to the shared model, so the digital periphery pools here instead.
+// Side-effect-free average pool, the same FP32 sums as nn::AvgPool2d.
+// That layer caches its input shape for backward even in eval mode, and
+// hardware-mode inference must not write to the shared model, so both
+// walk modes pool here instead.
 Tensor avg_pool_eval(const Tensor& x, i64 kernel, i64 stride) {
   const i64 n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
             w = x.shape()[3];
@@ -25,18 +21,16 @@ Tensor avg_pool_eval(const Tensor& x, i64 kernel, i64 stride) {
   MSH_REQUIRE(ho > 0 && wo > 0);
   Tensor y(Shape{n, c, ho, wo});
   const f32 inv = 1.0f / static_cast<f32>(kernel * kernel);
-  i64 out = 0;
-  for (i64 img = 0; img < n; ++img) {
-    for (i64 ch = 0; ch < c; ++ch) {
-      const i64 plane = (img * c + ch) * h * w;
-      for (i64 oy = 0; oy < ho; ++oy) {
-        for (i64 ox = 0; ox < wo; ++ox, ++out) {
-          f32 acc = 0.0f;
-          for (i64 ky = 0; ky < kernel; ++ky)
-            for (i64 kx = 0; kx < kernel; ++kx)
-              acc += x[plane + (oy * stride + ky) * w + (ox * stride + kx)];
-          y[out] = acc * inv;
-        }
+  const f32* plane = x.data();
+  f32* out = y.data();
+  for (i64 p = 0; p < n * c; ++p, plane += h * w) {
+    for (i64 oy = 0; oy < ho; ++oy) {
+      for (i64 ox = 0; ox < wo; ++ox) {
+        const f32* win = plane + oy * stride * w + ox * stride;
+        f32 acc = 0.0f;
+        for (i64 ky = 0; ky < kernel; ++ky)
+          for (i64 kx = 0; kx < kernel; ++kx) acc += win[ky * w + kx];
+        *out++ = acc * inv;
       }
     }
   }
@@ -580,61 +574,71 @@ std::vector<PimRepNetExecutor::ScrubReport> PimRepNetExecutor::scrub(
 }
 
 Tensor PimRepNetExecutor::apply_conv(Conv2d& conv, const Tensor& x,
-                                     Mode mode) {
+                                     Mode mode,
+                                     const ConvEpilogue& epilogue) {
   if (mode == Mode::kCalibrate) {
     auto [it, inserted] = input_amax_.emplace(&conv, x.abs_max());
     if (!inserted) it->second = std::max(it->second, x.abs_max());
-    return conv.forward(x, /*training=*/false);
+    Tensor y = conv.forward(x, /*training=*/false);
+    epilogue.apply(y);
+    return y;
   }
   const auto it = convs_.find(&conv);
   MSH_ENSURE(it != convs_.end());
-  return it->second->forward(x);
+  return it->second->forward(x, epilogue);
 }
 
 Tensor PimRepNetExecutor::apply_sequential(Sequential& seq, const Tensor& x,
                                            Mode mode) {
-  Tensor y = x;
-  for (i64 i = 0; i < seq.size(); ++i) {
-    Layer& layer = seq.layer(i);
-    if (auto* conv = dynamic_cast<Conv2d*>(&layer)) {
-      y = apply_conv(*conv, y, mode);
-    } else {
-      y = layer.forward(y, /*training=*/false);
+  Tensor y;
+  const Tensor* in = &x;
+  for (i64 i = 0; i < seq.size(); ++i, in = &y) {
+    auto* conv = dynamic_cast<Conv2d*>(&seq.layer(i));
+    if (conv == nullptr) {
+      y = seq.layer(i).forward(*in, /*training=*/false);
+      continue;
     }
+    // A conv folds the BatchNorm2d and the nn::Relu right after it.
+    ConvEpilogue epilogue;
+    if (i + 1 < seq.size()) {
+      epilogue.bn = dynamic_cast<BatchNorm2d*>(&seq.layer(i + 1));
+      if (epilogue.bn != nullptr) ++i;
+    }
+    if (i + 1 < seq.size() && dynamic_cast<Relu*>(&seq.layer(i + 1))) {
+      epilogue.relu = ConvEpilogue::Relu::kPositive;
+      ++i;
+    }
+    y = apply_conv(*conv, *in, mode, epilogue);
   }
-  return y;
+  return in == &x ? x : y;
 }
 
 Tensor PimRepNetExecutor::apply_residual(ResidualBlock& block,
                                          const Tensor& x, Mode mode) {
-  Tensor main = apply_conv(block.conv1(), x, mode);
-  main = block.bn1().forward(main, false);
-  main = relu_eval(std::move(main));
-  main = apply_conv(block.conv2(), main, mode);
-  main = block.bn2().forward(main, false);
-
-  Tensor shortcut =
+  using Relu = ConvEpilogue::Relu;
+  const Tensor main = apply_conv(block.conv1(), x, mode,
+                                 {.bn = &block.bn1(), .relu = Relu::kMax});
+  const Tensor projected =
       block.has_projection()
-          ? block.projection_bn().forward(
-                apply_conv(block.projection(), x, mode), false)
-          : x;
-  main += shortcut;
-  return relu_eval(std::move(main));
+          ? apply_conv(block.projection(), x, mode,
+                       {.bn = &block.projection_bn()})
+          : Tensor();
+  const Tensor& shortcut = block.has_projection() ? projected : x;
+  return apply_conv(
+      block.conv2(), main, mode,
+      {.bn = &block.bn2(), .residual = &shortcut, .relu = Relu::kMax});
 }
 
 Tensor PimRepNetExecutor::apply_rep(RepModule& rep, const Tensor& x,
                                     Mode mode) {
-  Tensor y = x;
-  if (rep.has_pool()) {
-    // Hardware mode keeps the shared model strictly read-only (replicas
-    // may be forwarding concurrently); the layer's own forward caches.
-    y = mode == Mode::kHardware
-            ? avg_pool_eval(x, rep.pool().kernel(), rep.pool().stride())
-            : rep.pool().forward(x, false);
-  }
-  y = apply_conv(rep.reduce(), y, mode);
-  y = relu_eval(std::move(y));
-  return apply_conv(rep.expand(), y, mode);
+  const Tensor pooled =
+      rep.has_pool()
+          ? avg_pool_eval(x, rep.pool().kernel(), rep.pool().stride())
+          : Tensor();
+  const Tensor mid =
+      apply_conv(rep.reduce(), rep.has_pool() ? pooled : x, mode,
+                 {.relu = ConvEpilogue::Relu::kMax});
+  return apply_conv(rep.expand(), mid, mode);
 }
 
 Tensor PimRepNetExecutor::apply_classifier(const Tensor& x, Mode mode) {
@@ -652,29 +656,28 @@ Tensor PimRepNetExecutor::walk(const Tensor& images, Mode mode) {
   Tensor a = apply_sequential(backbone.stem(), images, mode);
   Tensor r;
   for (i64 s = 0; s < backbone.num_stages(); ++s) {
-    Tensor u = a;
+    Tensor u = std::move(a);
     if (!r.empty()) u += r;  // activation connector
     Sequential& stage = backbone.stage(s);
-    Tensor next = u;
+    MSH_ENSURE(stage.size() > 0);
     for (i64 b = 0; b < stage.size(); ++b) {
       auto* block = dynamic_cast<ResidualBlock*>(&stage.layer(b));
       MSH_ENSURE(block != nullptr);
-      next = apply_residual(*block, next, mode);
+      a = apply_residual(*block, b == 0 ? u : a, mode);
     }
-    a = std::move(next);
     r = apply_rep(model_.rep_module(s), u, mode);
   }
-  Tensor merged = a;
-  merged += r;
+  a += r;  // merge
 
   // Global average pool + flatten, digitally.
-  const i64 n = merged.shape()[0], c = merged.shape()[1],
-            spatial = merged.shape()[2] * merged.shape()[3];
+  const i64 n = a.shape()[0], c = a.shape()[1],
+            spatial = a.shape()[2] * a.shape()[3];
   Tensor features(Shape{n, c});
-  for (i64 i = 0; i < n * c; ++i) {
+  const f32* plane = a.data();
+  for (i64 i = 0; i < n * c; ++i, plane += spatial) {
     f64 acc = 0.0;
-    for (i64 s = 0; s < spatial; ++s) acc += merged[i * spatial + s];
-    features[i] = static_cast<f32>(acc / static_cast<f64>(spatial));
+    for (i64 s = 0; s < spatial; ++s) acc += plane[s];
+    features.data()[i] = static_cast<f32>(acc / static_cast<f64>(spatial));
   }
   return apply_classifier(features, mode);
 }

@@ -255,10 +255,13 @@ class PimRepNetExecutor {
                     std::shared_ptr<const DeploymentImage> image = nullptr);
   /// Shared forward-structure walk. In calibration mode convs run in
   /// software while input ranges are recorded; in hardware mode they run
-  /// through the deployed PIM layers.
+  /// through the deployed PIM layers. Either way each conv site's output
+  /// is finished by its ConvEpilogue (BN, residual, ReLU), so both modes
+  /// compute the same periphery with the same code.
   enum class Mode { kCalibrate, kHardware };
   Tensor walk(const Tensor& images, Mode mode);
-  Tensor apply_conv(Conv2d& conv, const Tensor& x, Mode mode);
+  Tensor apply_conv(Conv2d& conv, const Tensor& x, Mode mode,
+                    const ConvEpilogue& epilogue = {});
   Tensor apply_sequential(Sequential& seq, const Tensor& x, Mode mode);
   Tensor apply_residual(ResidualBlock& block, const Tensor& x, Mode mode);
   Tensor apply_rep(RepModule& rep, const Tensor& x, Mode mode);

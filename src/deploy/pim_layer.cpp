@@ -1,6 +1,7 @@
 #include "deploy/pim_layer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 
@@ -200,7 +201,7 @@ PimConv::PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
   if (conv.has_bias()) bias_ = conv.bias().value;
 }
 
-Tensor PimConv::forward(const Tensor& x) {
+Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
   MSH_REQUIRE(x.shape().rank() == 4);
   const i64 n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
             w = x.shape()[3];
@@ -240,9 +241,13 @@ Tensor PimConv::forward(const Tensor& x) {
   const std::span<i32> acc = scratch.alloc<i32>(positions * out_ch);
   core_.matmul_into(matmul_.handle(), codes, positions, acc);
 
-  // Dequantize + bias + NCHW scatter in one pass, sharded over (image,
-  // output channel) planes: each plane is written by exactly one lane.
+  // Dequantize + bias + NCHW scatter + epilogue in one pass, sharded
+  // over (image, output channel) planes: each plane is written by exactly
+  // one lane.
   Tensor y(Shape{n, out_ch, ho, wo});
+  MSH_REQUIRE(epilogue.bn == nullptr || epilogue.bn->channels() == out_ch);
+  MSH_REQUIRE(epilogue.residual == nullptr ||
+              epilogue.residual->shape() == y.shape());
   const f32 scale = matmul_.activation_scale() * matmul_.weight_scale();
   parallel_for(pool, n * out_ch, [&](i64 begin, i64 end) {
     for (i64 p = begin; p < end; ++p) {
@@ -253,9 +258,48 @@ Tensor PimConv::forward(const Tensor& x) {
       for (i64 s = 0; s < spatial; ++s) {
         dst[s] = scale * static_cast<f32>(src[s * out_ch]) + b;
       }
+      epilogue.apply_plane(dst, p, out_ch, spatial);
     }
   });
   return y;
+}
+
+void ConvEpilogue::apply_plane(f32* v, i64 plane, i64 channels,
+                               i64 spatial) const {
+  if (bn != nullptr) {
+    const i64 ch = plane % channels;
+    const f32 g = bn->gamma()[ch], beta = bn->beta()[ch];
+    const f32 mean = bn->running_mean()[ch];
+    const f32 inv_std = 1.0f / std::sqrt(bn->running_var()[ch] + bn->eps());
+    for (i64 s = 0; s < spatial; ++s) {
+      v[s] = g * (v[s] - mean) * inv_std + beta;
+    }
+  }
+  if (residual != nullptr) {
+    const f32* r = residual->data() + plane * spatial;
+    for (i64 s = 0; s < spatial; ++s) v[s] += r[s];
+  }
+  switch (relu) {
+    case Relu::kNone:
+      break;
+    case Relu::kPositive:
+      for (i64 s = 0; s < spatial; ++s) v[s] = v[s] > 0.0f ? v[s] : 0.0f;
+      break;
+    case Relu::kMax:
+      for (i64 s = 0; s < spatial; ++s) v[s] = std::max(v[s], 0.0f);
+      break;
+  }
+}
+
+void ConvEpilogue::apply(Tensor& y) const {
+  MSH_REQUIRE(y.shape().rank() == 4);
+  MSH_REQUIRE(bn == nullptr || bn->channels() == y.shape()[1]);
+  MSH_REQUIRE(residual == nullptr || residual->shape() == y.shape());
+  const i64 channels = y.shape()[1], spatial = y.shape()[2] * y.shape()[3];
+  const i64 planes = y.shape()[0] * channels;
+  for (i64 p = 0; p < planes; ++p) {
+    apply_plane(y.data() + p * spatial, p, channels, spatial);
+  }
 }
 
 PimLinear::PimLinear(HybridCore& core, Linear& linear, NmConfig cfg,

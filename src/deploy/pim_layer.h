@@ -6,6 +6,7 @@
 
 #include "arch/accelerator.h"
 #include "mapping/model_mapper.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 
@@ -83,9 +84,39 @@ class PimMatmulLayer {
   QuantizedNmMatrix deployed_;
 };
 
+/// The digital periphery a conv site applies to its own output, in
+/// inference mode: per (image, channel) plane, eval-mode BatchNorm, then
+/// the residual plane, then ReLU — each step optional. Every step is the
+/// same FP32 operations, in the same order, as the unfused layers it
+/// replaces, so the output is bit-identical to running them one by one:
+///   BN       g * (v - mean) * inv_std + beta, inv_std = 1/sqrt(var + eps),
+///            exactly BatchNorm2d::forward(.., false); read live from the
+///            layer on every call;
+///   residual v + r, as `y += r`;
+///   ReLU     kPositive: v > 0 ? v : 0 (nn::Relu; -0.0 and NaN become +0)
+///            kMax:      std::max(v, 0.0f) (keeps -0.0 and NaN).
+/// No step may contract into an FMA; msh_nn and msh_deploy both build
+/// with -ffp-contract=off.
+struct ConvEpilogue {
+  enum class Relu { kNone, kPositive, kMax };
+
+  const BatchNorm2d* bn = nullptr;
+  /// Shaped like the conv output; added after BN.
+  const Tensor* residual = nullptr;
+  Relu relu = Relu::kNone;
+
+  /// Finishes plane `plane` (= image * channels + channel) of a
+  /// [N, channels, H, W] output in place; `v` points at its `spatial`
+  /// values.
+  void apply_plane(f32* v, i64 plane, i64 channels, i64 spatial) const;
+  /// Finishes every plane of `y` in place — the software conv's pass.
+  void apply(Tensor& y) const;
+};
+
 /// A conv layer on the hardware: the input is lowered straight to INT8
 /// im2col rows for a PimMatmulLayer's deployment, and the accumulators
-/// are dequantized, biased and scattered back to NCHW in one pass.
+/// are dequantized, biased, scattered back to NCHW and finished by the
+/// site's epilogue in one pass.
 class PimConv {
  public:
   PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
@@ -100,11 +131,12 @@ class PimConv {
   /// is scale * acc + bias per element (bias 0.0f when the conv has
   /// none): the same two FP32 roundings, in the same order, as
   /// dequantizing im2col rows and adding bias after. Every buffer but
-  /// the returned tensor lives in the core's scratch arenas. Quantize,
-  /// gather and scatter shard over the core's intra-op pool, one lane
-  /// per row or plane, so the result is bit-identical at any thread
-  /// count.
-  Tensor forward(const Tensor& x);
+  /// the returned tensor lives in the core's scratch arenas. Each plane
+  /// is finished by `epilogue` while it is still in cache (the default
+  /// leaves the plain conv output). Quantize, gather and scatter shard
+  /// over the core's intra-op pool, one lane per row or plane, so the
+  /// result is bit-identical at any thread count.
+  Tensor forward(const Tensor& x, const ConvEpilogue& epilogue = {});
 
   const PimMatmulLayer& matmul_layer() const { return matmul_; }
 

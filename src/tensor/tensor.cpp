@@ -39,16 +39,6 @@ f32 Tensor::at(std::initializer_list<i64> index) const {
       shape_.offset(std::vector<i64>(index)))];
 }
 
-f32& Tensor::operator[](i64 flat) {
-  MSH_REQUIRE(flat >= 0 && flat < numel());
-  return data_[static_cast<size_t>(flat)];
-}
-
-f32 Tensor::operator[](i64 flat) const {
-  MSH_REQUIRE(flat >= 0 && flat < numel());
-  return data_[static_cast<size_t>(flat)];
-}
-
 Tensor Tensor::reshaped(Shape new_shape) const {
   MSH_REQUIRE(new_shape.numel() == numel());
   Tensor t;

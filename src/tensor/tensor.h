@@ -38,8 +38,15 @@ class Tensor {
 
   f32& at(std::initializer_list<i64> index);
   f32 at(std::initializer_list<i64> index) const;
-  f32& operator[](i64 flat);
-  f32 operator[](i64 flat) const;
+  // Inline: the periphery's per-element loops run through these.
+  f32& operator[](i64 flat) {
+    MSH_REQUIRE(flat >= 0 && flat < numel());
+    return data_[static_cast<size_t>(flat)];
+  }
+  f32 operator[](i64 flat) const {
+    MSH_REQUIRE(flat >= 0 && flat < numel());
+    return data_[static_cast<size_t>(flat)];
+  }
 
   /// Reinterprets as a new shape with the same element count.
   Tensor reshaped(Shape new_shape) const;

@@ -1,0 +1,385 @@
+// The conv output epilogue (BN, residual plane, ReLU folded into the conv
+// output pass) against the unfused layers it replaces: every comparison
+// is byte equality, so it also tells -0.0 from +0.0 and NaN payloads.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
+#include <tuple>
+
+#include "deploy/pim_executor.h"
+#include "workloads/dataset.h"
+
+namespace msh {
+namespace {
+
+using ReluForm = ConvEpilogue::Relu;
+
+void expect_bytes_equal(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (i64 i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<u32>(got[i]), std::bit_cast<u32>(want[i]))
+        << "element " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+// The residual and Rep paths' ReLU, unfused.
+Tensor relu_max(Tensor x) {
+  for (i64 i = 0; i < x.numel(); ++i) x[i] = std::max(x[i], 0.0f);
+  return x;
+}
+
+// The unfused composition of one epilogue: BatchNorm2d's eval forward,
+// `+=` and the site's ReLU, one whole-tensor pass each.
+Tensor unfused(const Tensor& conv_out, BatchNorm2d* bn, const Tensor* residual,
+               ReluForm relu) {
+  Tensor y = bn != nullptr ? bn->forward(conv_out, /*training=*/false)
+                           : conv_out;
+  if (residual != nullptr) y += *residual;
+  if (relu == ReluForm::kPositive) y = Relu().forward(y, /*training=*/false);
+  if (relu == ReluForm::kMax) y = relu_max(std::move(y));
+  return y;
+}
+
+// Randomizes the affine and running statistics so BN is no identity.
+void randomize_bn(BatchNorm2d& bn, Rng& rng) {
+  const Shape shape{bn.channels()};
+  bn.set_running_stats(Tensor::randn(shape, rng, 0.0f, 0.5f),
+                       Tensor::uniform(shape, rng, 0.3f, 2.0f));
+  bn.params()[0]->value = Tensor::uniform(shape, rng, 0.5f, 1.5f);
+  bn.params()[1]->value = Tensor::randn(shape, rng, 0.0f, 0.2f);
+}
+
+TEST(ConvEpilogue, EdgeCasesMatchUnfusedLayers) {
+  // Channel 0 (g 1, mean 0, beta -0.0) keeps -0.0 through BN; channel 1
+  // has a negative running variance, so every BN output is NaN; channel 2
+  // is an ordinary affine.
+  constexpr f32 kEps = 1e-5f;
+  BatchNorm2d bn(3, 0.1f, kEps);
+  bn.set_running_stats(Tensor::from_data(Shape{3}, {0.0f, 0.0f, 0.25f}),
+                       Tensor::from_data(Shape{3}, {1.0f - kEps, -1.0f, 0.5f}));
+  bn.params()[0]->value = Tensor::from_data(Shape{3}, {1.0f, 1.0f, 1.5f});
+  bn.params()[1]->value = Tensor::from_data(Shape{3}, {-0.0f, 0.0f, -0.1f});
+
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  const std::vector<f32> plane = {-0.0f, 0.0f,  -1.5f, 2.0f,   1e-30f,
+                                  -1e-30f, nan, 0.25f, -0.25f, 3.0f};
+  const i64 spatial = static_cast<i64>(plane.size());
+  std::vector<f32> values;
+  for (i64 img = 0; img < 2; ++img)
+    for (i64 ch = 0; ch < 3; ++ch)
+      values.insert(values.end(), plane.begin(), plane.end());
+  const Tensor conv_out = Tensor::from_data(Shape{2, 3, 1, spatial}, values);
+  // The residual plane carries signed zeros and a NaN of its own.
+  Tensor residual(conv_out.shape(), -0.0f);
+  residual[4] = nan;
+  residual[spatial + 3] = 0.5f;
+
+  for (const bool with_bn : {false, true}) {
+    for (const bool with_residual : {false, true}) {
+      for (const ReluForm relu : {ReluForm::kNone, ReluForm::kPositive, ReluForm::kMax}) {
+        SCOPED_TRACE(std::string(with_bn ? "bn" : "no-bn") +
+                     (with_residual ? " residual" : "") + " relu " +
+                     std::to_string(static_cast<int>(relu)));
+        const ConvEpilogue epilogue{
+            .bn = with_bn ? &bn : nullptr,
+            .residual = with_residual ? &residual : nullptr,
+            .relu = relu};
+        Tensor fused = conv_out;
+        epilogue.apply(fused);
+        expect_bytes_equal(fused, unfused(conv_out, with_bn ? &bn : nullptr,
+                                          epilogue.residual, relu));
+      }
+    }
+  }
+
+  // The two ReLU forms really differ on these planes: nn::Relu maps -0.0
+  // and NaN to +0.0, std::max keeps both.
+  Tensor positive = conv_out, max = conv_out;
+  ConvEpilogue{.relu = ReluForm::kPositive}.apply(positive);
+  ConvEpilogue{.relu = ReluForm::kMax}.apply(max);
+  EXPECT_EQ(std::bit_cast<u32>(positive[0]), 0u);
+  EXPECT_EQ(std::bit_cast<u32>(max[0]), std::bit_cast<u32>(-0.0f));
+  EXPECT_EQ(positive[6], 0.0f);
+  EXPECT_TRUE(std::isnan(max[6]));
+  // And BN's NaN channel reaches the ReLU: zeroed by one form, kept by
+  // the other; channel 0 passes -0.0 through BN.
+  Tensor bn_positive = conv_out, bn_max = conv_out;
+  ConvEpilogue{.bn = &bn, .relu = ReluForm::kPositive}.apply(bn_positive);
+  ConvEpilogue{.bn = &bn, .relu = ReluForm::kMax}.apply(bn_max);
+  EXPECT_EQ(bn_positive[spatial + 3], 0.0f);
+  EXPECT_TRUE(std::isnan(bn_max[spatial + 3]));
+  EXPECT_EQ(std::bit_cast<u32>(bn_max[0]), std::bit_cast<u32>(-0.0f));
+}
+
+TEST(ConvEpilogue, PimConvFusedPassMatchesPlainForwardThenLayers) {
+  // PimConv's in-scatter epilogue against its own plain output finished
+  // by the unfused layers, NaN-producing BN channel included.
+  const Conv2dGeometry geom{.in_channels = 4,
+                            .out_channels = 6,
+                            .kernel = 3,
+                            .stride = 1,
+                            .padding = 1};
+  Rng rng(7);
+  Conv2d conv(geom, rng, /*bias=*/true);
+  conv.bias().value = Tensor::randn(Shape{6}, rng);
+  BatchNorm2d bn(6);
+  randomize_bn(bn, rng);
+  Tensor var = bn.running_var();
+  var[4] = -2.0f;
+  bn.set_running_stats(bn.running_mean(), var);
+
+  for (const i64 batch : {1, 7}) {
+    const Tensor x = Tensor::randn(Shape{batch, 4, 5, 6}, rng);
+    Tensor residual = Tensor::randn(Shape{batch, 6, 5, 6}, rng);
+    residual[3] = -0.0f;
+    for (const KernelBackend backend :
+         {KernelBackend::kModeled, KernelBackend::kRaw}) {
+      for (const i64 threads : {1, 4}) {
+        HybridCoreOptions options;
+        options.backend = backend;
+        ThreadPool pool(threads);
+        HybridCore core(options);
+        if (threads > 1) core.set_intra_op_pool(&pool);
+        PimConv pim(core, conv, kSparse1of4, PeKind::kSram, 0.03f);
+        const Tensor plain = pim.forward(x);
+        for (const ReluForm relu : {ReluForm::kNone, ReluForm::kPositive, ReluForm::kMax}) {
+          SCOPED_TRACE("b" + std::to_string(batch) + " " +
+                       to_string(backend) + " t" + std::to_string(threads) +
+                       " relu " + std::to_string(static_cast<int>(relu)));
+          const ConvEpilogue epilogue{
+              .bn = &bn, .residual = &residual, .relu = relu};
+          expect_bytes_equal(pim.forward(x, epilogue),
+                             unfused(plain, &bn, &residual, relu));
+        }
+      }
+    }
+  }
+}
+
+// ---- executor walk -------------------------------------------------------
+
+using ConvFn = std::function<Tensor(Conv2d&, const Tensor&, PeKind)>;
+using LinearFn = std::function<Tensor(const Tensor&)>;
+
+// The executor's walk written out unfused: each conv output goes through
+// BatchNorm2d::forward, `+=` and its site's ReLU as separate whole-tensor
+// passes, the stem through its own layers.
+Tensor unfused_walk(RepNetModel& model, const Tensor& images,
+                    const ConvFn& conv, const LinearFn& classifier) {
+  Backbone& backbone = model.backbone();
+  Tensor a = images;
+  for (i64 i = 0; i < backbone.stem().size(); ++i) {
+    Layer& layer = backbone.stem().layer(i);
+    auto* c = dynamic_cast<Conv2d*>(&layer);
+    a = c != nullptr ? conv(*c, a, PeKind::kMram)
+                     : layer.forward(a, /*training=*/false);
+  }
+  Tensor r;
+  for (i64 s = 0; s < backbone.num_stages(); ++s) {
+    Tensor u = a;
+    if (!r.empty()) u += r;
+    Tensor next = u;
+    for (i64 b = 0; b < backbone.stage(s).size(); ++b) {
+      auto& block = dynamic_cast<ResidualBlock&>(backbone.stage(s).layer(b));
+      Tensor main = relu_max(block.bn1().forward(
+          conv(block.conv1(), next, PeKind::kMram), false));
+      main = block.bn2().forward(conv(block.conv2(), main, PeKind::kMram),
+                                 false);
+      main += block.has_projection()
+                  ? block.projection_bn().forward(
+                        conv(block.projection(), next, PeKind::kMram), false)
+                  : next;
+      next = relu_max(std::move(main));
+    }
+    a = next;
+    RepModule& rep = model.rep_module(s);
+    const Tensor y = rep.has_pool() ? rep.pool().forward(u, false) : u;
+    r = conv(rep.expand(),
+             relu_max(conv(rep.reduce(), y, PeKind::kSram)), PeKind::kSram);
+  }
+  Tensor merged = a;
+  merged += r;
+  const i64 n = merged.shape()[0], c = merged.shape()[1],
+            spatial = merged.shape()[2] * merged.shape()[3];
+  Tensor features(Shape{n, c});
+  for (i64 i = 0; i < n * c; ++i) {
+    f64 acc = 0.0;
+    for (i64 sp = 0; sp < spatial; ++sp) acc += merged[i * spatial + sp];
+    features[i] = static_cast<f32>(acc / static_cast<f64>(spatial));
+  }
+  return classifier(features);
+}
+
+class ExecutorEpilogueTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    SyntheticSpec spec;
+    spec.name = "epilogue-task";
+    spec.classes = 4;
+    spec.train_per_class = 10;
+    spec.test_per_class = 10;
+    spec.image_size = 8;
+    spec.seed = 3;
+    data_ = make_synthetic_dataset(spec);
+
+    // Stage 0 keeps the stem width at stride 1 (identity shortcut, Rep
+    // module without pool); stage 1 doubles it at stride 2 (projection
+    // shortcut, pooled Rep module).
+    BackboneConfig cfg;
+    cfg.stem_channels = 8;
+    cfg.stage_channels = {8, 16};
+    cfg.blocks_per_stage = {1, 1};
+    cfg.stage_strides = {1, 2};
+    Rng rng(11);
+    model_ = std::make_unique<RepNetModel>(
+        cfg, RepNetConfig{.bottleneck_divisor = 8, .min_bottleneck = 8}, 4,
+        rng);
+    for (BatchNorm2d* bn : model_->backbone().batchnorm_layers())
+      randomize_bn(*bn, rng);
+  }
+
+  TrainTestSplit data_;
+  std::unique_ptr<RepNetModel> model_;
+};
+
+TEST_F(ExecutorEpilogueTest, ModelCoversEverySiteKind) {
+  Backbone& backbone = model_->backbone();
+  EXPECT_FALSE(
+      dynamic_cast<ResidualBlock&>(backbone.stage(0).layer(0)).has_projection());
+  EXPECT_TRUE(
+      dynamic_cast<ResidualBlock&>(backbone.stage(1).layer(0)).has_projection());
+  EXPECT_FALSE(model_->rep_module(0).has_pool());
+  EXPECT_TRUE(model_->rep_module(1).has_pool());
+}
+
+TEST_F(ExecutorEpilogueTest, CalibrationRecordsTheUnfusedSoftwareTable) {
+  PimRepNetExecutor executor(*model_, data_.train);
+
+  // The executor's calibration batches, walked unfused in software.
+  PimExecutorOptions defaults;
+  std::unordered_map<const void*, f32> want;
+  auto record = [&](const void* layer, const Tensor& x) {
+    auto [it, inserted] = want.emplace(layer, x.abs_max());
+    if (!inserted) it->second = std::max(it->second, x.abs_max());
+  };
+  const i64 size = data_.train.size();
+  const i64 batch = std::min(defaults.calibration_batch, size);
+  for (i64 b = 0; b < defaults.calibration_batches; ++b) {
+    const i64 begin = (b * batch) % std::max<i64>(1, size - batch + 1);
+    unfused_walk(
+        *model_, data_.train.batch_images(begin, batch),
+        [&](Conv2d& conv, const Tensor& x, PeKind) {
+          record(&conv, x);
+          return conv.forward(x, false);
+        },
+        [&](const Tensor& x) {
+          record(&model_->classifier(), x);
+          return model_->classifier().forward(x, false);
+        });
+  }
+
+  ASSERT_EQ(executor.input_amax().size(), want.size());
+  for (const auto& [layer, amax] : want) {
+    const auto it = executor.input_amax().find(layer);
+    ASSERT_NE(it, executor.input_amax().end());
+    EXPECT_EQ(std::bit_cast<u32>(it->second), std::bit_cast<u32>(amax));
+  }
+}
+
+// The executor's layers deployed again on a test-side core from its
+// calibration table, run through unfused_walk one op at a time.
+class UnfusedDeployment {
+ public:
+  UnfusedDeployment(RepNetModel& model, const PimRepNetExecutor& executor,
+                    KernelBackend backend, NmConfig nm)
+      : model_(model),
+        executor_(executor),
+        nm_(nm),
+        core_(HybridCoreOptions{.backend = backend}),
+        classifier_(core_, model.classifier(), nm, PeKind::kSram,
+                    scale(&model.classifier())) {}
+
+  Tensor forward(const Tensor& images) {
+    return unfused_walk(
+        model_, images,
+        [&](Conv2d& c, const Tensor& x, PeKind target) {
+          auto& pim = convs_[&c];
+          if (!pim) {
+            pim = std::make_unique<PimConv>(core_, c, nm_, target, scale(&c));
+          }
+          return pim->forward(x);
+        },
+        [&](const Tensor& x) { return classifier_.forward(x); });
+  }
+
+ private:
+  f32 scale(const void* layer) const {
+    return std::max(executor_.input_amax().at(layer), 1e-6f) / 127.0f;
+  }
+
+  RepNetModel& model_;
+  const PimRepNetExecutor& executor_;
+  NmConfig nm_;
+  HybridCore core_;
+  PimLinear classifier_;
+  std::unordered_map<const Conv2d*, std::unique_ptr<PimConv>> convs_;
+};
+
+TEST_F(ExecutorEpilogueTest, EachSiteKeepsItsReluForm) {
+  // A negative running variance makes one BN channel all NaN. At the
+  // stem nn::Relu zeroes it; a max-ReLU would let the NaN reach the
+  // identity shortcut and, through the merge, the classifier. In block
+  // conv1 the max-ReLU keeps the NaN, which conv2 quantizes to qmin;
+  // nn::Relu would give code 0. Either swap changes the logits.
+  auto poison = [](BatchNorm2d& bn, i64 channel) {
+    Tensor var = bn.running_var();
+    var[channel] = -1.0f;
+    bn.set_running_stats(bn.running_mean(), var);
+  };
+  Backbone& backbone = model_->backbone();
+  poison(dynamic_cast<BatchNorm2d&>(backbone.stem().layer(1)), 0);
+  poison(dynamic_cast<ResidualBlock&>(backbone.stage(0).layer(0)).bn1(), 1);
+
+  PimRepNetExecutor executor(*model_, data_.train);
+  UnfusedDeployment unfused(*model_, executor, KernelBackend::kRaw,
+                            PimExecutorOptions{}.nm);
+  const Tensor images = data_.test.batch_images(0, 7);
+  const Tensor logits = executor.forward(images);
+  for (i64 i = 0; i < logits.numel(); ++i) ASSERT_TRUE(std::isfinite(logits[i]));
+  expect_bytes_equal(logits, unfused.forward(images));
+}
+
+class ExecutorEpilogueWalkTest
+    : public ExecutorEpilogueTest,
+      public ::testing::WithParamInterface<std::tuple<KernelBackend, i64>> {};
+
+TEST_P(ExecutorEpilogueWalkTest, FusedHardwareWalkMatchesUnfusedComposition) {
+  const auto [backend, threads] = GetParam();
+  PimExecutorOptions options;
+  options.backend = backend;
+  options.intra_op_threads = threads;
+  PimRepNetExecutor executor(*model_, data_.train, options);
+  UnfusedDeployment unfused(*model_, executor, backend, options.nm);
+  for (const i64 batch : {1, 7, 32}) {
+    SCOPED_TRACE("b" + std::to_string(batch));
+    const Tensor images = data_.test.batch_images(3, batch);
+    expect_bytes_equal(executor.forward(images), unfused.forward(images));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsAndThreads, ExecutorEpilogueWalkTest,
+    ::testing::Combine(::testing::Values(KernelBackend::kRaw,
+                                         KernelBackend::kModeled),
+                       ::testing::Values(i64{1}, i64{4})),
+    [](const auto& info) {
+      return std::string(to_string(std::get<0>(info.param))) + "_t" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+}  // namespace
+}  // namespace msh

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "arch/accelerator.h"
+#include "common/crc32.h"
 #include "deploy/image_io.h"
 
 namespace msh {
@@ -22,6 +23,12 @@ QuantizedNmMatrix random_matrix(i64 k, i64 c, NmConfig cfg, u64 seed) {
 
 std::string temp_path(const char* tag) {
   return std::string(::testing::TempDir()) + "/msh_image_" + tag + ".bin";
+}
+
+TEST(Crc32, KnownAnswer) {
+  // The IEEE 802.3 check value; images and journal frames share this CRC.
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
 }
 
 TEST(DeploymentImage, RoundTripBitExact) {
