@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "kernels/flat_csc.h"
-
 namespace msh {
 
 HybridCore::HybridCore(Options options)
@@ -59,12 +57,16 @@ void HybridCore::redeploy_sram(i64 handle, const QuantizedNmMatrix& w) {
                   (8 + tiles[i].cfg.index_bits()));
     dep.sram_pes[i]->load(std::move(tiles[i]));
   }
+  dep.packed_stale = true;
 }
 
 HybridCore::NvmCodeView HybridCore::nvm_codes(i64 handle) {
   MSH_REQUIRE(handle >= 0 &&
               handle < static_cast<i64>(deployments_.size()));
   Deployment& dep = deployments_[static_cast<size_t>(handle)];
+  // The caller may write any cell through the view (see the contract in
+  // the header): the packed form is stale from here on.
+  dep.packed_stale = true;
   NvmCodeView view;
   view.is_sram = dep.is_sram;
   if (dep.is_sram) {
@@ -172,28 +174,27 @@ void HybridCore::absorb_row(Deployment& dep, std::span<const i8> activations,
   bus_.transfer(dep.cols * 32);
 }
 
-void HybridCore::raw_matmul(const Deployment& dep,
-                            std::span<const i8> activations, i64 batch,
-                            std::span<i32> out) {
-  // Rebuilt from the live cells every dispatch, so fault injection,
-  // scrub repairs and wear-limited programming are picked up exactly as
-  // the modeled walk would see them (see kernels/flat_csc.h).
-  arena_.reset();
-  FlatCsc flat;
-  if (dep.is_sram) {
-    std::span<const SramPeTile*> tiles =
-        arena_.alloc<const SramPeTile*>(dep.pe_count());
-    for (size_t i = 0; i < tiles.size(); ++i)
-      tiles[i] = &dep.sram_pes[i]->tile();
-    flat = build_flat_csc_sram(tiles, dep.cols, dep.dense_rows, arena_);
-  } else {
-    std::span<const MramPeTile*> tiles =
-        arena_.alloc<const MramPeTile*>(dep.pe_count());
-    for (size_t i = 0; i < tiles.size(); ++i)
-      tiles[i] = &dep.mram_pes[i]->tile();
-    flat = build_flat_csc_mram(tiles, dep.cols, dep.dense_rows, arena_);
+FlatCsc HybridCore::resident(Deployment& dep) {
+  if (dep.packed_stale) {
+    if (dep.is_sram) {
+      std::vector<const SramPeTile*> tiles;
+      for (const auto& pe : dep.sram_pes) tiles.push_back(&pe->tile());
+      dep.packed = pack_csc_sram(tiles, dep.cols, dep.dense_rows);
+    } else {
+      std::vector<const MramPeTile*> tiles;
+      for (const auto& pe : dep.mram_pes) tiles.push_back(&pe->tile());
+      dep.packed = pack_csc_mram(tiles, dep.cols, dep.dense_rows);
+    }
+    dep.packed_stale = false;
+    ++packs_;
   }
-  raw_csc_matmul(flat, activations, batch, out, arena_, intra_pool_);
+  return dep.packed.view();
+}
+
+void HybridCore::raw_matmul(Deployment& dep, std::span<const i8> activations,
+                            i64 batch, std::span<i32> out) {
+  arena_.reset();
+  raw_csc_matmul(resident(dep), activations, batch, out, arena_, intra_pool_);
   // Cycle metrics are modeled-only: the raw backend reports zero.
   last_makespan_ = 0;
   last_utilization_ = 0.0;
@@ -247,6 +248,39 @@ void HybridCore::matmul_into(i64 handle, std::span<const i8> activations,
   }
   const std::vector<i32> y = modeled_matmul(handle, dep, activations, batch);
   std::copy(y.begin(), y.end(), out.begin());
+}
+
+void HybridCore::conv_into(i64 handle, std::span<const i16> planes,
+                           const ConvPlanes& layout, std::span<i32> out) {
+  MSH_REQUIRE(handle >= 0 &&
+              handle < static_cast<i64>(deployments_.size()));
+  Deployment& dep = deployments_[static_cast<size_t>(handle)];
+  MSH_REQUIRE(static_cast<i64>(planes.size()) == layout.size());
+  MSH_REQUIRE(static_cast<i64>(out.size()) == dep.cols * layout.positions);
+  MSH_REQUIRE(layout.k() <= dep.dense_rows);
+  arena_.reset();
+  if (options_.backend == KernelBackend::kRaw) {
+    direct_conv(resident(dep), planes.data(), layout, out.data(), arena_,
+                intra_pool_);
+    last_makespan_ = 0;
+    last_utilization_ = 0.0;
+    return;
+  }
+
+  const i64 spatial = layout.out_h * layout.out_w;
+  const i64 rows = layout.batch * spatial;
+  std::span<i8> codes = arena_.alloc<i8>(rows * dep.dense_rows);
+  gather_code_rows(planes.data(), layout, dep.dense_rows, codes.data(), arena_,
+                   intra_pool_);
+  const std::vector<i32> y = modeled_matmul(handle, dep, codes, rows);
+  for (i64 p = 0; p < rows; ++p) {
+    const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
+                                  p % layout.out_w);
+    for (i64 c = 0; c < dep.cols; ++c) {
+      out[static_cast<size_t>(c * layout.positions + q)] =
+          y[static_cast<size_t>(p * dep.cols + c)];
+    }
+  }
 }
 
 std::vector<i32> HybridCore::modeled_matmul(i64 handle, Deployment& dep,

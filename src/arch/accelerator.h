@@ -15,6 +15,8 @@
 #include "common/thread_pool.h"
 #include "kernels/arena.h"
 #include "kernels/backend.h"
+#include "kernels/direct_conv.h"
+#include "kernels/flat_csc.h"
 #include "mapping/csc_mapper.h"
 #include "pim/mram_pe.h"
 #include "pim/sram_pe.h"
@@ -29,9 +31,9 @@ struct HybridCoreOptions {
   i64 bus_width_bits = 256;
   SramMappingOptions sram_map = {};
   MramMappingOptions mram_map = {};
-  /// Compute backend for matvec/matmul (DESIGN §5i): kModeled walks the
-  /// functional PE datapaths with full event/cycle accounting; kRaw runs
-  /// the SIMD flat-CSC kernels over the same live tile cells —
+  /// Compute backend for matvec/matmul/conv (DESIGN §5i): kModeled walks
+  /// the functional PE datapaths with full event/cycle accounting; kRaw
+  /// runs the SIMD kernels over a packed copy of the same live cells —
   /// bit-identical outputs, but PE/bus/buffer events stay untouched and
   /// last_makespan()/last_utilization() report zero.
   KernelBackend backend = KernelBackend::kModeled;
@@ -71,17 +73,31 @@ class HybridCore {
                           i64 batch);
 
   /// matmul() into a caller-owned [batch x cols] buffer. On the raw
-  /// backend the dispatch then allocates nothing on the heap: its flat
-  /// CSC, widened activations and tile lists live in the core's kernel
-  /// arena, reused at its high-water mark.
+  /// backend the dispatch then allocates nothing on the heap (unless it
+  /// repacks a written deployment): its widened activations and offset
+  /// tables live in the core's kernel arena, reused at its high-water
+  /// mark.
   void matmul_into(i64 handle, std::span<const i8> activations, i64 batch,
                    std::span<i32> out);
 
+  /// A conv through the deployment, whose dense rows are the (channel,
+  /// ky, kx) taps of `layout`'s kernel: `planes` holds the input's code
+  /// planes (quantize_conv_planes), and out[c * layout.positions + q]
+  /// receives output channel c's INT32 accumulator at position q =
+  /// layout.position(image, oy, ox); other lanes are unspecified. Raw:
+  /// direct_conv straight from the planes, with no heap allocation unless
+  /// it repacks a written deployment. Modeled: the planes gathered into
+  /// im2col code rows, the batched PE walk (with its events) over them,
+  /// then scattered into place. Both backends produce identical
+  /// accumulators.
+  void conv_into(i64 handle, std::span<const i16> planes,
+                 const ConvPlanes& layout, std::span<i32> out);
+
   /// Per-dispatch scratch for the layer wrappers that feed this core
-  /// (quantized inputs, gathered code rows, accumulators). The caller
-  /// resets it at the start of each layer dispatch; the core itself never
-  /// does, so spans taken from it stay valid across matmul_into(). Same
-  /// single-thread contract as the core.
+  /// (code planes, quantized inputs, accumulators). The caller resets it
+  /// at the start of each layer dispatch; the core itself never does, so
+  /// spans taken from it stay valid across matmul_into() and
+  /// conv_into(). Same single-thread contract as the core.
   KernelArena& io_scratch() { return io_arena_; }
 
   /// Heap bytes held by the core's kernel and I/O arenas: constant once
@@ -102,6 +118,14 @@ class HybridCore {
   /// feed a MAC, so corrupting them is a no-op. Pointer order is the
   /// deterministic deploy order (PE, then slot), stable across runs.
   /// Pointers are invalidated by redeploy of the same handle.
+  ///
+  /// This is the only mutable path to deployed cells, and the contract
+  /// that keeps the raw backend's packed weights honest: obtaining a
+  /// view marks the deployment's packed form stale (the next raw
+  /// dispatch on `handle` repacks from the cells), so every write
+  /// through the view must land before the next dispatch on that handle.
+  /// A view kept across a dispatch and written afterwards would leave
+  /// the raw backend computing on the old cells.
   struct NvmCodeView {
     bool is_sram = false;
     i32 index_bits = 0;        ///< stored bits per index cell group
@@ -125,6 +149,11 @@ class HybridCore {
   /// cells), so switching between dispatches is safe and changes no cell.
   void set_backend(KernelBackend backend) { options_.backend = backend; }
 
+  /// Times a raw dispatch has packed a deployment's cells: once after
+  /// each deploy or cell write (redeploy_sram, nvm_codes) that a raw
+  /// dispatch then reads, never for a clean deployment.
+  i64 packs() const { return packs_; }
+
   /// Aggregated PE events since construction (or the last reset).
   PeEventCounts pe_events() const;
   const Bus& bus() const { return bus_; }
@@ -139,6 +168,9 @@ class HybridCore {
     i64 dense_rows = 0;
     std::vector<std::unique_ptr<SramSparsePe>> sram_pes;
     std::vector<std::unique_ptr<MramSparsePe>> mram_pes;
+    /// The raw backend's resident copy of the cells, valid unless stale.
+    PackedCsc packed;
+    bool packed_stale = true;
     i64 pe_count() const {
       return static_cast<i64>(is_sram ? sram_pes.size() : mram_pes.size());
     }
@@ -166,11 +198,14 @@ class HybridCore {
   Deployment& checked_deployment(i64 handle, std::span<const i8> activations,
                                  i64 batch);
 
-  /// Raw-backend dispatch: flattens the deployment's live tile cells
-  /// into CSC form in the arena and runs the SIMD matmul into `out`,
-  /// sharding columns over the intra-op pool. No accounting.
-  void raw_matmul(const Deployment& dep, std::span<const i8> activations,
-                  i64 batch, std::span<i32> out);
+  /// The deployment's packed form, repacked from the live cells first
+  /// if a write made it stale.
+  FlatCsc resident(Deployment& dep);
+  /// Raw-backend dispatch: runs the SIMD matmul over the resident packed
+  /// weights into `out`, sharding columns over the intra-op pool. No
+  /// accounting.
+  void raw_matmul(Deployment& dep, std::span<const i8> activations, i64 batch,
+                  std::span<i32> out);
   /// Modeled-backend batched walk (sequential or row lanes).
   std::vector<i32> modeled_matmul(i64 handle, Deployment& dep,
                                   std::span<const i8> activations, i64 batch);
@@ -185,6 +220,7 @@ class HybridCore {
   i64 last_makespan_ = 0;
   f64 last_utilization_ = 0.0;
   i64 shared_acc_ops_ = 0;
+  i64 packs_ = 0;
 };
 
 }  // namespace msh

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 
+#include "kernels/direct_conv.h"
 #include "kernels/quant_kernels.h"
 
 namespace msh {
@@ -35,64 +35,6 @@ Tensor pad_rows(const Tensor& matrix, i64 multiple) {
   Tensor result(Shape{padded, out});
   for (i64 i = 0; i < k * out; ++i) result[i] = matrix[i];
   return result;
-}
-
-/// What gather_code_rows needs to know about one conv dispatch.
-struct CodeRowShape {
-  i64 c, h, w, ho, wo, kernel, stride, padding, k, padded_k;
-};
-
-/// Writes the code rows of output positions [begin, end) from the
-/// quantized input `qx` [N, C, H, W]: each row is one receptive field in
-/// im2col's K order (channel, ky, kx), then the zero K tail; taps in the
-/// padding are code 0. KK > 0 fixes the kernel size at compile time so
-/// the per-tap loops unroll; KK == 0 reads it from `s`. The shape comes
-/// by value: every i8 store may alias any object, so fields read through
-/// a reference would be reloaded after each one.
-template <i64 KK>
-void gather_code_rows(const i8* qx, CodeRowShape s, i64 begin, i64 end,
-                      i8* codes) {
-  const i64 kk = KK > 0 ? KK : s.kernel;
-  const i64 spatial = s.ho * s.wo, plane = s.h * s.w;
-  for (i64 p = begin; p < end; ++p) {
-    const i64 img = p / spatial, oy = p % spatial / s.wo, ox = p % s.wo;
-    const i64 y0 = oy * s.stride - s.padding;
-    const i64 x0 = ox * s.stride - s.padding;
-    const i8* src = qx + img * s.c * plane;
-    i8* dst = codes + p * s.padded_k;
-    if (x0 >= 0 && x0 + kk <= s.w && y0 >= 0 && y0 + kk <= s.h) {
-      // Window fully inside the input, the common case. A 3-tap kernel
-      // row goes as one 4-byte word whose last byte overhangs into the
-      // next kernel row, written right after; the row's final kernel row
-      // is copied exactly, so nothing past it is touched. The overhang
-      // reads at most the first byte of the window's next input line.
-      const i8* win = src + y0 * s.w + x0;
-      i64 rows_left = s.c * kk;
-      for (i64 ch = 0; ch < s.c; ++ch, win += plane) {
-        for (i64 ky = 0; ky < kk; ++ky, dst += kk) {
-          const i8* line = win + ky * s.w;
-          if (KK == 3 && --rows_left > 0) {
-            std::memcpy(dst, line, 4);
-          } else {
-            for (i64 kx = 0; kx < kk; ++kx) dst[kx] = line[kx];
-          }
-        }
-      }
-    } else {
-      for (i64 ch = 0; ch < s.c; ++ch, src += plane) {
-        for (i64 ky = 0; ky < kk; ++ky, dst += kk) {
-          const i64 iy = y0 + ky;
-          for (i64 kx = 0; kx < kk; ++kx) {
-            const i64 ix = x0 + kx;
-            dst[kx] = iy >= 0 && iy < s.h && ix >= 0 && ix < s.w
-                          ? src[iy * s.w + ix]
-                          : i8{0};
-          }
-        }
-      }
-    }
-    for (i64 i = s.k; i < s.padded_k; ++i) codes[p * s.padded_k + i] = 0;
-  }
 }
 
 }  // namespace
@@ -203,47 +145,28 @@ PimConv::PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
 
 Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
   MSH_REQUIRE(x.shape().rank() == 4);
-  const i64 n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
-            w = x.shape()[3];
-  MSH_REQUIRE(c == geom_.in_channels);
-  const i64 ho = geom_.out_dim(h), wo = geom_.out_dim(w);
-  MSH_REQUIRE(ho > 0 && wo > 0);
-  const i64 kk = geom_.kernel, stride = geom_.stride, pad = geom_.padding;
-  const i64 k = c * kk * kk, padded_k = matmul_.padded_k();
-  const i64 out_ch = geom_.out_channels, plane = h * w, spatial = ho * wo;
-  const i64 positions = n * spatial;
+  MSH_REQUIRE(x.shape()[1] == geom_.in_channels);
+  const ConvPlanes layout = ConvPlanes::make(
+      x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3], geom_.kernel,
+      geom_.stride, geom_.padding);
+  const i64 n = layout.batch, ho = layout.out_h, wo = layout.out_w;
+  const i64 out_ch = geom_.out_channels, spatial = ho * wo;
   ThreadPool* pool = core_.intra_op_pool();
   KernelArena& scratch = core_.io_scratch();
   scratch.reset();
 
-  // Quantize once, one channel plane per row: an input value inside k*k
-  // receptive fields still becomes its code a single time.
-  const std::span<i8> qx = scratch.alloc<i8>(n * c * plane);
-  quantize_activations(x.data(), n * c, plane, plane,
-                       matmul_.activation_params(), qx.data(), pool);
+  // Quantize once, straight into the zero-padded code planes both
+  // backends read: an input value inside k*k receptive fields still
+  // becomes its code a single time.
+  const std::span<i16> planes = scratch.alloc<i16>(layout.size());
+  quantize_conv_planes(x.data(), layout, matmul_.activation_params(),
+                       planes.data(), pool);
+  const std::span<i32> acc = scratch.alloc<i32>(out_ch * layout.positions);
+  core_.conv_into(matmul_.handle(), planes, layout, acc);
 
-  // Gather each output position's receptive field as one code row.
-  const std::span<i8> codes = scratch.alloc<i8>(positions * padded_k);
-  const CodeRowShape shape{c, h, w, ho, wo, kk, stride, pad, k, padded_k};
-  parallel_for(pool, positions, [&](i64 begin, i64 end) {
-    switch (kk) {
-      case 1:
-        gather_code_rows<1>(qx.data(), shape, begin, end, codes.data());
-        break;
-      case 3:
-        gather_code_rows<3>(qx.data(), shape, begin, end, codes.data());
-        break;
-      default:
-        gather_code_rows<0>(qx.data(), shape, begin, end, codes.data());
-    }
-  });
-
-  const std::span<i32> acc = scratch.alloc<i32>(positions * out_ch);
-  core_.matmul_into(matmul_.handle(), codes, positions, acc);
-
-  // Dequantize + bias + NCHW scatter + epilogue in one pass, sharded
-  // over (image, output channel) planes: each plane is written by exactly
-  // one lane.
+  // Dequantize + bias + epilogue in one pass, sharded over (image,
+  // output channel) planes: each plane is written by exactly one lane,
+  // reading its accumulators a row of the padded layout at a time.
   Tensor y(Shape{n, out_ch, ho, wo});
   MSH_REQUIRE(epilogue.bn == nullptr || epilogue.bn->channels() == out_ch);
   MSH_REQUIRE(epilogue.residual == nullptr ||
@@ -253,10 +176,13 @@ Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
     for (i64 p = begin; p < end; ++p) {
       const i64 img = p / out_ch, oc = p % out_ch;
       const f32 b = bias_.empty() ? 0.0f : bias_[oc];
-      const i32* src = acc.data() + img * spatial * out_ch + oc;
       f32* dst = y.data() + p * spatial;
-      for (i64 s = 0; s < spatial; ++s) {
-        dst[s] = scale * static_cast<f32>(src[s * out_ch]) + b;
+      for (i64 oy = 0; oy < ho; ++oy) {
+        const i32* src =
+            acc.data() + oc * layout.positions + layout.position(img, oy, 0);
+        for (i64 ox = 0; ox < wo; ++ox) {
+          dst[oy * wo + ox] = scale * static_cast<f32>(src[ox]) + b;
+        }
       }
       epilogue.apply_plane(dst, p, out_ch, spatial);
     }

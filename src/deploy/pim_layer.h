@@ -113,10 +113,10 @@ struct ConvEpilogue {
   void apply(Tensor& y) const;
 };
 
-/// A conv layer on the hardware: the input is lowered straight to INT8
-/// im2col rows for a PimMatmulLayer's deployment, and the accumulators
-/// are dequantized, biased, scattered back to NCHW and finished by the
-/// site's epilogue in one pass.
+/// A conv layer on the hardware: the input is quantized straight into
+/// the zero-padded code planes HybridCore::conv_into takes for a
+/// PimMatmulLayer's deployment, and the accumulators are dequantized,
+/// biased, laid out NCHW and finished by the site's epilogue in one pass.
 class PimConv {
  public:
   PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
@@ -124,18 +124,19 @@ class PimConv {
 
   /// x: [B, C, H, W] float activations -> [B, out, Ho, Wo].
   ///
-  /// Each input value is quantized once (quantize_activations), then
-  /// every output position's receptive field is gathered as codes into
-  /// the [positions x padded_k] rows HybridCore::matmul takes — padding
-  /// taps and the K tail are code 0, which is quantize(0.0f). The output
-  /// is scale * acc + bias per element (bias 0.0f when the conv has
-  /// none): the same two FP32 roundings, in the same order, as
-  /// dequantizing im2col rows and adding bias after. Every buffer but
-  /// the returned tensor lives in the core's scratch arenas. Each plane
-  /// is finished by `epilogue` while it is still in cache (the default
-  /// leaves the plain conv output). Quantize, gather and scatter shard
-  /// over the core's intra-op pool, one lane per row or plane, so the
-  /// result is bit-identical at any thread count.
+  /// Each input value is quantized once (quantize_conv_planes) into the
+  /// planes of kernels/direct_conv.h; padding taps and the K tail read
+  /// code 0, which is quantize(0.0f). The raw backend convolves straight
+  /// from the planes; the modeled one gathers im2col code rows from them
+  /// for its PE walk — identical accumulators either way. The output is
+  /// scale * acc + bias per element (bias 0.0f when the conv has none):
+  /// the same two FP32 roundings, in the same order, as dequantizing
+  /// im2col rows and adding bias after. Every buffer but the returned
+  /// tensor lives in the core's scratch arenas. Each plane is finished by
+  /// `epilogue` while it is still in cache (the default leaves the plain
+  /// conv output). Quantize, conv and dequantize shard over the core's
+  /// intra-op pool, one lane per channel or plane, so the result is
+  /// bit-identical at any thread count.
   Tensor forward(const Tensor& x, const ConvEpilogue& epilogue = {});
 
   const PimMatmulLayer& matmul_layer() const { return matmul_; }

@@ -5,14 +5,16 @@
 //   kModeled - the functional PE walk with full event/bus/buffer cycle
 //              accounting. Source of truth for every modeled metric,
 //              bench figure and energy number.
-//   kRaw     - SIMD host kernels over the same live tile cells. Outputs
-//              (and therefore published images) are bit-identical to the
-//              modeled walk; cycle/energy metrics are modeled-only and
-//              report zero on this backend.
+//   kRaw     - SIMD host kernels over a packed copy of the same live
+//              tile cells. Outputs (and therefore published images) are
+//              bit-identical to the modeled walk; cycle/energy metrics
+//              are modeled-only and report zero on this backend.
 //
-// Both backends read the PE-resident cells on every dispatch, so fault
-// injection, ECC scrub and wear-tracked programming compose with either
-// by construction.
+// The modeled backend reads the PE-resident cells on every dispatch; the
+// raw backend's packed copy is marked stale by every cell write
+// (HybridCore::nvm_codes, redeploy) and repacked on its next dispatch.
+// Fault injection, ECC scrub and wear-tracked programming compose with
+// either by construction.
 #pragma once
 
 namespace msh {

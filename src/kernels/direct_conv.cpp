@@ -1,0 +1,162 @@
+#include "kernels/direct_conv.h"
+
+#include <algorithm>
+#include <cstring>
+
+#include "kernels/simd.h"
+
+namespace msh {
+
+ConvPlanes ConvPlanes::make(i64 batch, i64 channels, i64 height, i64 width,
+                            i64 kernel, i64 stride, i64 padding) {
+  MSH_REQUIRE(batch > 0 && channels > 0 && kernel > 0 && stride > 0 &&
+              padding >= 0);
+  ConvPlanes g;
+  g.batch = batch;
+  g.channels = channels;
+  g.height = height;
+  g.width = width;
+  g.kernel = kernel;
+  g.stride = stride;
+  g.padding = padding;
+  g.phases = std::min(stride, kernel);
+  const i64 hp = height + 2 * padding, wp = width + 2 * padding;
+  MSH_REQUIRE(hp >= kernel && wp >= kernel);
+  g.out_h = (hp - kernel) / stride + 1;
+  g.out_w = (wp - kernel) / stride + 1;
+  // An image's bottom pad is the next image's top pad, and a row's right
+  // pad the next row's left pad: s * Hq >= H + p rows and s * Wq >= W + p
+  // columns suffice. Hq >= Ho and Wq >= Wo keep positions distinct.
+  g.plane_h = std::max((height + padding + stride - 1) / stride, g.out_h);
+  g.plane_w = std::max((width + padding + stride - 1) / stride, g.out_w);
+  const i64 last = g.position(batch - 1, g.out_h - 1, g.out_w - 1) + 1;
+  g.positions = (last + simd::kMacTile - 1) / simd::kMacTile * simd::kMacTile;
+  // The largest tap shift, taken by the last tile's last lane.
+  const i64 shift = (kernel - 1) / stride * (g.plane_w + 1);
+  g.plane_len = std::max(batch * g.plane_h * g.plane_w, g.positions + shift);
+  return g;
+}
+
+void ConvPlanes::row_offsets(std::span<i64> off) const {
+  // Dense row r = (c * k + ky) * k + kx; rows past C * k * k (the K
+  // tail) read the zero plane at offset 0. Phases and shifts advance
+  // incrementally: this runs once per dispatch, where a divide per row
+  // would cost more than the short convs it feeds.
+  const i64 rows = static_cast<i64>(off.size());
+  i64 r = 0;
+  for (i64 c = 0; c < channels && r < rows; ++c) {
+    for (i64 ky = 0, ry = 0, sy = 0; ky < kernel && r < rows; ++ky) {
+      const i64 base = (1 + (c * phases + ry) * phases) * plane_len;
+      for (i64 kx = 0, rx = 0, sx = 0; kx < kernel && r < rows; ++kx) {
+        off[static_cast<size_t>(r++)] =
+            base + rx * plane_len + sy * plane_w + sx;
+        if (++rx == stride) {
+          rx = 0;
+          ++sx;
+        }
+      }
+      if (++ry == stride) {
+        ry = 0;
+        ++sy;
+      }
+    }
+  }
+  for (; r < rows; ++r) off[static_cast<size_t>(r)] = 0;
+}
+
+void quantize_conv_planes(const f32* x, const ConvPlanes& g,
+                          const QuantParams& params, i16* planes,
+                          ThreadPool* pool) {
+  const i64 s = g.stride, phases = g.phases;
+  const i64 image_len = g.plane_h * g.plane_w;
+  const i64 channel_len = phases * phases * g.plane_len;
+  // Strided rows quantize in pieces of a multiple of s columns, so every
+  // piece splits into phases alike: phase 0 starts at column `first` of
+  // the piece (padded column first + padding is a multiple of s), in
+  // plane column q0 for the row's first piece.
+  constexpr i64 kPiece = 1024;
+  const i64 piece = kPiece / s * s;
+  const i64 first = (s - g.padding % s) % s;
+  const i64 q0 = (g.padding + first) / s;
+  std::memset(planes, 0, static_cast<size_t>(g.plane_len) * sizeof(i16));
+  parallel_for(pool, g.channels, [&](i64 begin, i64 end) {
+    i16 codes[kPiece];
+    for (i64 c = begin; c < end; ++c) {
+      i16* cp = planes + (1 + c * phases * phases) * g.plane_len;
+      std::memset(cp, 0, static_cast<size_t>(channel_len) * sizeof(i16));
+      for (i64 n = 0; n < g.batch; ++n) {
+        const f32* src = x + (n * g.channels + c) * g.height * g.width;
+        i16* image = cp + n * image_len;
+        if (s == 1) {  // one phase: each row lands whole, after the pad
+          for (i64 iy = 0; iy < g.height; ++iy, src += g.width) {
+            simd::quantize(src, g.width, params,
+                           image + (iy + g.padding) * g.plane_w + g.padding);
+          }
+          continue;
+        }
+        // Padded row iy + padding is row qy of phase row ry.
+        i64 ry = g.padding % s, qy = g.padding / s;
+        for (i64 iy = 0; iy < g.height; ++iy, src += g.width) {
+          if (ry < phases) {  // else no tap reads the row
+            i16* line = image + ry * phases * g.plane_len + qy * g.plane_w;
+            for (i64 x0 = 0; x0 < g.width; x0 += piece, line += piece / s) {
+              const i64 len = std::min(piece, g.width - x0);
+              simd::quantize(src + x0, len, params, codes);
+              for (i64 rx = 0; rx < phases; ++rx) {
+                // Phase rx: columns first + rx + k * s, wrapped into the
+                // piece (one plane column earlier when wrapped).
+                const i64 at = first + rx < s ? first + rx : first + rx - s;
+                i16* dst = line + rx * g.plane_len + q0 - (at < first);
+                for (i64 i = at; i < len; i += s) *dst++ = codes[i];
+              }
+            }
+          }
+          if (++ry == s) {
+            ry = 0;
+            ++qy;
+          }
+        }
+      }
+    }
+  });
+}
+
+void direct_conv(const FlatCsc& w, const i16* planes, const ConvPlanes& g,
+                 i32* out, KernelArena& arena, ThreadPool* pool) {
+  MSH_REQUIRE(w.dense_rows >= g.k());
+  std::span<i64> row_off = arena.alloc<i64>(w.dense_rows);
+  g.row_offsets(row_off);
+  const i64 tiles = g.positions / simd::kMacTile;
+  // Tile-major inside each lane: one tile's slices of every tap stay in
+  // L1 while the lane's output channels walk them.
+  parallel_for(pool, w.cols, [&](i64 begin, i64 end) {
+    for (i64 t = 0; t < tiles; ++t) {
+      const i64 q0 = t * simd::kMacTile;
+      for (i64 c = begin; c < end; ++c) {
+        const i64 lo = w.col_ptr[static_cast<size_t>(c)];
+        const i64 pairs = (w.col_ptr[static_cast<size_t>(c) + 1] - lo) / 2;
+        simd::pair_mac(out + c * g.positions + q0, simd::kMacTile, planes + q0,
+                       w.entry_row.data() + lo, row_off.data(),
+                       w.pair_weight.data() + lo / 2, pairs);
+      }
+    }
+  });
+}
+
+void gather_code_rows(const i16* planes, const ConvPlanes& g, i64 dense_rows,
+                      i8* rows, KernelArena& arena, ThreadPool* pool) {
+  std::span<i64> row_off = arena.alloc<i64>(dense_rows);
+  g.row_offsets(row_off);
+  const i64 spatial = g.out_h * g.out_w;
+  parallel_for(pool, g.batch * spatial, [&](i64 begin, i64 end) {
+    for (i64 p = begin; p < end; ++p) {
+      const i64 q = g.position(p / spatial, p % spatial / g.out_w, p % g.out_w);
+      i8* row = rows + p * dense_rows;
+      for (i64 r = 0; r < dense_rows; ++r) {
+        row[r] = static_cast<i8>(planes[row_off[static_cast<size_t>(r)] + q]);
+      }
+    }
+  });
+}
+
+}  // namespace msh

@@ -8,47 +8,61 @@ namespace msh {
 
 namespace {
 
-/// Builds the CSC arrays from any per-entry visitor. `visit` must call
-/// its callback once per stored entry with (output_id, dense_row,
-/// weight), in a deterministic order.
+/// Packs the entries of any per-entry visitor. `visit` must call its
+/// callback once per stored entry with (output_id, dense_row, weight),
+/// in a deterministic order.
 template <typename Visit>
-FlatCsc build(i64 cols, i64 dense_rows, KernelArena& arena, Visit&& visit) {
+PackedCsc pack(i64 cols, i64 dense_rows, Visit&& visit) {
   MSH_REQUIRE(cols >= 0 && dense_rows >= 0);
-  FlatCsc csc;
+  PackedCsc csc;
   csc.cols = cols;
   csc.dense_rows = dense_rows;
-  csc.col_ptr = arena.alloc<i64>(cols + 1);
-  std::fill(csc.col_ptr.begin(), csc.col_ptr.end(), 0);
+  csc.col_ptr.assign(static_cast<size_t>(cols + 1), 0);
 
-  // Pass 1: count entries per column.
+  // Pass 1: count entries per column, rounded up to a whole pair.
   visit([&](i32 col, i64 /*dense_row*/, i8 /*weight*/) {
     MSH_ENSURE(col >= 0 && static_cast<i64>(col) < cols);
     csc.col_ptr[static_cast<size_t>(col) + 1] += 1;
   });
-  for (i64 c = 0; c < cols; ++c) {
-    csc.col_ptr[static_cast<size_t>(c + 1)] +=
-        csc.col_ptr[static_cast<size_t>(c)];
+  for (size_t c = 0; c < static_cast<size_t>(cols); ++c) {
+    csc.col_ptr[c + 1] += csc.col_ptr[c] + (csc.col_ptr[c + 1] & 1);
   }
 
-  // Pass 2: fill, using a scratch cursor per column.
-  const i64 entries = csc.col_ptr[static_cast<size_t>(cols)];
-  csc.entry_row = arena.alloc<i32>(entries);
-  csc.entry_weight = arena.alloc<i8>(entries);
-  std::span<i64> cursor = arena.alloc<i64>(cols);
-  std::copy(csc.col_ptr.begin(), csc.col_ptr.end() - 1, cursor.begin());
-  visit([&](i32 col, i64 dense_row, i8 weight) {
+  // Pass 2: fill through a cursor per column. Dummies keep row 0 and
+  // weight 0.
+  const size_t entries = static_cast<size_t>(csc.col_ptr.back());
+  csc.entry_row.assign(entries, 0);
+  std::vector<i8> weight(entries, 0);
+  std::vector<i64> cursor(csc.col_ptr.begin(), csc.col_ptr.end() - 1);
+  visit([&](i32 col, i64 dense_row, i8 w) {
     MSH_ENSURE(dense_row >= 0 && dense_row < dense_rows);
-    const i64 at = cursor[static_cast<size_t>(col)]++;
-    csc.entry_row[static_cast<size_t>(at)] = static_cast<i32>(dense_row);
-    csc.entry_weight[static_cast<size_t>(at)] = weight;
+    const size_t at = static_cast<size_t>(cursor[static_cast<size_t>(col)]++);
+    csc.entry_row[at] = static_cast<i32>(dense_row);
+    weight[at] = w;
   });
+
+  csc.pair_weight.resize(entries / 2);
+  for (size_t p = 0; p < csc.pair_weight.size(); ++p) {
+    csc.pair_weight[p] = simd::pack_pair(weight[2 * p], weight[2 * p + 1]);
+  }
   return csc;
+}
+
+/// Copies a packed form into arena spans.
+FlatCsc to_arena(const PackedCsc& packed, KernelArena& arena) {
+  auto copy = [&]<typename T>(const std::vector<T>& v) {
+    std::span<T> dst = arena.alloc<T>(static_cast<i64>(v.size()));
+    std::copy(v.begin(), v.end(), dst.begin());
+    return std::span<const T>(dst);
+  };
+  return {packed.cols, packed.dense_rows, copy(packed.col_ptr),
+          copy(packed.entry_row), copy(packed.pair_weight)};
 }
 
 }  // namespace
 
-FlatCsc build_flat_csc_sram(std::span<const SramPeTile* const> tiles,
-                            i64 cols, i64 dense_rows, KernelArena& arena) {
+PackedCsc pack_csc_sram(std::span<const SramPeTile* const> tiles, i64 cols,
+                        i64 dense_rows) {
   auto visit = [&](auto&& emit) {
     for (const SramPeTile* tile : tiles) {
       const i64 segs = tile->segments_per_group();
@@ -78,11 +92,11 @@ FlatCsc build_flat_csc_sram(std::span<const SramPeTile* const> tiles,
       }
     }
   };
-  return build(cols, dense_rows, arena, visit);
+  return pack(cols, dense_rows, visit);
 }
 
-FlatCsc build_flat_csc_mram(std::span<const MramPeTile* const> tiles,
-                            i64 cols, i64 dense_rows, KernelArena& arena) {
+PackedCsc pack_csc_mram(std::span<const MramPeTile* const> tiles, i64 cols,
+                        i64 dense_rows) {
   auto visit = [&](auto&& emit) {
     for (const MramPeTile* tile : tiles) {
       const i32 m = tile->cfg.m;
@@ -100,7 +114,17 @@ FlatCsc build_flat_csc_mram(std::span<const MramPeTile* const> tiles,
       }
     }
   };
-  return build(cols, dense_rows, arena, visit);
+  return pack(cols, dense_rows, visit);
+}
+
+FlatCsc build_flat_csc_sram(std::span<const SramPeTile* const> tiles,
+                            i64 cols, i64 dense_rows, KernelArena& arena) {
+  return to_arena(pack_csc_sram(tiles, cols, dense_rows), arena);
+}
+
+FlatCsc build_flat_csc_mram(std::span<const MramPeTile* const> tiles,
+                            i64 cols, i64 dense_rows, KernelArena& arena) {
+  return to_arena(pack_csc_mram(tiles, cols, dense_rows), arena);
 }
 
 void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
@@ -110,28 +134,30 @@ void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
   MSH_REQUIRE(static_cast<i64>(out.size()) == batch * w.cols);
 
   // Batch rows are processed in blocks: activations for one block are
-  // transposed and widened to i16 once (xT[row][j], the layout the
-  // multiply-accumulate streams through), then every column walks its
-  // entries against the whole block.
+  // transposed and widened to i16 once (xt[row][j]: entry e's lanes start
+  // at row_off[entry_row[e]] = entry_row[e] * nb), then every column
+  // walks its entry pairs against the whole block, a tile at a time.
   constexpr i64 kBlock = 64;
   const i64 nb_max = std::min(batch, kBlock);
   std::span<i16> xt = arena.alloc<i16>(w.dense_rows * nb_max);
+  std::span<i64> row_off = arena.alloc<i64>(w.dense_rows);
 
   for (i64 b0 = 0; b0 < batch; b0 += kBlock) {
     const i64 nb = std::min(kBlock, batch - b0);
     simd::widen_transpose(acts.data() + b0 * w.dense_rows, nb, w.dense_rows,
                           xt.data());
+    for (i64 r = 0; r < w.dense_rows; ++r) {
+      row_off[static_cast<size_t>(r)] = r * nb;
+    }
     parallel_for(pool, w.cols, [&](i64 begin, i64 end) {
       i32 acc[kBlock];
       for (i64 c = begin; c < end; ++c) {
-        std::fill(acc, acc + nb, 0);
         const i64 lo = w.col_ptr[static_cast<size_t>(c)];
-        const i64 hi = w.col_ptr[static_cast<size_t>(c) + 1];
-        for (i64 e = lo; e < hi; ++e) {
-          const i32 weight = w.entry_weight[static_cast<size_t>(e)];
-          const i16* x =
-              xt.data() + w.entry_row[static_cast<size_t>(e)] * nb;
-          simd::multiply_accumulate(acc, weight, x, nb);
+        const i64 pairs = (w.col_ptr[static_cast<size_t>(c) + 1] - lo) / 2;
+        for (i64 j0 = 0; j0 < nb; j0 += simd::kMacTile) {
+          simd::pair_mac(acc + j0, std::min(simd::kMacTile, nb - j0),
+                         xt.data() + j0, w.entry_row.data() + lo,
+                         row_off.data(), w.pair_weight.data() + lo / 2, pairs);
         }
         for (i64 j = 0; j < nb; ++j) {
           out[static_cast<size_t>((b0 + j) * w.cols + c)] = acc[j];

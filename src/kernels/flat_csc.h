@@ -1,26 +1,29 @@
-// Raw backend kernel (DESIGN §5i): the live PE cells of one deployment
-// flattened into a CSC-style (column -> (dense_row, weight)) form, then
-// a SIMD-vectorized INT8 quantized matmul over it.
+// Raw backend weights (DESIGN §5i): the live PE cells of one deployment
+// in a flat compressed-column form shaped for simd::pair_mac, plus the
+// linear-layer matmul over it (convs: kernels/direct_conv.h).
 //
-// The flat form is rebuilt from the PE-resident tiles on every dispatch.
-// That is deliberate: faults, ECC scrub repairs and wear-limited
-// programming all mutate the tile cells in place (through
-// HybridCore::nvm_codes or mutable_tile), and rebuilding means the raw
-// backend always computes on exactly the cells the modeled walk would
-// read — bit-exactness composes with the whole robustness machinery by
-// construction, with no cache-invalidation protocol. The rebuild is a
-// linear sweep over the slots, a few percent of the matmul cost at
-// serving batch sizes.
+// Weight-stationary: HybridCore packs each deployment once into an owned
+// PackedCsc and keeps it resident across dispatches, the host analogue
+// of the compressed weights staying in the SRAM/MRAM arrays while
+// activations stream past. Every cell write goes through the core —
+// deploy, redeploy_sram, and nvm_codes(), the only mutable view of the
+// cells (fault injection, ECC scrub repair, power-fail scrambles, warm
+// restart, wear-tracked programming) — and marks that deployment's pack
+// stale; the next raw dispatch on it repacks from the live cells. So the
+// raw backend still computes on exactly the cells the modeled walk
+// reads, and a clean deployment is never repacked.
 //
 // Bit-exactness argument: the modeled datapaths compute, per logical
 // output column, the exact integer sum of weight x activation (64-bit
 // intermediate), truncated to i32 once at the end. Two's-complement
 // truncation of an exact sum equals wrap-around 32-bit accumulation in
-// any summation order, so the flat kernel's per-column wrap-32 dot
-// product is bit-identical regardless of SIMD width or entry order.
+// any summation order, so the packed kernels' per-column wrap-32 dot
+// products are bit-identical regardless of SIMD width, entry order or
+// pairing. The zero-weight dummies contribute exactly 0.
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "kernels/arena.h"
@@ -28,25 +31,48 @@
 
 namespace msh {
 
-/// One deployment's weights in flat compressed-column form. Spans are
-/// arena-backed: valid until the owning arena's next reset().
+/// One deployment's weights in flat compressed-column form. Each
+/// column's entries are padded to an even count with a zero-weight dummy
+/// on dense row 0, and each consecutive entry pair's weights are
+/// pre-packed into one simd::pack_pair word. Spans view storage owned
+/// elsewhere (a PackedCsc, or an arena).
 struct FlatCsc {
   i64 cols = 0;
   i64 dense_rows = 0;
-  std::span<i64> col_ptr;      ///< [cols + 1] entry ranges per column
-  std::span<i32> entry_row;    ///< dense activation row per entry
-  std::span<i8> entry_weight;  ///< INT8 weight per entry
+  std::span<const i64> col_ptr;      ///< [cols + 1] even entry ranges
+  std::span<const i32> entry_row;    ///< dense activation row per entry
+  std::span<const i32> pair_weight;  ///< [entries / 2] packed pair words
 };
 
-/// Flattens SRAM tiles. Mirrors the modeled addressing exactly:
+/// Owned FlatCsc storage: a deployment's resident packed weights.
+struct PackedCsc {
+  i64 cols = 0;
+  i64 dense_rows = 0;
+  std::vector<i64> col_ptr;
+  std::vector<i32> entry_row;
+  std::vector<i32> pair_weight;
+
+  FlatCsc view() const {
+    return {cols, dense_rows, col_ptr, entry_row, pair_weight};
+  }
+};
+
+/// Packs SRAM tiles. Mirrors the modeled addressing exactly:
 /// dense_row = (segment_offset + local_row / N) * M + stored_index, and
 /// a slot whose (possibly fault-flipped) index is >= M never matches an
 /// index phase, so it is dropped here too.
+PackedCsc pack_csc_sram(std::span<const SramPeTile* const> tiles, i64 cols,
+                        i64 dense_rows);
+
+/// Packs MRAM tiles: dense_row = ((packed_base + e) / N) * M + index per
+/// valid entry of every used physical row.
+PackedCsc pack_csc_mram(std::span<const MramPeTile* const> tiles, i64 cols,
+                        i64 dense_rows);
+
+/// pack_csc_sram / pack_csc_mram copied into `arena`: valid until its
+/// next reset().
 FlatCsc build_flat_csc_sram(std::span<const SramPeTile* const> tiles,
                             i64 cols, i64 dense_rows, KernelArena& arena);
-
-/// Flattens MRAM tiles: dense_row = ((packed_base + e) / N) * M + index
-/// per valid entry of every used physical row.
 FlatCsc build_flat_csc_mram(std::span<const MramPeTile* const> tiles,
                             i64 cols, i64 dense_rows, KernelArena& arena);
 

@@ -36,10 +36,6 @@ class MramSparsePe {
   /// program of a row).
   void program(MramPeTile tile);
   const MramPeTile& tile() const { return tile_; }
-  /// Direct cell access for fault injection and ECC scrub — models MTJs
-  /// flipping/being repaired underneath the periphery, so it bypasses
-  /// write-event accounting on purpose.
-  MramPeTile& mutable_tile() { return tile_; }
   bool loaded() const { return !tile_.empty(); }
 
   /// One sparse matvec against an INT8 dense activation vector. Bit-exact
@@ -66,6 +62,15 @@ class MramSparsePe {
   void reset_events() { events_ = {}; }
 
  private:
+  friend class HybridCore;
+
+  /// Direct cell access for fault injection and ECC scrub — models MTJs
+  /// flipping/being repaired underneath the periphery, so it bypasses
+  /// write-event accounting on purpose. Reachable only through
+  /// HybridCore::nvm_codes, which marks the deployment's raw packed
+  /// form stale.
+  MramPeTile& mutable_tile() { return tile_; }
+
   MramPeTile tile_;
   MramPipelineStats last_pipeline_;
   PeEventCounts events_;

@@ -37,10 +37,6 @@ class SramSparsePe {
   /// lives here).
   void load(SramPeTile tile);
   const SramPeTile& tile() const { return tile_; }
-  /// Direct cell access for fault injection and ECC scrub — models the
-  /// array being corrupted/repaired underneath the datapath, so it
-  /// bypasses write-event accounting on purpose.
-  SramPeTile& mutable_tile() { return tile_; }
   bool loaded() const { return !tile_.empty(); }
 
   /// Executes one sparse matrix-vector product against an INT8 dense
@@ -70,6 +66,15 @@ class SramSparsePe {
   void reset_events() { events_ = {}; }
 
  private:
+  friend class HybridCore;
+
+  /// Direct cell access for fault injection and ECC scrub — models the
+  /// array being corrupted/repaired underneath the datapath, so it
+  /// bypasses write-event accounting on purpose. Reachable only through
+  /// HybridCore::nvm_codes, which marks the deployment's raw packed
+  /// form stale.
+  SramPeTile& mutable_tile() { return tile_; }
+
   SramPeTile tile_;
   PeEventCounts events_;
 };

@@ -180,23 +180,87 @@ TEST(KernelArenaTest, ReusesOneSlabAfterReset) {
   }
 }
 
-TEST(SimdTest, MultiplyAccumulateMatchesScalarWithWrap) {
-  Rng rng(7);
-  std::vector<i16> x(203);
-  for (i16& v : x) v = static_cast<i16>(rng.uniform_int(-128, 127));
-  std::vector<i32> acc(x.size()), ref(x.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    // Seed accumulators near INT32_MAX so the vector path's wrap
-    // behavior is exercised, not just the happy range.
-    acc[i] = ref[i] = 0x7ffffff0 + static_cast<i32>(i % 7);
+/// Entries as the packed kernels store them: padded to an even count
+/// with a zero-weight dummy on row 0, weights packed pairwise.
+struct PairedEntries {
+  std::vector<i32> row;
+  std::vector<i32> word;
+
+  PairedEntries(std::vector<i32> rows, std::vector<i8> weights) {
+    if (rows.size() % 2 != 0) {
+      rows.push_back(0);
+      weights.push_back(0);
+    }
+    row = std::move(rows);
+    for (size_t e = 0; e < weights.size(); e += 2) {
+      word.push_back(simd::pack_pair(weights[e], weights[e + 1]));
+    }
   }
-  const i32 w = -128;
-  simd::multiply_accumulate(acc.data(), w, x.data(),
-                            static_cast<i64>(x.size()));
-  for (size_t i = 0; i < x.size(); ++i) {
-    ref[i] = static_cast<i32>(static_cast<u32>(ref[i]) +
-                              static_cast<u32>(w * x[i]));
-    ASSERT_EQ(acc[i], ref[i]) << "lane " << i << " on " << simd::kIsa;
+  i64 pairs() const { return static_cast<i64>(word.size()); }
+};
+
+TEST(SimdTest, PairMacMatchesScalarReferenceOnEveryTileLength) {
+  // Rows of INT8-ranged i16 activations at irregular offsets, read from
+  // lane 0 up to n; odd entry counts run through the dummy, and the
+  // weights include -128 * -128 pairs, the largest products there are.
+  Rng rng(7);
+  constexpr i64 kRows = 9;
+  std::vector<i64> off(kRows);
+  for (i64 r = 0; r < kRows; ++r) off[static_cast<size_t>(r)] = r * 41 + r % 3;
+  std::vector<i16> x(static_cast<size_t>(kRows * 41 + simd::kMacTile));
+  for (i16& v : x) v = static_cast<i16>(rng.uniform_int(-128, 127));
+  for (size_t i = 0; i < x.size(); i += 5) x[i] = -128;
+  for (const i64 entries : {0, 1, 2, 3, 7, 8, 33}) {
+    for (i64 n = 0; n <= simd::kMacTile; ++n) {
+      std::vector<i32> rows;
+      std::vector<i8> weights;
+      for (i64 e = 0; e < entries; ++e) {
+        const i64 weight = rng.uniform_int(-128, 127);
+        rows.push_back(static_cast<i32>(rng.uniform_int(0, kRows - 1)));
+        weights.push_back(static_cast<i8>(e % 4 == 1 ? -128 : weight));
+      }
+      std::vector<i32> want(static_cast<size_t>(n));
+      for (i64 j = 0; j < n; ++j) {
+        u32 acc = 0;
+        for (size_t e = 0; e < rows.size(); ++e) {
+          const i64 at = off[static_cast<size_t>(rows[e])] + j;
+          acc += static_cast<u32>(weights[e] * x[static_cast<size_t>(at)]);
+        }
+        want[static_cast<size_t>(j)] = static_cast<i32>(acc);
+      }
+      const PairedEntries paired(rows, weights);
+      std::vector<i32> out(static_cast<size_t>(simd::kMacTile), 12345);
+      simd::pair_mac(out.data(), n, x.data(), paired.row.data(), off.data(),
+                     paired.word.data(), paired.pairs());
+      for (i64 j = 0; j < simd::kMacTile; ++j) {
+        const i32 expect = j < n ? want[static_cast<size_t>(j)] : 12345;
+        ASSERT_EQ(out[static_cast<size_t>(j)], expect)
+            << entries << " entries, n=" << n << ", lane " << j << " on "
+            << simd::kIsa;
+      }
+    }
+  }
+}
+
+TEST(SimdTest, PairMacWrapsPastInt32Max) {
+  // Every pair adds (-128)(-128) + (-128)(-128) = 2^15, so 65540 pairs
+  // carry the i32 accumulators 2^17 past INT32_MAX; the result is the
+  // two's-complement wrap of the exact sum, on every lane and tail.
+  constexpr i64 kPairs = 65540;
+  const std::vector<i16> x(static_cast<size_t>(simd::kMacTile), -128);
+  const std::vector<i64> off = {0};
+  const std::vector<i32> rows(2 * kPairs, 0);
+  const std::vector<i32> words(kPairs, simd::pack_pair(-128, -128));
+  const i32 want = static_cast<i32>(static_cast<u32>(kPairs * 32768));
+  ASSERT_LT(want, 0);
+  for (const i64 n : {1, 7, 8, 17, 31, 32}) {
+    std::vector<i32> out(static_cast<size_t>(n));
+    simd::pair_mac(out.data(), n, x.data(), rows.data(), off.data(),
+                   words.data(), kPairs);
+    for (i64 j = 0; j < n; ++j) {
+      ASSERT_EQ(out[static_cast<size_t>(j)], want)
+          << "n=" << n << " lane " << j << " on " << simd::kIsa;
+    }
   }
 }
 
