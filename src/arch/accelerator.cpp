@@ -102,76 +102,39 @@ bool HybridCore::deployment_is_sram(i64 handle) const {
   return deployments_[static_cast<size_t>(handle)].is_sram;
 }
 
-HybridCore::RowCompute HybridCore::compute_row(
-    const Deployment& dep, std::span<const i8> activations) const {
-  RowCompute row;
-  std::vector<i64> acc(static_cast<size_t>(dep.cols), 0);
-  std::vector<u8> touched(static_cast<size_t>(dep.cols), 0);
-  row.pe_events.resize(static_cast<size_t>(dep.pe_count()));
-  row.tile_cycles.reserve(row.pe_events.size());
-
-  auto merge = [&](const std::vector<i32>& ids,
-                   const std::vector<i64>& values) {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const size_t c = static_cast<size_t>(ids[i]);
-      MSH_ENSURE(c < acc.size());
-      if (touched[c]) ++row.shared_acc_ops;  // cross-PE partial-sum merge
-      acc[c] += values[i];
-      touched[c] = 1;
+void HybridCore::compute_row(const Deployment& dep,
+                             std::span<const i8> activations, WalkLane& lane,
+                             std::span<i32> result) const {
+  lane.acc.assign(static_cast<size_t>(dep.cols), 0);
+  lane.touched.assign(static_cast<size_t>(dep.cols), 0);
+  for (i64 i = 0; i < dep.pe_count(); ++i) {
+    PeEventCounts events;
+    if (dep.is_sram) {
+      modeled_sram_matvec(dep.sram_pes[static_cast<size_t>(i)]->tile(),
+                          activations, events, lane.walk, lane.pe_out);
+    } else {
+      modeled_mram_matvec(dep.mram_pes[static_cast<size_t>(i)]->tile(),
+                          activations, events, lane.walk, lane.pe_out);
     }
-  };
-
-  if (dep.is_sram) {
-    for (size_t i = 0; i < dep.sram_pes.size(); ++i) {
-      const SramPeOutput out =
-          dep.sram_pes[i]->matvec_compute(activations, row.pe_events[i]);
-      row.tile_cycles.push_back(row.pe_events[i].cycles);
-      merge(out.output_ids, out.values);
-    }
-  } else {
-    for (size_t i = 0; i < dep.mram_pes.size(); ++i) {
-      const MramPeOutput out =
-          dep.mram_pes[i]->matvec_compute(activations, row.pe_events[i]);
-      row.tile_cycles.push_back(row.pe_events[i].cycles);
-      merge(out.output_ids, out.values);
+    // A tile's cycle cost is structural (M x 8 + tree depth on SRAM,
+    // used rows + fill on MRAM), which is what lets the dispatch
+    // schedule once for all its rows.
+    i64& cycles = lane.tile_cycles[static_cast<size_t>(i)];
+    MSH_ENSURE(lane.rows == 0 || cycles == events.cycles);
+    cycles = events.cycles;
+    lane.pe_events[static_cast<size_t>(i)] += events;
+    const TileMatvec& out = lane.pe_out;
+    for (size_t k = 0; k < out.output_ids.size(); ++k) {
+      const size_t c = static_cast<size_t>(out.output_ids[k]);
+      MSH_ENSURE(c < lane.acc.size());
+      if (lane.touched[c]) ++lane.shared_acc_ops;  // cross-PE merge
+      lane.acc[c] += out.values[k];
+      lane.touched[c] = 1;
     }
   }
-
-  // SIMT schedule over the physical PE pool (one pool per tile lane).
-  const i64 pe_pool = dep.is_sram
-                          ? options_.sram_pe_pool
-                          : options_.topology.mram_pes_per_core();
-  const ScheduleResult sched = Scheduler(pe_pool).schedule(row.tile_cycles);
-  row.makespan = sched.makespan;
-  row.utilization = sched.utilization();
-
-  row.result.resize(static_cast<size_t>(dep.cols));
-  for (size_t c = 0; c < row.result.size(); ++c)
-    row.result[c] = static_cast<i32>(acc[c]);
-  return row;
-}
-
-void HybridCore::absorb_row(Deployment& dep, std::span<const i8> activations,
-                            const RowCompute& row) {
-  // Activations arrive over the bus into the core buffer once
-  // (row-stationary: every PE pass reuses the buffered copy).
-  bus_.transfer(static_cast<i64>(activations.size()) * 8);
-  MSH_REQUIRE(buffer_.load(activations));
-  if (dep.is_sram) {
-    for (size_t i = 0; i < dep.sram_pes.size(); ++i) {
-      dep.sram_pes[i]->absorb_events(row.pe_events[i]);
-      buffer_.record_read(dep.sram_pes[i]->tile().rows);
-    }
-  } else {
-    for (size_t i = 0; i < dep.mram_pes.size(); ++i) {
-      dep.mram_pes[i]->absorb_events(row.pe_events[i]);
-      buffer_.record_read(
-          static_cast<i64>(dep.mram_pes[i]->tile().rows.size()));
-    }
-  }
-  shared_acc_ops_ += row.shared_acc_ops;
-  // Results leave over the bus.
-  bus_.transfer(dep.cols * 32);
+  ++lane.rows;
+  for (size_t c = 0; c < result.size(); ++c)
+    result[c] = static_cast<i32>(lane.acc[c]);
 }
 
 FlatCsc HybridCore::resident(Deployment& dep) {
@@ -212,30 +175,20 @@ HybridCore::Deployment& HybridCore::checked_deployment(
 
 std::vector<i32> HybridCore::matvec(i64 handle,
                                     std::span<const i8> activations) {
-  Deployment& dep = checked_deployment(handle, activations, 1);
-  if (options_.backend == KernelBackend::kRaw) {
-    std::vector<i32> out(static_cast<size_t>(dep.cols));
-    raw_matmul(dep, activations, 1, out);
-    return out;
-  }
-
-  RowCompute row = compute_row(dep, activations);
-  absorb_row(dep, activations, row);
-  last_makespan_ = row.makespan;
-  last_utilization_ = row.utilization;
-  return std::move(row.result);
+  return matmul(handle, activations, 1);
 }
 
 std::vector<i32> HybridCore::matmul(i64 handle,
                                     std::span<const i8> activations,
                                     i64 batch) {
   Deployment& dep = checked_deployment(handle, activations, batch);
+  std::vector<i32> out(static_cast<size_t>(batch * dep.cols));
   if (options_.backend == KernelBackend::kRaw) {
-    std::vector<i32> out(static_cast<size_t>(batch * dep.cols));
     raw_matmul(dep, activations, batch, out);
-    return out;
+  } else {
+    modeled_matmul(dep, activations, batch, out);
   }
-  return modeled_matmul(handle, dep, activations, batch);
+  return out;
 }
 
 void HybridCore::matmul_into(i64 handle, std::span<const i8> activations,
@@ -244,10 +197,9 @@ void HybridCore::matmul_into(i64 handle, std::span<const i8> activations,
   MSH_REQUIRE(static_cast<i64>(out.size()) == batch * dep.cols);
   if (options_.backend == KernelBackend::kRaw) {
     raw_matmul(dep, activations, batch, out);
-    return;
+  } else {
+    modeled_matmul(dep, activations, batch, out);
   }
-  const std::vector<i32> y = modeled_matmul(handle, dep, activations, batch);
-  std::copy(y.begin(), y.end(), out.begin());
 }
 
 void HybridCore::conv_into(i64 handle, std::span<const i16> planes,
@@ -270,9 +222,10 @@ void HybridCore::conv_into(i64 handle, std::span<const i16> planes,
   const i64 spatial = layout.out_h * layout.out_w;
   const i64 rows = layout.batch * spatial;
   std::span<i8> codes = arena_.alloc<i8>(rows * dep.dense_rows);
+  std::span<i32> y = arena_.alloc<i32>(rows * dep.cols);
   gather_code_rows(planes.data(), layout, dep.dense_rows, codes.data(), arena_,
                    intra_pool_);
-  const std::vector<i32> y = modeled_matmul(handle, dep, codes, rows);
+  modeled_matmul(dep, codes, rows, y);
   for (i64 p = 0; p < rows; ++p) {
     const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
                                   p % layout.out_w);
@@ -283,69 +236,89 @@ void HybridCore::conv_into(i64 handle, std::span<const i16> planes,
   }
 }
 
-std::vector<i32> HybridCore::modeled_matmul(i64 handle, Deployment& dep,
-                                            std::span<const i8> activations,
-                                            i64 batch) {
-  ThreadPool* pool = intra_pool_;
-  if (pool == nullptr || pool->size() <= 1 || batch <= 1) {
-    std::vector<i32> out;
-    out.reserve(static_cast<size_t>(batch * dep.cols));
-    i64 makespan = 0;
-    for (i64 b = 0; b < batch; ++b) {
-      const auto row = activations.subspan(
-          static_cast<size_t>(b * dep.dense_rows),
-          static_cast<size_t>(dep.dense_rows));
-      const auto y = matvec(handle, row);
-      makespan += last_makespan_;
-      out.insert(out.end(), y.begin(), y.end());
-    }
-    last_makespan_ = makespan;
-    return out;
+void HybridCore::modeled_matmul(Deployment& dep,
+                                std::span<const i8> activations, i64 batch,
+                                std::span<i32> out) {
+  if (batch == 0) {
+    last_makespan_ = 0;
+    return;
   }
-
   // Intra-batch parallel path: contiguous row lanes, each modeling (and
   // running on) a clone of the deployment's tiles. Rows are independent
-  // (private accumulators, fixed output offsets, lane-local event
-  // counters), so the outputs are bit-identical to the sequential walk.
-  std::vector<RowCompute> rows(static_cast<size_t>(batch));
-  std::vector<i32> out(static_cast<size_t>(batch * dep.cols));
-  pool->parallel_for(batch, [&](i64 begin, i64 end) {
-    for (i64 b = begin; b < end; ++b) {
-      const auto acts = activations.subspan(
-          static_cast<size_t>(b * dep.dense_rows),
-          static_cast<size_t>(dep.dense_rows));
-      RowCompute row = compute_row(dep, acts);
-      std::copy(row.result.begin(), row.result.end(),
-                out.begin() + static_cast<size_t>(b * dep.cols));
-      rows[static_cast<size_t>(b)] = std::move(row);
-    }
-  });
-
-  // Deterministic accounting replay, in row order: the final bus, buffer
-  // and PE event state is exactly the sequential path's.
-  for (i64 b = 0; b < batch; ++b) {
-    const auto acts = activations.subspan(
-        static_cast<size_t>(b * dep.dense_rows),
-        static_cast<size_t>(dep.dense_rows));
-    absorb_row(dep, acts, rows[static_cast<size_t>(b)]);
-  }
-  last_utilization_ = rows.back().utilization;
-
-  // Modeled time: lanes run concurrently on their tile clones, so the
-  // batch finishes when the busiest lane does. Lane boundaries are the
-  // same contiguous chunks parallel_for dispatched.
-  const i64 lanes = pool->shards(batch);
+  // (private accumulators, fixed output offsets, lane-local event sums),
+  // so the outputs are bit-identical to the sequential walk. The lanes
+  // are exactly the chunks parallel_for dispatches.
+  ThreadPool* pool = intra_pool_;
+  const bool parallel = pool != nullptr && pool->size() > 1 && batch > 1;
+  const i64 lanes = parallel ? pool->shards(batch) : 1;
   const i64 per_lane = (batch + lanes - 1) / lanes;
-  i64 makespan = 0;
-  for (i64 lane = 0; lane < lanes; ++lane) {
-    i64 lane_cycles = 0;
-    const i64 end = std::min(batch, (lane + 1) * per_lane);
-    for (i64 b = lane * per_lane; b < end; ++b)
-      lane_cycles += rows[static_cast<size_t>(b)].makespan;
-    makespan = std::max(makespan, lane_cycles);
+  if (static_cast<i64>(walk_lanes_.size()) < lanes)
+    walk_lanes_.resize(static_cast<size_t>(lanes));
+  for (i64 l = 0; l < lanes; ++l) {
+    WalkLane& lane = walk_lanes_[static_cast<size_t>(l)];
+    lane.pe_events.assign(static_cast<size_t>(dep.pe_count()), {});
+    lane.tile_cycles.assign(static_cast<size_t>(dep.pe_count()), 0);
+    lane.rows = 0;
+    lane.shared_acc_ops = 0;
   }
-  last_makespan_ = makespan;
-  return out;
+  auto walk = [&](i64 begin, i64 end) {
+    WalkLane& lane = walk_lanes_[static_cast<size_t>(begin / per_lane)];
+    for (i64 b = begin; b < end; ++b) {
+      compute_row(dep,
+                  activations.subspan(static_cast<size_t>(b * dep.dense_rows),
+                                      static_cast<size_t>(dep.dense_rows)),
+                  lane,
+                  out.subspan(static_cast<size_t>(b * dep.cols),
+                              static_cast<size_t>(dep.cols)));
+    }
+  };
+  if (parallel) {
+    pool->parallel_for(batch, walk);
+  } else {
+    walk(0, batch);
+  }
+
+  // Accounting, applied after the walk: the final bus, buffer and PE
+  // event state is exactly a row-by-row sequential walk's. Activations
+  // arrive over the bus into the core buffer once per row
+  // (row-stationary: every PE pass reuses the buffered copy) and each PE
+  // reads its rows from it; results leave over the bus.
+  i64 read_bytes = 0;
+  for (const auto& pe : dep.sram_pes) read_bytes += pe->tile().rows;
+  for (const auto& pe : dep.mram_pes)
+    read_bytes += static_cast<i64>(pe->tile().rows.size());
+  for (i64 b = 0; b < batch; ++b) {
+    const auto acts =
+        activations.subspan(static_cast<size_t>(b * dep.dense_rows),
+                            static_cast<size_t>(dep.dense_rows));
+    bus_.transfer(static_cast<i64>(acts.size()) * 8);
+    MSH_REQUIRE(buffer_.load(acts));
+    buffer_.record_read(read_bytes);
+    bus_.transfer(dep.cols * 32);
+  }
+  for (i64 l = 0; l < lanes; ++l) {
+    const WalkLane& lane = walk_lanes_[static_cast<size_t>(l)];
+    for (i64 i = 0; i < dep.pe_count(); ++i) {
+      const PeEventCounts& events = lane.pe_events[static_cast<size_t>(i)];
+      if (dep.is_sram) {
+        dep.sram_pes[static_cast<size_t>(i)]->absorb_events(events);
+      } else {
+        dep.mram_pes[static_cast<size_t>(i)]->absorb_events(events);
+      }
+    }
+    shared_acc_ops_ += lane.shared_acc_ops;
+  }
+
+  // SIMT schedule over the physical PE pool, once: every row costs each
+  // tile the same cycles. Modeled time: lanes run concurrently on their
+  // tile clones, so the batch finishes when the busiest (first, longest)
+  // lane does; sequentially that lane is the whole batch.
+  const i64 pe_pool = dep.is_sram ? options_.sram_pe_pool
+                                  : options_.topology.mram_pes_per_core();
+  const ScheduleResult sched =
+      Scheduler(pe_pool).schedule(walk_lanes_.front().tile_cycles);
+  last_makespan_ = per_lane * sched.makespan;
+  last_utilization_ = sched.utilization();
 }
 
 PeEventCounts HybridCore::pe_events() const {

@@ -76,7 +76,9 @@ class HybridCore {
   /// backend the dispatch then allocates nothing on the heap (unless it
   /// repacks a written deployment): its widened activations and offset
   /// tables live in the core's kernel arena, reused at its high-water
-  /// mark.
+  /// mark. On the modeled backend the walk's scratch lives in the
+  /// core's per-lane WalkLanes, so a warmed dispatch allocates a fixed
+  /// number of times (its schedule), whatever the batch.
   void matmul_into(i64 handle, std::span<const i8> activations, i64 batch,
                    std::span<i32> out);
 
@@ -176,24 +178,27 @@ class HybridCore {
     }
   };
 
-  /// One activation row's walk over a deployment's PE tiles, with no
-  /// side effects on the core or the PEs: results plus the event deltas
-  /// the sequential path would have produced. The unit of work each
-  /// parallel lane executes.
-  struct RowCompute {
-    std::vector<i32> result;               ///< merged accumulators [cols]
-    std::vector<PeEventCounts> pe_events;  ///< per PE, deploy order
-    std::vector<i64> tile_cycles;          ///< per PE cycle cost
-    i64 shared_acc_ops = 0;                ///< cross-PE partial-sum merges
-    i64 makespan = 0;                      ///< SIMT schedule over the pool
-    f64 utilization = 0.0;
+  /// Working storage of one modeled walk lane — the whole dispatch when
+  /// sequential, one contiguous row chunk on the intra-op path. The core
+  /// keeps one per lane and reuses it at its high-water mark, so a warmed
+  /// modeled dispatch allocates nothing per row. Only results and event
+  /// sums live here, never cell-derived state: each row re-reads the
+  /// live tiles.
+  struct WalkLane {
+    ModeledScratch walk;    ///< the PE walks' buffers
+    TileMatvec pe_out;      ///< one PE's results
+    std::vector<i64> acc;   ///< one row's merged accumulators [cols]
+    std::vector<u8> touched;                ///< [cols] columns merged
+    std::vector<PeEventCounts> pe_events;   ///< per PE, summed over rows
+    std::vector<i64> tile_cycles;  ///< per PE cycle cost (row-invariant)
+    i64 rows = 0;                  ///< rows walked this dispatch
+    i64 shared_acc_ops = 0;        ///< cross-PE partial-sum merges
   };
-  RowCompute compute_row(const Deployment& dep,
-                         std::span<const i8> activations) const;
-  /// Replays one row's bus/buffer traffic and merges its event deltas
-  /// into the core — the accounting half of matvec, applied in row order.
-  void absorb_row(Deployment& dep, std::span<const i8> activations,
-                  const RowCompute& row);
+  /// One activation row's walk over a deployment's PE tiles into
+  /// `result` [cols], with no side effects on the core or the PEs: the
+  /// event deltas land in `lane`. The unit of work each lane executes.
+  void compute_row(const Deployment& dep, std::span<const i8> activations,
+                   WalkLane& lane, std::span<i32> result) const;
 
   Deployment& checked_deployment(i64 handle, std::span<const i8> activations,
                                  i64 batch);
@@ -206,9 +211,10 @@ class HybridCore {
   /// accounting.
   void raw_matmul(Deployment& dep, std::span<const i8> activations, i64 batch,
                   std::span<i32> out);
-  /// Modeled-backend batched walk (sequential or row lanes).
-  std::vector<i32> modeled_matmul(i64 handle, Deployment& dep,
-                                  std::span<const i8> activations, i64 batch);
+  /// Modeled-backend batched walk (sequential or row lanes) into `out`,
+  /// with the full bus/buffer/PE accounting and the SIMT schedule.
+  void modeled_matmul(Deployment& dep, std::span<const i8> activations,
+                      i64 batch, std::span<i32> out);
 
   Options options_;
   KernelArena arena_;     ///< raw-backend scratch, reset per dispatch
@@ -216,6 +222,7 @@ class HybridCore {
   Bus bus_;
   ActivationBuffer buffer_;
   std::vector<Deployment> deployments_;
+  std::vector<WalkLane> walk_lanes_;  ///< modeled scratch, one per lane
   ThreadPool* intra_pool_ = nullptr;
   i64 last_makespan_ = 0;
   f64 last_utilization_ = 0.0;

@@ -1,6 +1,6 @@
 #include "kernels/adder_tree.h"
 
-#include <vector>
+#include <algorithm>
 
 namespace msh {
 
@@ -12,21 +12,21 @@ AdderTree::AdderTree(i64 inputs) : inputs_(inputs) {
     span <<= 1;
     ++depth_;
   }
+  stage_.resize(static_cast<size_t>(inputs_));
 }
 
 i32 AdderTree::reduce(std::span<const i32> values) {
   MSH_REQUIRE(static_cast<i64>(values.size()) <= inputs_);
-  std::vector<i64> level(values.begin(), values.end());
-  while (level.size() > 1) {
-    std::vector<i64> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < level.size(); i += 2)
-      next.push_back(level[i] + level[i + 1]);
-    if (level.size() % 2) next.push_back(level.back());
-    level = std::move(next);
+  if (values.empty()) return 0;
+  std::copy(values.begin(), values.end(), stage_.begin());
+  // Node i of the next stage sums nodes 2i and 2i+1 of this one; writing
+  // left to right never overwrites a node this stage still reads.
+  for (size_t width = values.size(); width > 1; width = (width + 1) / 2) {
+    for (size_t i = 0; i + 1 < width; i += 2)
+      stage_[i / 2] = stage_[i] + stage_[i + 1];
+    if (width % 2) stage_[width / 2] = stage_[width - 1];
   }
-  ++ops_;
-  return level.empty() ? 0 : static_cast<i32>(level.front());
+  return static_cast<i32>(stage_.front());
 }
 
 }  // namespace msh

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "common/types.h"
 
@@ -11,7 +12,8 @@ namespace msh {
 
 class AdderTree {
  public:
-  /// `inputs` is the leaf count (128 for the SRAM PE column groups).
+  /// `inputs` is the leaf count (the tile height for the SRAM PE column
+  /// groups). Sizes the tree's stage buffer once.
   explicit AdderTree(i64 inputs);
 
   i64 inputs() const { return inputs_; }
@@ -20,18 +22,15 @@ class AdderTree {
   /// Total 2-input adder nodes (inputs - 1 for a full reduction tree).
   i64 node_count() const { return inputs_ - 1; }
 
-  /// Performs one reduction, emulating the tree stage by stage (so a
-  /// node-count assertion failure would surface structural bugs), and
-  /// bumps the op counter.
+  /// Performs one reduction, emulating the tree stage by stage: each
+  /// stage adds neighbouring pairs (an odd tail passes through) in place
+  /// on the tree's fixed stage buffer, so it allocates nothing.
   i32 reduce(std::span<const i32> values);
-
-  i64 ops() const { return ops_; }
-  void reset_ops() { ops_ = 0; }
 
  private:
   i64 inputs_;
   i64 depth_;
-  i64 ops_ = 0;
+  std::vector<i64> stage_;  ///< [inputs] node values of the current stage
 };
 
 }  // namespace msh

@@ -12,19 +12,4 @@ ComparatorColumn::ComparatorColumn(i64 rows) : rows_(rows) {
   MSH_REQUIRE(rows_ >= 1);
 }
 
-std::vector<u8> ComparatorColumn::compare(std::span<const u8> stored_indices,
-                                          std::span<const u8> valid,
-                                          i32 generated) {
-  MSH_REQUIRE(static_cast<i64>(stored_indices.size()) == rows_);
-  MSH_REQUIRE(static_cast<i64>(valid.size()) == rows_);
-  std::vector<u8> match(static_cast<size_t>(rows_), 0);
-  for (i64 r = 0; r < rows_; ++r) {
-    match[static_cast<size_t>(r)] =
-        valid[static_cast<size_t>(r)] &&
-        stored_indices[static_cast<size_t>(r)] == generated;
-  }
-  ++compare_ops_;  // all rows of the group compare in parallel: one op
-  return match;
-}
-
 }  // namespace msh

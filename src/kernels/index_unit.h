@@ -6,7 +6,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "common/types.h"
 
@@ -34,18 +33,21 @@ class ComparatorColumn {
 
   i64 rows() const { return rows_; }
 
-  /// Compares the generated index against every row's stored index;
-  /// returns the per-row match mask. `valid` marks rows holding real
-  /// (non-padding) entries.
-  std::vector<u8> compare(std::span<const u8> stored_indices,
-                          std::span<const u8> valid, i32 generated) ;
-
-  i64 compare_ops() const { return compare_ops_; }
-  void reset_ops() { compare_ops_ = 0; }
+  /// Compares the generated index against the stored index of each row
+  /// of a contiguous run of the group's rows (all of them, or one
+  /// adder-tree segment) and writes the per-row match mask into `match`.
+  /// `valid` marks rows holding real (non-padding) entries.
+  void compare(std::span<const u8> stored_indices, std::span<const u8> valid,
+               i32 generated, std::span<u8> match) const {
+    MSH_REQUIRE(static_cast<i64>(stored_indices.size()) <= rows_);
+    MSH_REQUIRE(valid.size() == stored_indices.size());
+    MSH_REQUIRE(match.size() == stored_indices.size());
+    for (size_t r = 0; r < match.size(); ++r)
+      match[r] = valid[r] && stored_indices[r] == generated;
+  }
 
  private:
   i64 rows_;
-  i64 compare_ops_ = 0;
 };
 
 }  // namespace msh

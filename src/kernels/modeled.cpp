@@ -1,147 +1,165 @@
 #include "kernels/modeled.h"
 
 #include <algorithm>
-#include <map>
 
-#include "kernels/adder_tree.h"
 #include "kernels/index_unit.h"
 #include "kernels/shift_acc.h"
 
 namespace msh {
 
-TileMatvec modeled_sram_matvec(const SramPeTile& tile,
-                               std::span<const i8> activations,
-                               PeEventCounts& events) {
+void modeled_sram_matvec(const SramPeTile& tile,
+                         std::span<const i8> activations,
+                         PeEventCounts& events, ModeledScratch& scratch,
+                         TileMatvec& out) {
   MSH_REQUIRE(!tile.empty());
   MSH_REQUIRE(static_cast<i64>(activations.size()) >= tile.activation_len);
 
-  // The datapath blocks are stateless between matvecs; call-local
-  // instances keep this kernel pure and race-free under sharing.
-  AdderTree tree(128);
-  ComparatorColumn comparators(128);
+  // The adder tree and the comparator banks span the tile's rows.
+  if (scratch.sram_tree.inputs() != tile.rows)
+    scratch.sram_tree = AdderTree(tile.rows);
+  AdderTree& tree = scratch.sram_tree;
+  const ComparatorColumn comparators(tile.rows);
 
-  const i64 rows = tile.rows;
-  const i64 groups = tile.groups;
   const i64 seg_rows = tile.segment_rows;
   const i64 segs = tile.segments_per_group();
   const i32 m = tile.cfg.m;
   const i32 n = tile.cfg.n;
-  const i32 input_bits = 8;
+  constexpr i32 kInputBits = 8;
 
-  // One shift accumulator per segment (subtree tap).
-  std::vector<ShiftAccumulator> seg_acc(
-      static_cast<size_t>(tile.total_segments()),
-      ShiftAccumulator(input_bits));
+  const size_t seg_len = static_cast<size_t>(seg_rows);
+  scratch.match.resize(seg_len);
+  scratch.pair_weights.resize(seg_len);
+  scratch.pair_codes.resize(seg_len);
+  scratch.partials.resize(seg_len);
+  scratch.segments.clear();
+  const std::span<u8> match(scratch.match);
+  const std::span<i32> partials(scratch.partials);
 
+  // Only segments serving an output reach the shift accumulators; each
+  // reduces independently, so walking them one at a time (phase by
+  // phase, bit plane by bit plane) yields the hardware's sums.
+  i64 active_groups = 0;
   IndexGenerator generator(m);
-  std::vector<i32> partials(static_cast<size_t>(seg_rows));
+  for (i64 g = 0; g < tile.groups; ++g) {
+    bool group_active = false;
+    for (i64 s = 0; s < segs; ++s) {
+      const i64 seg_idx = tile.segment_index(g, s);
+      const i32 id = tile.output_id[static_cast<size_t>(seg_idx)];
+      if (id < 0) continue;
+      group_active = true;
+      const i64 offset = tile.segment_offset[static_cast<size_t>(seg_idx)];
+      const size_t first = static_cast<size_t>(tile.slot(g, s * seg_rows));
+      const auto indices =
+          std::span<const u8>(tile.indices).subspan(first, seg_len);
+      const auto valid =
+          std::span<const u8>(tile.valid).subspan(first, seg_len);
+      const auto weights =
+          std::span<const i8>(tile.weights).subspan(first, seg_len);
 
-  for (i32 phase = 0; phase < m; ++phase) {
-    const i32 gen_index = generator.current();
-    // Step 2: all groups' comparators evaluate this phase's index once.
-    std::vector<std::vector<u8>> match(static_cast<size_t>(groups));
-    for (i64 g = 0; g < groups; ++g) {
-      match[static_cast<size_t>(g)] = comparators.compare(
-          std::span<const u8>(tile.indices)
-              .subspan(static_cast<size_t>(g * rows),
-                       static_cast<size_t>(rows)),
-          std::span<const u8>(tile.valid)
-              .subspan(static_cast<size_t>(g * rows),
-                       static_cast<size_t>(rows)),
-          gen_index);
-      events.sram_index_compares += 1;
-    }
-
-    for (i32 bit = 0; bit < input_bits; ++bit) {
-      // Step 1: one array cycle — every row's compute cells AND the
-      // shared input bit with the stored weight bits.
-      events.sram_array_cycles += 1;
-      events.sram_decoder_cycles += 1;
-      events.cycles += 1;
-
-      for (i64 g = 0; g < groups; ++g) {
-        bool group_active = false;
-        for (i64 s = 0; s < segs; ++s) {
-          const i64 seg_idx = tile.segment_index(g, s);
-          if (tile.output_id[static_cast<size_t>(seg_idx)] < 0) continue;
-          group_active = true;
-          const i64 offset =
-              tile.segment_offset[static_cast<size_t>(seg_idx)];
-          std::fill(partials.begin(), partials.end(), 0);
-          for (i64 r = 0; r < seg_rows; ++r) {
-            const i64 row = s * seg_rows + r;
-            if (!match[static_cast<size_t>(g)][static_cast<size_t>(row)])
-              continue;
-            // Dense activation this slot addresses at this phase.
-            const i64 dense_row = (offset + r / n) * m + gen_index;
-            MSH_ENSURE(dense_row < static_cast<i64>(activations.size()));
-            const i8 act = activations[static_cast<size_t>(dense_row)];
-            const bool act_bit = (static_cast<u8>(act) >> bit) & 1;
-            if (!act_bit) continue;
-            // The 8T cells AND the input bit with all 8 weight bits: the
-            // row contributes its full signed weight to this bit plane.
-            partials[static_cast<size_t>(r)] =
-                tile.weights[static_cast<size_t>(g * rows + row)];
-            events.buffer_bits_read += 1;
-          }
-          // Step 3: subtree reduction + shift accumulate.
-          const i32 seg_sum = tree.reduce(partials);
-          seg_acc[static_cast<size_t>(seg_idx)].accumulate(seg_sum, bit);
-          events.sram_shift_acc_ops += 1;
+      ShiftAccumulator acc(kInputBits);
+      generator.reset();
+      for (i32 phase = 0; phase < m; ++phase) {
+        const i32 gen_index = generator.current();
+        // Step 2: the comparators gate the slots whose stored index
+        // matches this phase; gather each matched slot's weight and the
+        // dense activation it addresses.
+        comparators.compare(indices, valid, gen_index, match);
+        i64 pairs = 0;
+        for (i64 r = 0; r < seg_rows; ++r) {
+          if (!match[static_cast<size_t>(r)]) continue;
+          const i64 dense_row = (offset + r / n) * m + gen_index;
+          MSH_ENSURE(dense_row < static_cast<i64>(activations.size()));
+          scratch.pair_weights[static_cast<size_t>(pairs)] =
+              weights[static_cast<size_t>(r)];
+          scratch.pair_codes[static_cast<size_t>(pairs)] =
+              activations[static_cast<size_t>(dense_row)];
+          ++pairs;
         }
-        // The physical tree fires once per group per cycle; taps are free.
-        if (group_active) events.sram_adder_tree_ops += 1;
+        for (i32 bit = 0; bit < kInputBits; ++bit) {
+          // Step 1: the 8T cells AND the shared input bit with all 8
+          // weight bits — a matched row whose activation bit is set
+          // contributes its full signed weight to this bit plane.
+          i64 gated = 0;
+          for (i64 p = 0; p < pairs; ++p) {
+            partials[static_cast<size_t>(gated)] =
+                scratch.pair_weights[static_cast<size_t>(p)];
+            gated += (static_cast<u8>(
+                          scratch.pair_codes[static_cast<size_t>(p)]) >>
+                      bit) & 1;
+          }
+          events.buffer_bits_read += gated;
+          // Step 3: subtree reduction + shift accumulate.
+          acc.accumulate(
+              tree.reduce(partials.first(static_cast<size_t>(gated))), bit);
+        }
+        generator.step();
       }
+      scratch.segments.emplace_back(id, acc.value());
     }
-    generator.step();
+    active_groups += group_active;
   }
-  // Adder-tree pipeline drain.
-  events.cycles += tree.depth();
+
+  // Structural events, which do not depend on the data: every group's
+  // comparators evaluate once per phase; each of the M x 8 bit planes is
+  // one array (and decoder) cycle, fires the physical tree once per
+  // active group (taps are free) and shift-accumulates every live
+  // segment; the tree pipeline drains once at the end.
+  const i64 planes = static_cast<i64>(m) * kInputBits;
+  const i64 live_segments = static_cast<i64>(scratch.segments.size());
+  events.sram_index_compares += m * tile.groups;
+  events.sram_array_cycles += planes;
+  events.sram_decoder_cycles += planes;
+  events.cycles += planes + tree.depth();
+  events.sram_adder_tree_ops += planes * active_groups;
+  events.sram_shift_acc_ops += planes * live_segments;
 
   // Row-wise accumulator: merge segments sharing a logical output column.
-  std::map<i32, i64> merged;
-  for (i64 seg_idx = 0; seg_idx < tile.total_segments(); ++seg_idx) {
-    const i32 id = tile.output_id[static_cast<size_t>(seg_idx)];
-    if (id < 0) continue;
-    const i64 value = seg_acc[static_cast<size_t>(seg_idx)].value();
-    auto [it, inserted] = merged.emplace(id, value);
-    if (!inserted) {
-      it->second += value;
+  std::sort(scratch.segments.begin(), scratch.segments.end());
+  out.output_ids.clear();
+  out.values.clear();
+  for (const auto& [id, value] : scratch.segments) {
+    if (!out.output_ids.empty() && out.output_ids.back() == id) {
+      out.values.back() += value;
       events.sram_row_acc_ops += 1;
+      continue;
     }
-  }
-
-  TileMatvec out;
-  for (const auto& [id, value] : merged) {
     out.output_ids.push_back(id);
     out.values.push_back(value);
     events.buffer_bits_written += 32;  // accumulator write-back
   }
-  return out;
 }
 
-TileMatvec modeled_mram_matvec(const MramPeTile& tile,
-                               std::span<const i8> activations,
-                               PeEventCounts& events,
-                               MramPipelineStats* pipeline) {
+void modeled_mram_matvec(const MramPeTile& tile,
+                         std::span<const i8> activations,
+                         PeEventCounts& events, ModeledScratch& scratch,
+                         TileMatvec& out, MramPipelineStats* pipeline) {
   MSH_REQUIRE(!tile.empty());
   MSH_REQUIRE(static_cast<i64>(activations.size()) >= tile.activation_len);
 
-  // The adder tree is stateless between matvecs; a call-local instance
-  // keeps this kernel pure and race-free under sharing.
-  AdderTree tree(64);
-
   const i32 m = tile.cfg.m;
   const i32 n = tile.cfg.n;
-  std::map<i32, i64> acc;
-  std::vector<i32> products;
-  products.reserve(static_cast<size_t>(tile.pairs_per_row));
+
+  // The tile's column accumulators, one per output id it serves.
+  i32 lo_id = 0;
+  i32 hi_id = -1;
+  i64 used_rows = 0;
+  for (const auto& row : tile.rows) {
+    if (row.output_id < 0) continue;
+    lo_id = used_rows == 0 ? row.output_id : std::min(lo_id, row.output_id);
+    hi_id = std::max(hi_id, row.output_id);
+    ++used_rows;
+  }
+  const size_t ids = static_cast<size_t>(hi_id - lo_id + 1);
+  scratch.row_acc.assign(ids, 0);
+  scratch.row_touched.assign(ids, 0);
 
   for (const auto& row : tile.rows) {
     if (row.output_id < 0) continue;
     // S1: sense the row (weights + indices).
     events.mram_row_reads += 1;
-    products.clear();
+    if (scratch.partials.size() < row.entries.size())
+      scratch.partials.resize(row.entries.size());
+    i64 products = 0;
     for (size_t e = 0; e < row.entries.size(); ++e) {
       const auto& entry = row.entries[e];
       if (!entry.valid) continue;
@@ -152,29 +170,51 @@ TileMatvec modeled_mram_matvec(const MramPeTile& tile,
       MSH_ENSURE(dense_row < static_cast<i64>(activations.size()));
       events.buffer_bits_read += 8;
       // S3: parallel shift-and-accumulate forms the 8b x 8b product.
-      products.push_back(static_cast<i32>(entry.weight) *
-                         static_cast<i32>(
-                             activations[static_cast<size_t>(dense_row)]));
+      scratch.partials[static_cast<size_t>(products++)] =
+          static_cast<i32>(entry.weight) *
+          static_cast<i32>(activations[static_cast<size_t>(dense_row)]);
     }
     events.mram_shift_acc_ops += 1;
-    const i32 row_sum = tree.reduce(products);
+    const i32 row_sum = scratch.mram_tree.reduce(
+        std::span<const i32>(scratch.partials)
+            .first(static_cast<size_t>(products)));
     events.mram_adder_tree_ops += 1;
-    acc[row.output_id] += row_sum;
+    const size_t slot = static_cast<size_t>(row.output_id - lo_id);
+    scratch.row_acc[slot] += row_sum;
+    scratch.row_touched[slot] = 1;
   }
 
   MramPipelineStats stats;
-  i64 used_rows = 0;
-  for (const auto& row : tile.rows) used_rows += (row.output_id >= 0);
   stats.rows = used_rows;
   events.cycles += stats.total_cycles();
   if (pipeline != nullptr) *pipeline = stats;
 
-  TileMatvec out;
-  for (const auto& [id, value] : acc) {
-    out.output_ids.push_back(id);
-    out.values.push_back(value);
+  out.output_ids.clear();
+  out.values.clear();
+  for (size_t slot = 0; slot < ids; ++slot) {
+    if (!scratch.row_touched[slot]) continue;
+    out.output_ids.push_back(lo_id + static_cast<i32>(slot));
+    out.values.push_back(scratch.row_acc[slot]);
     events.buffer_bits_written += 32;
   }
+}
+
+TileMatvec modeled_sram_matvec(const SramPeTile& tile,
+                               std::span<const i8> activations,
+                               PeEventCounts& events) {
+  ModeledScratch scratch;
+  TileMatvec out;
+  modeled_sram_matvec(tile, activations, events, scratch, out);
+  return out;
+}
+
+TileMatvec modeled_mram_matvec(const MramPeTile& tile,
+                               std::span<const i8> activations,
+                               PeEventCounts& events,
+                               MramPipelineStats* pipeline) {
+  ModeledScratch scratch;
+  TileMatvec out;
+  modeled_mram_matvec(tile, activations, events, scratch, out, pipeline);
   return out;
 }
 

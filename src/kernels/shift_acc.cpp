@@ -6,12 +6,4 @@ ShiftAccumulator::ShiftAccumulator(i32 input_bits) : input_bits_(input_bits) {
   MSH_REQUIRE(input_bits_ >= 1 && input_bits_ <= 32);
 }
 
-void ShiftAccumulator::accumulate(i32 partial_sum, i32 bit) {
-  MSH_REQUIRE(bit >= 0 && bit < input_bits_);
-  const i64 shifted = static_cast<i64>(partial_sum) << bit;
-  // Two's complement: the MSB bit plane carries negative weight.
-  acc_ += (bit == input_bits_ - 1) ? -shifted : shifted;
-  ++ops_;
-}
-
 }  // namespace msh

@@ -16,16 +16,17 @@ class ShiftAccumulator {
 
   void reset() { acc_ = 0; }
   /// Accumulates one bit-plane partial sum at significance `bit`.
-  void accumulate(i32 partial_sum, i32 bit);
+  void accumulate(i32 partial_sum, i32 bit) {
+    MSH_REQUIRE(bit >= 0 && bit < input_bits_);
+    const i64 shifted = static_cast<i64>(partial_sum) << bit;
+    // Two's complement: the MSB bit plane carries negative weight.
+    acc_ += (bit == input_bits_ - 1) ? -shifted : shifted;
+  }
   i64 value() const { return acc_; }
-
-  i64 ops() const { return ops_; }
-  void reset_ops() { ops_ = 0; }
 
  private:
   i32 input_bits_;
   i64 acc_ = 0;
-  i64 ops_ = 0;
 };
 
 }  // namespace msh

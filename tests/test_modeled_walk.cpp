@@ -1,0 +1,813 @@
+// Golden tests of the modeled PE walks (kernels/modeled.h) and the core's
+// modeled dispatch. The reference is the original, straightforward form
+// of both walks, kept below verbatim: every segment of every group
+// scanned per phase x bit plane, a fresh adder-tree level vector per
+// stage, a std::map row accumulator, and a per-row SIMT schedule. The
+// walks under test must reproduce its results and every event counter
+// exactly, on random tiles and through HybridCore's matvec / matmul /
+// conv_into at one and four intra-op threads.
+//
+// The binary also replaces the global operator new with a counting one,
+// which gives a wall-clock-free perf gate: a warmed modeled dispatch
+// makes the same number of heap allocations at batch 1 and at batch 32.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <vector>
+
+#include "arch/accelerator.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "kernels/direct_conv.h"
+#include "kernels/index_unit.h"
+#include "kernels/modeled.h"
+#include "sparse/nm_mask.h"
+
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined free() with the
+// allocation of a new-expression it knows as the builtin operator new.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
+
+namespace msh {
+namespace {
+
+// ---------------------------------------------------------------------
+// Reference: the original walks and datapath blocks.
+// ---------------------------------------------------------------------
+namespace ref {
+
+class AdderTree {
+ public:
+  explicit AdderTree(i64 inputs) : inputs_(inputs) {
+    depth_ = 0;
+    i64 span = 1;
+    while (span < inputs_) {
+      span <<= 1;
+      ++depth_;
+    }
+  }
+  i64 depth() const { return depth_; }
+  i32 reduce(std::span<const i32> values) {
+    MSH_REQUIRE(static_cast<i64>(values.size()) <= inputs_);
+    std::vector<i64> level(values.begin(), values.end());
+    while (level.size() > 1) {
+      std::vector<i64> next;
+      next.reserve((level.size() + 1) / 2);
+      for (size_t i = 0; i + 1 < level.size(); i += 2)
+        next.push_back(level[i] + level[i + 1]);
+      if (level.size() % 2) next.push_back(level.back());
+      level = std::move(next);
+    }
+    return level.empty() ? 0 : static_cast<i32>(level.front());
+  }
+
+ private:
+  i64 inputs_;
+  i64 depth_;
+};
+
+class ComparatorColumn {
+ public:
+  explicit ComparatorColumn(i64 rows) : rows_(rows) {}
+  std::vector<u8> compare(std::span<const u8> stored_indices,
+                          std::span<const u8> valid, i32 generated) {
+    MSH_REQUIRE(static_cast<i64>(stored_indices.size()) == rows_);
+    MSH_REQUIRE(static_cast<i64>(valid.size()) == rows_);
+    std::vector<u8> match(static_cast<size_t>(rows_), 0);
+    for (i64 r = 0; r < rows_; ++r) {
+      match[static_cast<size_t>(r)] =
+          valid[static_cast<size_t>(r)] &&
+          stored_indices[static_cast<size_t>(r)] == generated;
+    }
+    return match;
+  }
+
+ private:
+  i64 rows_;
+};
+
+class ShiftAccumulator {
+ public:
+  explicit ShiftAccumulator(i32 input_bits) : input_bits_(input_bits) {}
+  void accumulate(i32 partial_sum, i32 bit) {
+    const i64 shifted = static_cast<i64>(partial_sum) << bit;
+    acc_ += (bit == input_bits_ - 1) ? -shifted : shifted;
+  }
+  i64 value() const { return acc_; }
+
+ private:
+  i32 input_bits_;
+  i64 acc_ = 0;
+};
+
+TileMatvec sram_matvec(const SramPeTile& tile,
+                       std::span<const i8> activations,
+                       PeEventCounts& events) {
+  MSH_REQUIRE(!tile.empty());
+  MSH_REQUIRE(static_cast<i64>(activations.size()) >= tile.activation_len);
+
+  AdderTree tree(128);
+  ComparatorColumn comparators(128);
+
+  const i64 rows = tile.rows;
+  const i64 groups = tile.groups;
+  const i64 seg_rows = tile.segment_rows;
+  const i64 segs = tile.segments_per_group();
+  const i32 m = tile.cfg.m;
+  const i32 n = tile.cfg.n;
+  const i32 input_bits = 8;
+
+  std::vector<ShiftAccumulator> seg_acc(
+      static_cast<size_t>(tile.total_segments()),
+      ShiftAccumulator(input_bits));
+
+  IndexGenerator generator(m);
+  std::vector<i32> partials(static_cast<size_t>(seg_rows));
+
+  for (i32 phase = 0; phase < m; ++phase) {
+    const i32 gen_index = generator.current();
+    std::vector<std::vector<u8>> match(static_cast<size_t>(groups));
+    for (i64 g = 0; g < groups; ++g) {
+      match[static_cast<size_t>(g)] = comparators.compare(
+          std::span<const u8>(tile.indices)
+              .subspan(static_cast<size_t>(g * rows),
+                       static_cast<size_t>(rows)),
+          std::span<const u8>(tile.valid)
+              .subspan(static_cast<size_t>(g * rows),
+                       static_cast<size_t>(rows)),
+          gen_index);
+      events.sram_index_compares += 1;
+    }
+
+    for (i32 bit = 0; bit < input_bits; ++bit) {
+      events.sram_array_cycles += 1;
+      events.sram_decoder_cycles += 1;
+      events.cycles += 1;
+
+      for (i64 g = 0; g < groups; ++g) {
+        bool group_active = false;
+        for (i64 s = 0; s < segs; ++s) {
+          const i64 seg_idx = tile.segment_index(g, s);
+          if (tile.output_id[static_cast<size_t>(seg_idx)] < 0) continue;
+          group_active = true;
+          const i64 offset =
+              tile.segment_offset[static_cast<size_t>(seg_idx)];
+          std::fill(partials.begin(), partials.end(), 0);
+          for (i64 r = 0; r < seg_rows; ++r) {
+            const i64 row = s * seg_rows + r;
+            if (!match[static_cast<size_t>(g)][static_cast<size_t>(row)])
+              continue;
+            const i64 dense_row = (offset + r / n) * m + gen_index;
+            MSH_ENSURE(dense_row < static_cast<i64>(activations.size()));
+            const i8 act = activations[static_cast<size_t>(dense_row)];
+            const bool act_bit = (static_cast<u8>(act) >> bit) & 1;
+            if (!act_bit) continue;
+            partials[static_cast<size_t>(r)] =
+                tile.weights[static_cast<size_t>(g * rows + row)];
+            events.buffer_bits_read += 1;
+          }
+          const i32 seg_sum = tree.reduce(partials);
+          seg_acc[static_cast<size_t>(seg_idx)].accumulate(seg_sum, bit);
+          events.sram_shift_acc_ops += 1;
+        }
+        if (group_active) events.sram_adder_tree_ops += 1;
+      }
+    }
+    generator.step();
+  }
+  events.cycles += tree.depth();
+
+  std::map<i32, i64> merged;
+  for (i64 seg_idx = 0; seg_idx < tile.total_segments(); ++seg_idx) {
+    const i32 id = tile.output_id[static_cast<size_t>(seg_idx)];
+    if (id < 0) continue;
+    const i64 value = seg_acc[static_cast<size_t>(seg_idx)].value();
+    auto [it, inserted] = merged.emplace(id, value);
+    if (!inserted) {
+      it->second += value;
+      events.sram_row_acc_ops += 1;
+    }
+  }
+
+  TileMatvec out;
+  for (const auto& [id, value] : merged) {
+    out.output_ids.push_back(id);
+    out.values.push_back(value);
+    events.buffer_bits_written += 32;
+  }
+  return out;
+}
+
+TileMatvec mram_matvec(const MramPeTile& tile,
+                       std::span<const i8> activations,
+                       PeEventCounts& events,
+                       MramPipelineStats* pipeline = nullptr) {
+  MSH_REQUIRE(!tile.empty());
+  MSH_REQUIRE(static_cast<i64>(activations.size()) >= tile.activation_len);
+
+  AdderTree tree(64);
+
+  const i32 m = tile.cfg.m;
+  const i32 n = tile.cfg.n;
+  std::map<i32, i64> acc;
+  std::vector<i32> products;
+  products.reserve(static_cast<size_t>(tile.pairs_per_row));
+
+  for (const auto& row : tile.rows) {
+    if (row.output_id < 0) continue;
+    events.mram_row_reads += 1;
+    products.clear();
+    for (size_t e = 0; e < row.entries.size(); ++e) {
+      const auto& entry = row.entries[e];
+      if (!entry.valid) continue;
+      const i64 packed_row = row.packed_base + static_cast<i64>(e);
+      const i64 dense_row =
+          (packed_row / n) * m + static_cast<i64>(entry.index);
+      MSH_ENSURE(dense_row < static_cast<i64>(activations.size()));
+      events.buffer_bits_read += 8;
+      products.push_back(static_cast<i32>(entry.weight) *
+                         static_cast<i32>(
+                             activations[static_cast<size_t>(dense_row)]));
+    }
+    events.mram_shift_acc_ops += 1;
+    const i32 row_sum = tree.reduce(products);
+    events.mram_adder_tree_ops += 1;
+    acc[row.output_id] += row_sum;
+  }
+
+  MramPipelineStats stats;
+  i64 used_rows = 0;
+  for (const auto& row : tile.rows) used_rows += (row.output_id >= 0);
+  stats.rows = used_rows;
+  events.cycles += stats.total_cycles();
+  if (pipeline != nullptr) *pipeline = stats;
+
+  TileMatvec out;
+  for (const auto& [id, value] : acc) {
+    out.output_ids.push_back(id);
+    out.values.push_back(value);
+    events.buffer_bits_written += 32;
+  }
+  return out;
+}
+
+/// The core-level reference: HybridCore's original per-row modeled
+/// dispatch (walk every PE, merge in the shared accumulators, schedule
+/// the row's tile cycles, replay bus/buffer traffic) over copies of the
+/// deployment's tiles.
+struct Core {
+  bool is_sram = true;
+  i64 cols = 0;
+  i64 pe_pool = 16;
+  std::vector<SramPeTile> sram;
+  std::vector<MramPeTile> mram;
+
+  Bus bus{256};
+  ActivationBuffer buffer{1 << 16};
+  PeEventCounts events;
+  i64 shared_acc_ops = 0;
+  i64 last_makespan = 0;
+  f64 last_utilization = 0.0;
+
+  struct Row {
+    std::vector<i32> result;
+    i64 makespan = 0;
+    f64 utilization = 0.0;
+  };
+
+  Row row(std::span<const i8> activations) {
+    Row out;
+    std::vector<i64> acc(static_cast<size_t>(cols), 0);
+    std::vector<u8> touched(static_cast<size_t>(cols), 0);
+    std::vector<i64> tile_cycles;
+    const size_t pes = is_sram ? sram.size() : mram.size();
+    for (size_t i = 0; i < pes; ++i) {
+      PeEventCounts pe_events;
+      const TileMatvec y =
+          is_sram ? sram_matvec(sram[i], activations, pe_events)
+                  : mram_matvec(mram[i], activations, pe_events);
+      tile_cycles.push_back(pe_events.cycles);
+      events += pe_events;
+      for (size_t k = 0; k < y.output_ids.size(); ++k) {
+        const size_t c = static_cast<size_t>(y.output_ids[k]);
+        if (touched[c]) ++shared_acc_ops;
+        acc[c] += y.values[k];
+        touched[c] = 1;
+      }
+    }
+    const ScheduleResult sched = Scheduler(pe_pool).schedule(tile_cycles);
+    out.makespan = sched.makespan;
+    out.utilization = sched.utilization();
+    for (i64 c = 0; c < cols; ++c)
+      out.result.push_back(static_cast<i32>(acc[static_cast<size_t>(c)]));
+
+    bus.transfer(static_cast<i64>(activations.size()) * 8);
+    MSH_REQUIRE(buffer.load(activations));
+    for (size_t i = 0; i < pes; ++i) {
+      buffer.record_read(is_sram ? sram[i].rows
+                                 : static_cast<i64>(mram[i].rows.size()));
+    }
+    bus.transfer(cols * 32);
+    return out;
+  }
+
+  /// Batched walk as `threads` row lanes (1: the sequential walk).
+  std::vector<i32> matmul(std::span<const i8> activations, i64 batch,
+                          i64 threads) {
+    const i64 dense_rows = static_cast<i64>(activations.size()) / batch;
+    std::vector<i32> out;
+    std::vector<i64> makespans;
+    for (i64 b = 0; b < batch; ++b) {
+      const Row r = row(activations.subspan(
+          static_cast<size_t>(b * dense_rows),
+          static_cast<size_t>(dense_rows)));
+      out.insert(out.end(), r.result.begin(), r.result.end());
+      makespans.push_back(r.makespan);
+      last_utilization = r.utilization;
+    }
+    const i64 lanes = (threads > 1 && batch > 1) ? std::min(threads, batch)
+                                                 : 1;
+    const i64 per_lane = (batch + lanes - 1) / lanes;
+    last_makespan = 0;
+    for (i64 lane = 0; lane < lanes; ++lane) {
+      i64 lane_cycles = 0;
+      for (i64 b = lane * per_lane; b < std::min(batch, (lane + 1) * per_lane);
+           ++b)
+        lane_cycles += makespans[static_cast<size_t>(b)];
+      last_makespan = std::max(last_makespan, lane_cycles);
+    }
+    return out;
+  }
+};
+
+}  // namespace ref
+
+// ---------------------------------------------------------------------
+// Fixtures.
+// ---------------------------------------------------------------------
+
+void expect_events_equal(const PeEventCounts& a, const PeEventCounts& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.buffer_bits_read, b.buffer_bits_read);
+  EXPECT_EQ(a.buffer_bits_written, b.buffer_bits_written);
+  EXPECT_EQ(a.sram_array_cycles, b.sram_array_cycles);
+  EXPECT_EQ(a.sram_decoder_cycles, b.sram_decoder_cycles);
+  EXPECT_EQ(a.sram_adder_tree_ops, b.sram_adder_tree_ops);
+  EXPECT_EQ(a.sram_shift_acc_ops, b.sram_shift_acc_ops);
+  EXPECT_EQ(a.sram_index_compares, b.sram_index_compares);
+  EXPECT_EQ(a.sram_row_acc_ops, b.sram_row_acc_ops);
+  EXPECT_EQ(a.sram_weight_bits_written, b.sram_weight_bits_written);
+  EXPECT_EQ(a.sram_write_row_ops, b.sram_write_row_ops);
+  EXPECT_EQ(a.mram_row_reads, b.mram_row_reads);
+  EXPECT_EQ(a.mram_shift_acc_ops, b.mram_shift_acc_ops);
+  EXPECT_EQ(a.mram_adder_tree_ops, b.mram_adder_tree_ops);
+  EXPECT_EQ(a.mram_set_reset_bits, b.mram_set_reset_bits);
+  EXPECT_EQ(a.mram_write_row_ops, b.mram_write_row_ops);
+}
+
+constexpr NmConfig kPatterns[] = {{1, 4}, {2, 4}, {1, 8}, {2, 8}, {4, 4}};
+
+/// Random INT8 codes with both extremes and zero always present.
+std::vector<i8> random_codes(i64 len, Rng& rng) {
+  std::vector<i8> act(static_cast<size_t>(len));
+  for (auto& v : act) v = static_cast<i8>(rng.uniform_int(-128, 127));
+  const i8 pinned[] = {-128, 0, 127};
+  for (i64 i = 0; i < 3 && i < len; ++i)
+    act[static_cast<size_t>(rng.uniform_int(0, len - 1))] = pinned[i];
+  return act;
+}
+
+/// A 128 x 8 SRAM tile with random cells: unused segments, spill (several
+/// segments, in any group, serving one output), padding slots, and
+/// indices anywhere in the index field — including the positions a flipped
+/// index bit would select.
+SramPeTile random_sram_tile(NmConfig cfg, i64 segment_rows, Rng& rng) {
+  SramPeTile tile;
+  tile.cfg = cfg;
+  tile.segment_rows = segment_rows;
+  tile.allocate();
+  const i64 span = segment_rows / cfg.n;  // dense groups one segment reads
+  const i64 dense_groups = 3 * span;
+  tile.activation_len = dense_groups * cfg.m;
+  for (size_t s = 0; s < tile.output_id.size(); ++s) {
+    tile.output_id[s] =
+        rng.bernoulli(0.3) ? -1 : static_cast<i32>(rng.uniform_int(0, 5));
+    tile.segment_offset[s] = rng.uniform_int(0, dense_groups - span);
+  }
+  const i64 index_field = i64{1} << cfg.index_bits();
+  for (size_t i = 0; i < tile.weights.size(); ++i) {
+    tile.weights[i] = static_cast<i8>(rng.uniform_int(-128, 127));
+    tile.indices[i] = static_cast<u8>(rng.uniform_int(0, index_field - 1));
+    tile.valid[i] = rng.bernoulli(0.8);
+  }
+  return tile;
+}
+
+/// An MRAM tile of random physical rows: unused rows, output ids out of
+/// order and repeated, short rows and padding entries.
+MramPeTile random_mram_tile(NmConfig cfg, Rng& rng) {
+  MramPeTile tile;
+  tile.cfg = cfg;
+  const i64 rows = rng.uniform_int(1, 24);
+  const i64 index_field = i64{1} << cfg.index_bits();
+  i64 packed = 0;
+  for (i64 r = 0; r < rows; ++r) {
+    MramPeTile::PhysicalRow row;
+    row.output_id =
+        rng.bernoulli(0.2) ? -1 : static_cast<i32>(rng.uniform_int(0, 9));
+    row.packed_base = packed;
+    const i64 entries = rng.uniform_int(0, tile.pairs_per_row);
+    for (i64 e = 0; e < entries; ++e) {
+      MramPeTile::RowEntry entry;
+      entry.weight = static_cast<i8>(rng.uniform_int(-128, 127));
+      entry.index = static_cast<u8>(rng.uniform_int(0, index_field - 1));
+      entry.valid = rng.bernoulli(0.85);
+      row.entries.push_back(entry);
+    }
+    packed += entries;
+    tile.rows.push_back(std::move(row));
+  }
+  tile.activation_len = (packed / cfg.n + 1) * cfg.m;
+  return tile;
+}
+
+void expect_same(const TileMatvec& got, const TileMatvec& want) {
+  EXPECT_EQ(got.output_ids, want.output_ids);
+  EXPECT_EQ(got.values, want.values);
+}
+
+// ---------------------------------------------------------------------
+// Tile level.
+// ---------------------------------------------------------------------
+
+TEST(ModeledWalkGolden, SramTilesMatchReferenceWalk) {
+  Rng rng(1701);
+  // One scratch and one output object across every tile (and the MRAM
+  // tiles in between): nothing a walk leaves behind may leak into the
+  // next call.
+  ModeledScratch scratch;
+  TileMatvec out;
+  for (const NmConfig cfg : kPatterns) {
+    for (const i64 segment_rows : {16, 32, 64, 128}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        SCOPED_TRACE(testing::Message()
+                     << cfg.n << ":" << cfg.m << " seg=" << segment_rows
+                     << " trial=" << trial);
+        const SramPeTile tile = random_sram_tile(cfg, segment_rows, rng);
+        std::vector<i8> act = random_codes(tile.activation_len, rng);
+        if (trial == 1) std::fill(act.begin(), act.end(), i8{-128});
+        if (trial == 2) std::fill(act.begin(), act.end(), i8{127});
+
+        PeEventCounts want_events;
+        const TileMatvec want = ref::sram_matvec(tile, act, want_events);
+        PeEventCounts got_events;
+        modeled_sram_matvec(tile, act, got_events, scratch, out);
+        expect_same(out, want);
+        expect_events_equal(got_events, want_events);
+
+        PeEventCounts fresh_events;
+        expect_same(modeled_sram_matvec(tile, act, fresh_events), want);
+        expect_events_equal(fresh_events, want_events);
+
+        const MramPeTile between = random_mram_tile(cfg, rng);
+        const std::vector<i8> between_act =
+            random_codes(between.activation_len, rng);
+        PeEventCounts ignored;
+        modeled_mram_matvec(between, between_act, ignored, scratch, out);
+      }
+    }
+  }
+}
+
+TEST(ModeledWalkGolden, MramTilesMatchReferenceWalk) {
+  Rng rng(1702);
+  ModeledScratch scratch;
+  TileMatvec out;
+  for (const NmConfig cfg : kPatterns) {
+    for (int trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE(testing::Message()
+                   << cfg.n << ":" << cfg.m << " trial=" << trial);
+      const MramPeTile tile = random_mram_tile(cfg, rng);
+      const std::vector<i8> act = random_codes(tile.activation_len, rng);
+
+      PeEventCounts want_events;
+      MramPipelineStats want_stats;
+      const TileMatvec want =
+          ref::mram_matvec(tile, act, want_events, &want_stats);
+      PeEventCounts got_events;
+      MramPipelineStats got_stats;
+      modeled_mram_matvec(tile, act, got_events, scratch, out, &got_stats);
+      expect_same(out, want);
+      expect_events_equal(got_events, want_events);
+      EXPECT_EQ(got_stats.rows, want_stats.rows);
+      EXPECT_EQ(got_stats.total_cycles(), want_stats.total_cycles());
+
+      const SramPeTile between = random_sram_tile(cfg, 32, rng);
+      const std::vector<i8> between_act =
+          random_codes(between.activation_len, rng);
+      PeEventCounts ignored;
+      modeled_sram_matvec(between, between_act, ignored, scratch, out);
+    }
+  }
+}
+
+TEST(ModeledWalkGolden, EveryRowUnusedStillCountsStructure) {
+  // A tile serving nothing: no results, no data events, but the array
+  // still cycles through its phases and bit planes.
+  Rng rng(1703);
+  SramPeTile tile = random_sram_tile(kSparse1of4, 16, rng);
+  std::fill(tile.output_id.begin(), tile.output_id.end(), -1);
+  const std::vector<i8> act = random_codes(tile.activation_len, rng);
+  PeEventCounts want_events, got_events;
+  const TileMatvec want = ref::sram_matvec(tile, act, want_events);
+  const TileMatvec got = modeled_sram_matvec(tile, act, got_events);
+  expect_same(got, want);
+  expect_events_equal(got_events, want_events);
+  EXPECT_TRUE(got.output_ids.empty());
+  EXPECT_EQ(got_events.cycles, 4 * 8 + 7);
+
+  MramPeTile mram = random_mram_tile(kSparse1of8, rng);
+  for (auto& row : mram.rows) row.output_id = -1;
+  const std::vector<i8> mram_act = random_codes(mram.activation_len, rng);
+  PeEventCounts want_mram, got_mram;
+  expect_same(modeled_mram_matvec(mram, mram_act, got_mram),
+              ref::mram_matvec(mram, mram_act, want_mram));
+  expect_events_equal(got_mram, want_mram);
+}
+
+// ---------------------------------------------------------------------
+// Core level.
+// ---------------------------------------------------------------------
+
+QuantizedNmMatrix random_matrix(i64 k, i64 c, NmConfig cfg, u64 seed) {
+  Rng rng(seed);
+  Tensor w = Tensor::randn(Shape{k, c}, rng);
+  NmMask mask = select_nm_mask(w, cfg, GroupAxis::kRows);
+  apply_mask(w, mask);
+  return QuantizedNmMatrix::from_packed(NmPackedMatrix::pack(w, cfg));
+}
+
+struct Deployed {
+  HybridCore core;
+  ThreadPool pool;
+  i64 handle = 0;
+  ref::Core want;
+  Bus deployed_bus;  ///< the core's bus after deployment
+
+  Deployed(const QuantizedNmMatrix& w, bool sram, i64 threads,
+           const HybridCoreOptions& options = {})
+      : core(options), pool(threads) {
+    core.set_intra_op_pool(&pool);
+    handle = sram ? core.deploy_sram(w) : core.deploy_mram(w);
+    want.is_sram = sram;
+    want.cols = w.cols();
+    if (sram) {
+      want.sram = map_to_sram_pes(w, options.sram_map);
+      want.pe_pool = options.sram_pe_pool;
+    } else {
+      want.mram = map_to_mram_pes(w, options.mram_map);
+      want.pe_pool = options.topology.mram_pes_per_core();
+    }
+    flip_some_indices(sram);
+    core.reset_events();
+    deployed_bus = core.bus();
+  }
+
+  /// Flips one bit of every fifth stored index, in the core's cells and
+  /// in the reference's copy alike (the view lists valid slots in deploy
+  /// order: PE, then slot).
+  void flip_some_indices(bool sram) {
+    HybridCore::NvmCodeView view = core.nvm_codes(handle);
+    size_t at = 0;
+    auto flip = [&](u8& reference_cell) {
+      if (at % 5 == 0) {
+        const u8 mask = static_cast<u8>(1u << (at % view.index_bits));
+        *view.indices[at] ^= mask;
+        reference_cell ^= mask;
+      }
+      ++at;
+    };
+    if (sram) {
+      for (auto& tile : want.sram)
+        for (size_t s = 0; s < tile.valid.size(); ++s)
+          if (tile.valid[s]) flip(tile.indices[s]);
+    } else {
+      for (auto& tile : want.mram)
+        for (auto& row : tile.rows)
+          for (auto& entry : row.entries)
+            if (entry.valid) flip(entry.index);
+    }
+    ASSERT_EQ(at, view.indices.size());
+  }
+
+  /// Core accounting since deployment vs the reference's.
+  void expect_accounting() {
+    EXPECT_EQ(core.bus().bits_moved() - deployed_bus.bits_moved(),
+              want.bus.bits_moved());
+    EXPECT_EQ(core.bus().bit_hops() - deployed_bus.bit_hops(),
+              want.bus.bit_hops());
+    EXPECT_EQ(core.bus().busy_cycles() - deployed_bus.busy_cycles(),
+              want.bus.busy_cycles());
+    EXPECT_EQ(core.buffer().bytes_loaded(), want.buffer.bytes_loaded());
+    EXPECT_EQ(core.buffer().bytes_read(), want.buffer.bytes_read());
+    EXPECT_EQ(core.buffer().bytes_written(), want.buffer.bytes_written());
+    EXPECT_EQ(core.shared_accumulator_ops(), want.shared_acc_ops);
+    EXPECT_EQ(core.last_makespan(), want.last_makespan);
+    EXPECT_EQ(core.last_utilization(), want.last_utilization);
+    expect_events_equal(core.pe_events(), want.events);
+  }
+};
+
+struct CoreCase {
+  const char* name;
+  bool sram;
+  NmConfig cfg;
+  i64 k;
+  i64 cols;
+  bool merges_across_pes;  ///< some column's groups straddle two tiles
+};
+
+// Spill across groups and tiles (1:4, K=1536: three groups per column),
+// short segments with unused ones (2:8, 1:8 with few columns), dense M:M,
+// and MRAM rows.
+constexpr CoreCase kCoreCases[] = {
+    {"sram_1of4_spill", true, {1, 4}, 1536, 12, true},
+    {"sram_2of8_segments", true, {2, 8}, 96, 40, false},
+    {"sram_1of8_few_cols", true, {1, 8}, 256, 3, false},
+    {"sram_2of4", true, {2, 4}, 160, 9, false},
+    {"sram_4of4_dense", true, {4, 4}, 64, 20, false},
+    {"mram_1of8", false, {1, 8}, 2048, 10, false},
+    {"mram_2of4", false, {2, 4}, 300, 7, false},
+};
+
+TEST(ModeledWalkGolden, CoreMatvecAndMatmulMatchReference) {
+  for (const CoreCase& tc : kCoreCases) {
+    for (const i64 threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << tc.name << " threads=" << threads);
+      const QuantizedNmMatrix w =
+          random_matrix(tc.k, tc.cols, tc.cfg, 31 + tc.k);
+      Deployed d(w, tc.sram, threads);
+      Rng rng(77);
+
+      const std::vector<i8> one = random_codes(w.dense_rows(), rng);
+      EXPECT_EQ(d.core.matvec(d.handle, one), d.want.matmul(one, 1, 1));
+      d.expect_accounting();
+
+      // Uneven lanes at four threads: 7 rows run as 2+2+2+1, 9 as 3+3+3.
+      const std::vector<i8> acts = random_codes(7 * w.dense_rows(), rng);
+      EXPECT_EQ(d.core.matmul(d.handle, acts, 7),
+                d.want.matmul(acts, 7, threads));
+      d.expect_accounting();
+
+      const std::vector<i8> more = random_codes(9 * w.dense_rows(), rng);
+      std::vector<i32> into(static_cast<size_t>(9 * w.cols()));
+      d.core.matmul_into(d.handle, more, 9, into);
+      EXPECT_EQ(into, d.want.matmul(more, 9, threads));
+      d.expect_accounting();
+      if (tc.merges_across_pes) {
+        EXPECT_GT(d.want.shared_acc_ops, 0);
+      }
+    }
+  }
+}
+
+TEST(ModeledWalkGolden, CoreConvMatchesReference) {
+  // 5 -> 7 channels, 3x3 stride 2 pad 1 on two 9x7 images: K = 45 rounds
+  // up to the pattern's group, so the tail rows read code 0.
+  const ConvPlanes layout = ConvPlanes::make(2, 5, 9, 7, 3, 2, 1);
+  const QuantParams params{1.0f, -128, 127};
+  Rng rng(91);
+  std::vector<f32> x(static_cast<size_t>(2 * 5 * 9 * 7));
+  for (auto& v : x) v = static_cast<f32>(rng.uniform_int(-128, 127));
+  x[0] = -128.0f;
+  x[1] = 127.0f;
+  x[2] = 0.0f;
+  std::vector<i16> planes(static_cast<size_t>(layout.size()));
+  quantize_conv_planes(x.data(), layout, params, planes.data(), nullptr);
+
+  for (const bool sram : {true, false}) {
+    for (const i64 threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << (sram ? "sram" : "mram") << " threads=" << threads);
+      const QuantizedNmMatrix w = random_matrix(48, 7, kSparse1of4, 13);
+      Deployed d(w, sram, threads);
+
+      std::vector<i32> out(static_cast<size_t>(7 * layout.positions));
+      d.core.conv_into(d.handle, planes, layout, out);
+
+      const i64 rows = layout.batch * layout.out_h * layout.out_w;
+      std::vector<i8> codes(static_cast<size_t>(rows * w.dense_rows()));
+      KernelArena arena;
+      gather_code_rows(planes.data(), layout, w.dense_rows(), codes.data(),
+                       arena, nullptr);
+      const std::vector<i32> want = d.want.matmul(codes, rows, threads);
+      for (i64 p = 0; p < rows; ++p) {
+        const i64 spatial = layout.out_h * layout.out_w;
+        const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
+                                      p % layout.out_w);
+        for (i64 c = 0; c < 7; ++c) {
+          ASSERT_EQ(out[static_cast<size_t>(c * layout.positions + q)],
+                    want[static_cast<size_t>(p * 7 + c)])
+              << "position " << p << " channel " << c;
+        }
+      }
+      d.expect_accounting();
+    }
+  }
+}
+
+TEST(ModeledWalk, SramTileHeightsServeOnBothBackends) {
+  // The walk sizes its adder tree and comparators from the tile: 64- and
+  // 256-row tiles run on the modeled backend, match the raw backend and
+  // the quantized reference, and take M x 8 cycles plus the tree depth.
+  for (const i64 rows : {64, 128, 256}) {
+    for (const NmConfig cfg : {kSparse1of4, kSparse1of8}) {
+      SCOPED_TRACE(testing::Message() << "rows=" << rows << " 1:" << cfg.m);
+      HybridCoreOptions options;
+      options.sram_map.rows = rows;
+      HybridCore core(options);
+      const QuantizedNmMatrix w = random_matrix(512, 24, cfg, 5 + rows);
+      const i64 handle = core.deploy_sram(w);
+      Rng rng(rows);
+      const std::vector<i8> act = random_codes(w.dense_rows(), rng);
+
+      core.reset_events();
+      const std::vector<i32> modeled = core.matvec(handle, act);
+      EXPECT_EQ(modeled, w.reference_matvec(act));
+      i64 depth = 0;
+      while ((i64{1} << depth) < rows) ++depth;
+      EXPECT_EQ(core.last_makespan(), cfg.m * 8 + depth);
+      EXPECT_EQ(core.pe_events().cycles % (cfg.m * 8 + depth), 0);
+
+      core.set_backend(KernelBackend::kRaw);
+      EXPECT_EQ(core.matvec(handle, act), modeled);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Allocation gate.
+// ---------------------------------------------------------------------
+
+TEST(ModeledWalk, WarmedDispatchAllocationsDoNotGrowWithBatch) {
+  // Every modeled matmul_into keeps its working storage in the core, so
+  // once warmed a dispatch allocates a fixed number of times (the
+  // dispatch's schedule), whatever its batch.
+  HybridCore core;
+  const i64 sram = core.deploy_sram(random_matrix(1024, 12, kSparse1of4, 3));
+  const i64 mram = core.deploy_mram(random_matrix(2048, 10, kSparse1of8, 4));
+  Rng rng(5);
+  for (const i64 handle : {sram, mram}) {
+    const i64 k = handle == sram ? 1024 : 2048;
+    const i64 cols = handle == sram ? 12 : 10;
+    const std::vector<i8> acts = random_codes(32 * k, rng);
+    std::vector<i32> out(static_cast<size_t>(32 * cols));
+    auto allocations = [&](i64 batch) {
+      const std::span<const i8> in(acts.data(), static_cast<size_t>(batch * k));
+      const std::span<i32> y(out.data(), static_cast<size_t>(batch * cols));
+      const long before = g_allocations.load();
+      core.matmul_into(handle, in, batch, y);
+      return g_allocations.load() - before;
+    };
+    allocations(32);  // warm: scratch reaches its high-water mark
+    allocations(1);
+    const long at_1 = allocations(1);
+    const long at_32 = allocations(32);
+    EXPECT_EQ(at_1, at_32) << (handle == sram ? "sram" : "mram");
+  }
+}
+
+}  // namespace
+}  // namespace msh

@@ -47,14 +47,16 @@ TEST(AdderTree, TooManyInputsRejected) {
   EXPECT_THROW(tree.reduce(v), ContractError);
 }
 
-TEST(AdderTree, OpsCounted) {
-  AdderTree tree(16);
-  std::vector<i32> v(16, 1);
-  tree.reduce(v);
-  tree.reduce(v);
-  EXPECT_EQ(tree.ops(), 2);
-  tree.reset_ops();
-  EXPECT_EQ(tree.ops(), 0);
+TEST(AdderTree, ReusedTreeReducesEveryWidth) {
+  // One tree, reduced repeatedly at every width (odd tails included):
+  // the in-place stage buffer never leaks a previous reduction's nodes.
+  AdderTree tree(13);
+  for (size_t width = 0; width <= 13; ++width) {
+    std::vector<i32> v(width);
+    std::iota(v.begin(), v.end(), -5);
+    EXPECT_EQ(tree.reduce(v), std::accumulate(v.begin(), v.end(), 0))
+        << "width=" << width;
+  }
 }
 
 TEST(ShiftAccumulator, UnsignedBitWeights) {
@@ -115,28 +117,37 @@ TEST(IndexGenerator, ResetReturnsToZero) {
 }
 
 TEST(ComparatorColumn, MatchesStoredIndices) {
-  ComparatorColumn comp(4);
+  const ComparatorColumn comp(4);
   const std::vector<u8> stored{0, 1, 2, 1};
   const std::vector<u8> valid{1, 1, 1, 1};
-  const auto match = comp.compare(stored, valid, 1);
+  std::vector<u8> match(4, 7);
+  comp.compare(stored, valid, 1, match);
   EXPECT_EQ(match, (std::vector<u8>{0, 1, 0, 1}));
 }
 
 TEST(ComparatorColumn, InvalidRowsNeverMatch) {
-  ComparatorColumn comp(3);
+  const ComparatorColumn comp(3);
   const std::vector<u8> stored{2, 2, 2};
   const std::vector<u8> valid{1, 0, 1};
-  const auto match = comp.compare(stored, valid, 2);
+  std::vector<u8> match(3, 7);
+  comp.compare(stored, valid, 2, match);
   EXPECT_EQ(match, (std::vector<u8>{1, 0, 1}));
 }
 
-TEST(ComparatorColumn, OpsCountedPerParallelCompare) {
-  ComparatorColumn comp(128);
-  const std::vector<u8> stored(128, 0);
-  const std::vector<u8> valid(128, 1);
-  comp.compare(stored, valid, 0);
-  comp.compare(stored, valid, 1);
-  EXPECT_EQ(comp.compare_ops(), 2);
+TEST(ComparatorColumn, ComparesASegmentOfTheColumn) {
+  // One adder-tree segment of a 128-row group compares on its own; a run
+  // taller than the column, or a mask of another length, is rejected.
+  const ComparatorColumn comp(128);
+  const std::vector<u8> stored{3, 0, 3, 1};
+  const std::vector<u8> valid(4, 1);
+  std::vector<u8> match(4);
+  comp.compare(stored, valid, 3, match);
+  EXPECT_EQ(match, (std::vector<u8>{1, 0, 1, 0}));
+  std::vector<u8> short_mask(3);
+  EXPECT_THROW(comp.compare(stored, valid, 3, short_mask), ContractError);
+  const std::vector<u8> tall(129, 0);
+  std::vector<u8> tall_match(129);
+  EXPECT_THROW(comp.compare(tall, tall, 0, tall_match), ContractError);
 }
 
 }  // namespace
