@@ -1,20 +1,19 @@
-// Kernel microbenchmark + CI perf-regression gate. Sweeps the three hot
-// compute kernels of the stack over threads {1,2,4,8} x batch {1,8,32},
-// verifies every parallel configuration is bit-identical to its
-// sequential reference, and writes BENCH_kernels.json.
+// Kernel microbenchmark + CI perf-regression gate. Runs the hot compute
+// kernels of the stack at batch {1,8,32}, one thread, and writes
+// BENCH_kernels.json.
 //
 // Two kinds of numbers per configuration:
 //   ns_op   - measured wall-clock nanoseconds per batch row. Honest but
-//             host-dependent (a single-core CI runner shows no wall-clock
-//             win); recorded for humans, never gated.
-//   speedup - for the PE-emulation kernels (linear_matvec, mram_matvec):
-//             the MODELED cycle speedup, sequential makespan sum divided
-//             by the busiest parallel lane's makespan. A deterministic
-//             function of the workload and the lane chunking, identical
-//             on every host — this is what the CI gate compares against
-//             bench/baselines/kernels_baseline.json. For the host-side
-//             kernels (csc_vecmat, quantized_matmul) it is the wall-clock
-//             ratio, informational only.
+//             host-dependent; recorded for humans, and gated only for the
+//             raw backend (--check-wallclock, below).
+//   modeled - a modeled quantity, identical on every host, which is what
+//             the CI gate compares against
+//             bench/baselines/kernels_baseline.json with zero tolerance:
+//             for the PE-emulation kernels (linear_matvec = SRAM deploy,
+//             mram_matvec = MRAM deploy) the exact last_makespan() in
+//             cycles; for the modeled backend-pair rows the SIMT
+//             tile-parallel factor last_utilization() x PE pool, i.e. how
+//             many PEs the schedule keeps busy on average.
 //
 // A third family benchmarks the two-tier executor (DESIGN §5i): the raw
 // SIMD backend vs the modeled walk on the same deployment, verified
@@ -26,10 +25,10 @@
 //   usage: bench_kernels [--out FILE] [--check BASELINE] [--smoke]
 //                        [--check-wallclock BASELINE]
 //                        [--refresh-wallclock FILE]
-// --check exits 1 when any gated speedup falls more than the baseline's
-// tolerance_pct below its recorded value, when a baseline gate has no
-// current measurement, when a gated measurement has no baseline entry,
-// or when bit-exactness fails (tolerance zero).
+// --check exits 1 when any gated modeled value differs from its baseline
+// (at the baseline's 4-decimal precision, so makespans compare exactly),
+// when a baseline gate has no current measurement, when a gated
+// measurement has no baseline entry, or when bit-exactness fails.
 // --check-wallclock applies the same missing-entry discipline to the
 // wall-clock gates and additionally enforces the raw backend's minimum
 // batch-32 speedup over the modeled path.
@@ -49,7 +48,6 @@
 #include "arch/accelerator.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "deploy/pim_layer.h"
 #include "mapping/quantized_nm.h"
 #include "sparse/csc.h"
@@ -58,16 +56,15 @@
 namespace msh {
 namespace {
 
-const i64 kThreadSweep[] = {1, 2, 4, 8};
 const i64 kBatchSweep[] = {1, 8, 32};
 
 struct BenchResult {
   std::string kernel;
-  i64 threads = 0;
   i64 batch = 0;
   f64 ns_op = 0.0;    ///< wall-clock ns per batch row
-  f64 speedup = 1.0;  ///< modeled (gated kernels) or wall-clock ratio
-  bool gated = false; ///< compared against the modeled-speedup baseline
+  f64 modeled = 0.0;  ///< makespan or tile-parallel factor (gated rows)
+  bool gated = false; ///< `modeled` compared against the baseline
+  f64 speedup = 0.0;  ///< raw rows: modeled_ns / raw_ns, wall-clock
   bool wall_gated = false;  ///< ns_op compared against the wall-clock
                             ///< baseline (raw-backend kernels)
 };
@@ -127,17 +124,9 @@ Tensor sparse_rows_matrix(i64 rows, i64 cols, u64 seed) {
   return w;
 }
 
-bool equal_f32(const std::vector<f32>& a, const std::vector<f32>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
+// --- csc_vecmat: host CSC column-dot kernel, row by row ---------------
 
-// --- csc_vecmat: host CSC column-dot kernel, one batch row per lane ----
-
-BenchResult run_csc_vecmat(i64 threads, i64 batch, bool smoke) {
+BenchResult run_csc_vecmat(i64 batch, bool smoke) {
   const i64 rows = 256, cols = 64;
   const Tensor dense = sparse_rows_matrix(rows, cols, 101);
   const CscMatrix csc = CscMatrix::from_dense(dense);
@@ -149,40 +138,18 @@ BenchResult run_csc_vecmat(i64 threads, i64 batch, bool smoke) {
     for (f32& v : x) v = static_cast<f32>(rng.gaussian());
   }
 
-  std::vector<std::vector<f32>> seq(static_cast<size_t>(batch));
-  for (i64 b = 0; b < batch; ++b) seq[static_cast<size_t>(b)] = csc.vecmat(xs[static_cast<size_t>(b)]);
-
-  ThreadPool pool(threads);
-  ThreadPool* p = threads > 1 ? &pool : nullptr;
-  std::vector<std::vector<f32>> par(static_cast<size_t>(batch));
-  const auto run = [&]() {
-    parallel_for(p, batch, [&](i64 begin, i64 end) {
-      for (i64 b = begin; b < end; ++b) {
-        par[static_cast<size_t>(b)] = csc.vecmat(xs[static_cast<size_t>(b)]);
-      }
-    });
-  };
-
-  const i64 iters = smoke ? 10 : 50;
-  const f64 seq_ns = time_ns_per_row(iters, batch, [&]() {
+  std::vector<std::vector<f32>> ys(static_cast<size_t>(batch));
+  const f64 ns = time_ns_per_row(smoke ? 10 : 50, batch, [&]() {
     for (i64 b = 0; b < batch; ++b) {
-      par[static_cast<size_t>(b)] = csc.vecmat(xs[static_cast<size_t>(b)]);
+      ys[static_cast<size_t>(b)] = csc.vecmat(xs[static_cast<size_t>(b)]);
     }
   });
-  const f64 par_ns = time_ns_per_row(iters, batch, run);
-
-  for (i64 b = 0; b < batch; ++b) {
-    if (!equal_f32(par[static_cast<size_t>(b)], seq[static_cast<size_t>(b)])) {
-      std::fprintf(stderr, "csc_vecmat: parallel result diverged\n");
-      std::exit(1);
-    }
-  }
-  return {"csc_vecmat", threads, batch, par_ns, seq_ns / par_ns, false};
+  return {.kernel = "csc_vecmat", .batch = batch, .ns_op = ns};
 }
 
 // --- quantized_matmul: INT8 reference matvec over packed slots ---------
 
-BenchResult run_quantized_matmul(i64 threads, i64 batch, bool smoke) {
+BenchResult run_quantized_matmul(i64 batch, bool smoke) {
   const i64 rows = 256, cols = 64;
   const Tensor dense = sparse_rows_matrix(rows, cols, 211);
   const NmPackedMatrix packed = NmPackedMatrix::pack(dense, kSparse1of4);
@@ -192,94 +159,53 @@ BenchResult run_quantized_matmul(i64 threads, i64 batch, bool smoke) {
   std::vector<i8> acts(static_cast<size_t>(batch * rows));
   for (i8& a : acts) a = static_cast<i8>(rng.uniform_int(-127, 127));
 
-  std::vector<std::vector<i32>> seq(static_cast<size_t>(batch));
-  for (i64 b = 0; b < batch; ++b) {
-    seq[static_cast<size_t>(b)] = q.reference_matvec(
-        std::span<const i8>(acts.data() + b * rows, static_cast<size_t>(rows)));
-  }
-
-  ThreadPool pool(threads);
-  ThreadPool* p = threads > 1 ? &pool : nullptr;
-  std::vector<std::vector<i32>> par(static_cast<size_t>(batch));
-  const auto run = [&]() {
-    parallel_for(p, batch, [&](i64 begin, i64 end) {
-      for (i64 b = begin; b < end; ++b) {
-        par[static_cast<size_t>(b)] = q.reference_matvec(std::span<const i8>(
-            acts.data() + b * rows, static_cast<size_t>(rows)));
-      }
-    });
-  };
-
-  const i64 iters = smoke ? 10 : 50;
-  const f64 seq_ns = time_ns_per_row(iters, batch, [&]() {
+  std::vector<std::vector<i32>> ys(static_cast<size_t>(batch));
+  const f64 ns = time_ns_per_row(smoke ? 10 : 50, batch, [&]() {
     for (i64 b = 0; b < batch; ++b) {
-      par[static_cast<size_t>(b)] = q.reference_matvec(std::span<const i8>(
+      ys[static_cast<size_t>(b)] = q.reference_matvec(std::span<const i8>(
           acts.data() + b * rows, static_cast<size_t>(rows)));
     }
   });
-  const f64 par_ns = time_ns_per_row(iters, batch, run);
-
-  for (i64 b = 0; b < batch; ++b) {
-    if (par[static_cast<size_t>(b)] != seq[static_cast<size_t>(b)]) {
-      std::fprintf(stderr, "quantized_matmul: parallel result diverged\n");
-      std::exit(1);
-    }
-  }
-  return {"quantized_matmul", threads, batch, par_ns, seq_ns / par_ns, false};
+  return {.kernel = "quantized_matmul", .batch = batch, .ns_op = ns};
 }
 
 // --- linear_matvec / mram_matvec: PE emulation through the core --------
 
-BenchResult run_pe_matvec(PeKind kind, i64 threads, i64 batch, bool smoke) {
+BenchResult run_pe_matvec(PeKind kind, i64 batch, bool smoke) {
   const i64 out = 6, k = 64;
   Rng wrng(307);
   Tensor w = Tensor::randn(Shape{out, k}, wrng);
   NmMask mask = select_nm_mask(w, kSparse1of4, GroupAxis::kCols);
   apply_mask(w, mask);
 
-  HybridCore seq_core;
-  PimMatmulLayer seq_layer(seq_core, w, kSparse1of4, kind, 0.05f);
-
-  HybridCore par_core;
-  ThreadPool pool(threads);
-  par_core.set_intra_op_pool(&pool);
-  PimMatmulLayer par_layer(par_core, w, kSparse1of4, kind, 0.05f);
+  HybridCore core;
+  PimMatmulLayer layer(core, w, kSparse1of4, kind, 0.05f);
 
   Rng rng(311);
   const Tensor x = Tensor::randn(Shape{batch, k}, rng, 0.0f, 1.0f);
 
-  // Bit-exactness: the whole point of the lane design.
-  const Tensor y_seq = seq_layer.matmul(x);
-  const Tensor y_par = par_layer.matmul(x);
-  for (i64 i = 0; i < y_seq.numel(); ++i) {
-    if (y_seq[i] != y_par[i]) {
-      std::fprintf(stderr, "%s: parallel result diverged at %lld\n",
-                   kind == PeKind::kSram ? "linear_matvec" : "mram_matvec",
-                   static_cast<long long>(i));
-      std::exit(1);
-    }
-  }
+  // Modeled makespan of one dispatch: the SIMT schedule of the batch's
+  // rows over the PE pool. Deterministic — this is the gated number.
+  (void)layer.matmul(x);
+  const f64 makespan = static_cast<f64>(core.last_makespan());
 
-  // Modeled cycle speedup: sequential makespan sum over the batch vs the
-  // busiest lane's sum. Deterministic — this is the gated number.
-  const f64 modeled = static_cast<f64>(seq_core.last_makespan()) /
-                      static_cast<f64>(par_core.last_makespan());
-
-  const i64 iters = smoke ? 5 : 20;
-  const f64 par_ns =
-      time_ns_per_row(iters, batch, [&]() { (void)par_layer.matmul(x); });
-
-  return {kind == PeKind::kSram ? "linear_matvec" : "mram_matvec", threads,
-          batch, par_ns, modeled, true};
+  const f64 ns = time_ns_per_row(smoke ? 5 : 20, batch,
+                                 [&]() { (void)layer.matmul(x); });
+  return {.kernel = kind == PeKind::kSram ? "linear_matvec" : "mram_matvec",
+          .batch = batch,
+          .ns_op = ns,
+          .modeled = makespan,
+          .gated = true};
 }
 
 // --- raw vs modeled backend pair (two-tier executor, DESIGN §5i) -------
 
 /// Benchmarks the same deployment through both executor backends at the
-/// wall-clock gate's fixed shape (out=64, k=256, 1:4 sparse, threads=1),
-/// first proving the raw SIMD path bit-identical to the modeled walk.
-/// Returns {raw, modeled}; the raw result's speedup is the wall-clock
-/// ratio modeled_ns / raw_ns and carries wall_gated=true.
+/// wall-clock gate's fixed shape (out=64, k=256, 1:4 sparse), first
+/// proving the raw SIMD path bit-identical to the modeled walk. Returns
+/// {raw, modeled}: the raw result's speedup is the wall-clock ratio
+/// modeled_ns / raw_ns and carries wall_gated=true; the modeled result
+/// gates the SIMT tile-parallel factor of the deployment.
 std::pair<BenchResult, BenchResult> run_backend_pair(PeKind kind, i64 batch,
                                                      bool smoke) {
   const i64 out = 64, k = 256;
@@ -318,22 +244,22 @@ std::pair<BenchResult, BenchResult> run_backend_pair(PeKind kind, i64 batch,
   const f64 raw_ns = robust_ns_per_row(
       samples, smoke ? 10 : 30, batch, [&]() { (void)raw_layer.matmul(x); });
 
+  // Average PEs the schedule keeps busy: the tile-parallel factor.
   const bool sram = kind == PeKind::kSram;
-  BenchResult raw{sram ? "raw_quantized_matmul" : "raw_csc_traversal",
-                  1,
-                  batch,
-                  raw_ns,
-                  modeled_ns / raw_ns,
-                  false,
-                  true};
+  const HybridCoreOptions core_opts;
+  const i64 pe_pool = sram ? core_opts.sram_pe_pool
+                           : core_opts.topology.mram_pes_per_core();
+  BenchResult raw{.kernel = sram ? "raw_quantized_matmul" : "raw_csc_traversal",
+                  .batch = batch,
+                  .ns_op = raw_ns,
+                  .speedup = modeled_ns / raw_ns,
+                  .wall_gated = true};
   BenchResult modeled{
-      sram ? "modeled_quantized_matmul" : "modeled_csc_traversal",
-      1,
-      batch,
-      modeled_ns,
-      1.0,
-      false,
-      false};
+      .kernel = sram ? "modeled_quantized_matmul" : "modeled_csc_traversal",
+      .batch = batch,
+      .ns_op = modeled_ns,
+      .modeled = modeled_core.last_utilization() * static_cast<f64>(pe_pool),
+      .gated = true};
   return {raw, modeled};
 }
 
@@ -341,17 +267,17 @@ std::pair<BenchResult, BenchResult> run_backend_pair(PeKind kind, i64 batch,
 
 std::string to_json(const std::vector<BenchResult>& results) {
   std::ostringstream os;
-  os << "{\n  \"schema\": \"msh-bench-kernels-v2\",\n  \"results\": [\n";
+  os << "{\n  \"schema\": \"msh-bench-kernels-v3\",\n  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
     char line[320];
     std::snprintf(line, sizeof(line),
-                  "    {\"kernel\": \"%s\", \"threads\": %lld, "
-                  "\"batch\": %lld, \"ns_op\": %.1f, \"speedup\": %.4f, "
+                  "    {\"kernel\": \"%s\", \"batch\": %lld, "
+                  "\"ns_op\": %.1f, \"modeled\": %.4f, \"speedup\": %.4f, "
                   "\"gated\": %s, \"wall_gated\": %s}%s\n",
-                  r.kernel.c_str(), static_cast<long long>(r.threads),
-                  static_cast<long long>(r.batch), r.ns_op, r.speedup,
-                  r.gated ? "true" : "false", r.wall_gated ? "true" : "false",
+                  r.kernel.c_str(), static_cast<long long>(r.batch), r.ns_op,
+                  r.modeled, r.speedup, r.gated ? "true" : "false",
+                  r.wall_gated ? "true" : "false",
                   i + 1 < results.size() ? "," : "");
     os << line;
   }
@@ -386,11 +312,10 @@ bool find_string(const std::string& block, const std::string& key,
 /// One parsed gate entry from a baseline file.
 struct BaselineGate {
   std::string kernel;
-  i64 threads = 0;
   i64 batch = 0;
-  f64 speedup = 0.0;
+  f64 modeled = 0.0;
   f64 ns_op = 0.0;
-  bool has_speedup = false;
+  bool has_modeled = false;
   bool has_ns_op = false;
 };
 
@@ -406,16 +331,14 @@ bool parse_baseline_gates(const std::string& text,
     pos = end + 1;
 
     BaselineGate gate;
-    f64 threads = 0, batch = 0;
+    f64 batch = 0;
     if (!find_string(block, "kernel", &gate.kernel) ||
-        !find_number(block, "threads", &threads) ||
         !find_number(block, "batch", &batch)) {
       std::fprintf(stderr, "malformed baseline entry: %s\n", block.c_str());
       return false;
     }
-    gate.threads = static_cast<i64>(threads);
     gate.batch = static_cast<i64>(batch);
-    gate.has_speedup = find_number(block, "speedup", &gate.speedup);
+    gate.has_modeled = find_number(block, "modeled", &gate.modeled);
     gate.has_ns_op = find_number(block, "ns_op", &gate.ns_op);
     gates->push_back(gate);
   }
@@ -423,10 +346,9 @@ bool parse_baseline_gates(const std::string& text,
 }
 
 const BenchResult* find_result(const std::vector<BenchResult>& results,
-                               const std::string& kernel, i64 threads,
-                               i64 batch) {
+                               const std::string& kernel, i64 batch) {
   for (const BenchResult& r : results) {
-    if (r.kernel == kernel && r.threads == threads && r.batch == batch) {
+    if (r.kernel == kernel && r.batch == batch) {
       return &r;
     }
   }
@@ -436,19 +358,20 @@ const BenchResult* find_result(const std::vector<BenchResult>& results,
 bool baseline_has(const std::vector<BaselineGate>& gates,
                   const BenchResult& r) {
   for (const BaselineGate& g : gates) {
-    if (g.kernel == r.kernel && g.threads == r.threads &&
-        g.batch == r.batch) {
+    if (g.kernel == r.kernel && g.batch == r.batch) {
       return true;
     }
   }
   return false;
 }
 
-/// Compares gated results against the baseline; returns the number of
-/// failures. Both directions are enforced: a baseline gate with no
-/// measurement in this run fails (a deleted or renamed kernel cannot
-/// silently pass), and a gated measurement with no baseline entry fails
-/// (a new gated kernel cannot ship ungated).
+/// Compares gated results against the baseline with zero tolerance: a
+/// modeled value must equal its baseline at the 4 decimals the baseline
+/// records (makespans are integers, so they compare exactly). Returns
+/// the number of failures. Both directions are enforced: a baseline gate
+/// with no measurement in this run fails (a deleted or renamed kernel
+/// cannot silently pass), and a gated measurement with no baseline entry
+/// fails (a new gated kernel cannot ship ungated).
 int check_baseline(const std::vector<BenchResult>& results,
                    const std::string& path) {
   std::ifstream in(path);
@@ -460,55 +383,46 @@ int check_baseline(const std::vector<BenchResult>& results,
   buf << in.rdbuf();
   const std::string text = buf.str();
 
-  f64 tolerance_pct = 20.0;
-  find_number(text, "tolerance_pct", &tolerance_pct);
-
   std::vector<BaselineGate> gates;
   if (!parse_baseline_gates(text, &gates)) return 1;
 
   int failures = 0;
   for (const BaselineGate& gate : gates) {
-    if (!gate.has_speedup) {
-      std::fprintf(stderr, "baseline gate %s t=%lld b=%lld: no speedup\n",
-                   gate.kernel.c_str(), static_cast<long long>(gate.threads),
-                   static_cast<long long>(gate.batch));
+    if (!gate.has_modeled) {
+      std::fprintf(stderr, "baseline gate %s b=%lld: no modeled value\n",
+                   gate.kernel.c_str(), static_cast<long long>(gate.batch));
       ++failures;
       continue;
     }
-    const BenchResult* match =
-        find_result(results, gate.kernel, gate.threads, gate.batch);
+    const BenchResult* match = find_result(results, gate.kernel, gate.batch);
     if (match == nullptr) {
       std::fprintf(stderr,
-                   "MISSING MEASUREMENT %s t=%lld b=%lld: baseline gate "
-                   "has no result in this run\n",
-                   gate.kernel.c_str(), static_cast<long long>(gate.threads),
-                   static_cast<long long>(gate.batch));
+                   "MISSING MEASUREMENT %s b=%lld: baseline gate has no "
+                   "result in this run\n",
+                   gate.kernel.c_str(), static_cast<long long>(gate.batch));
       ++failures;
       continue;
     }
-    const f64 floor = gate.speedup * (1.0 - tolerance_pct / 100.0);
-    if (match->speedup < floor) {
+    if (std::abs(match->modeled - gate.modeled) >= 0.5e-4) {
       std::fprintf(stderr,
-                   "REGRESSION %s t=%lld b=%lld: speedup %.3f < floor %.3f "
-                   "(baseline %.3f, tolerance %.0f%%)\n",
-                   gate.kernel.c_str(), static_cast<long long>(gate.threads),
-                   static_cast<long long>(gate.batch), match->speedup, floor,
-                   gate.speedup, tolerance_pct);
+                   "MODELED MISMATCH %s b=%lld: %.4f != baseline %.4f\n",
+                   gate.kernel.c_str(), static_cast<long long>(gate.batch),
+                   match->modeled, gate.modeled);
       ++failures;
     }
   }
   for (const BenchResult& r : results) {
     if (r.gated && !baseline_has(gates, r)) {
       std::fprintf(stderr,
-                   "MISSING BASELINE %s t=%lld b=%lld: gated measurement "
-                   "has no baseline entry — refresh %s\n",
-                   r.kernel.c_str(), static_cast<long long>(r.threads),
-                   static_cast<long long>(r.batch), path.c_str());
+                   "MISSING BASELINE %s b=%lld: gated measurement has no "
+                   "baseline entry — refresh %s\n",
+                   r.kernel.c_str(), static_cast<long long>(r.batch),
+                   path.c_str());
       ++failures;
     }
   }
-  std::printf("baseline check: %zu gates, %d failure(s), tolerance %.0f%%\n",
-              gates.size(), failures, tolerance_pct);
+  std::printf("baseline check: %zu gates, %d failure(s), zero tolerance\n",
+              gates.size(), failures);
   if (gates.empty()) {
     std::fprintf(stderr, "baseline %s contains no gates\n", path.c_str());
     return 1;
@@ -544,31 +458,28 @@ int check_wallclock(const std::vector<BenchResult>& results,
   i64 max_batch = 0;
   for (const BaselineGate& gate : gates) {
     if (!gate.has_ns_op) {
-      std::fprintf(stderr, "wall-clock gate %s t=%lld b=%lld: no ns_op\n",
-                   gate.kernel.c_str(), static_cast<long long>(gate.threads),
-                   static_cast<long long>(gate.batch));
+      std::fprintf(stderr, "wall-clock gate %s b=%lld: no ns_op\n",
+                   gate.kernel.c_str(), static_cast<long long>(gate.batch));
       ++failures;
       continue;
     }
     max_batch = std::max(max_batch, gate.batch);
-    const BenchResult* match =
-        find_result(results, gate.kernel, gate.threads, gate.batch);
+    const BenchResult* match = find_result(results, gate.kernel, gate.batch);
     if (match == nullptr) {
       std::fprintf(stderr,
-                   "MISSING MEASUREMENT %s t=%lld b=%lld: wall-clock gate "
-                   "has no result in this run\n",
-                   gate.kernel.c_str(), static_cast<long long>(gate.threads),
-                   static_cast<long long>(gate.batch));
+                   "MISSING MEASUREMENT %s b=%lld: wall-clock gate has no "
+                   "result in this run\n",
+                   gate.kernel.c_str(), static_cast<long long>(gate.batch));
       ++failures;
       continue;
     }
     const f64 ceiling = gate.ns_op * (1.0 + tolerance_pct / 100.0);
     if (match->ns_op > ceiling) {
       std::fprintf(stderr,
-                   "WALL-CLOCK REGRESSION %s t=%lld b=%lld: %.1f ns/row > "
+                   "WALL-CLOCK REGRESSION %s b=%lld: %.1f ns/row > "
                    "ceiling %.1f (baseline %.1f, tolerance %.0f%%)\n",
-                   gate.kernel.c_str(), static_cast<long long>(gate.threads),
-                   static_cast<long long>(gate.batch), match->ns_op, ceiling,
+                   gate.kernel.c_str(), static_cast<long long>(gate.batch),
+                   match->ns_op, ceiling,
                    gate.ns_op, tolerance_pct);
       ++failures;
     }
@@ -576,10 +487,10 @@ int check_wallclock(const std::vector<BenchResult>& results,
   for (const BenchResult& r : results) {
     if (r.wall_gated && !baseline_has(gates, r)) {
       std::fprintf(stderr,
-                   "MISSING BASELINE %s t=%lld b=%lld: wall-gated "
-                   "measurement has no baseline entry — refresh %s\n",
-                   r.kernel.c_str(), static_cast<long long>(r.threads),
-                   static_cast<long long>(r.batch), path.c_str());
+                   "MISSING BASELINE %s b=%lld: wall-gated measurement has "
+                   "no baseline entry — refresh %s\n",
+                   r.kernel.c_str(), static_cast<long long>(r.batch),
+                   path.c_str());
       ++failures;
     }
   }
@@ -641,10 +552,9 @@ bool write_wallclock_baseline(const std::vector<BenchResult>& results,
     const BenchResult& r = *walls[i];
     char line[256];
     std::snprintf(line, sizeof(line),
-                  "    {\"kernel\": \"%s\", \"threads\": %lld, "
-                  "\"batch\": %lld, \"ns_op\": %.1f}%s\n",
-                  r.kernel.c_str(), static_cast<long long>(r.threads),
-                  static_cast<long long>(r.batch), r.ns_op,
+                  "    {\"kernel\": \"%s\", \"batch\": %lld, "
+                  "\"ns_op\": %.1f}%s\n",
+                  r.kernel.c_str(), static_cast<long long>(r.batch), r.ns_op,
                   i + 1 < walls.size() ? "," : "");
     os << line;
   }
@@ -694,17 +604,12 @@ int main(int argc, char** argv) {
   }
 
   std::vector<BenchResult> results;
-  for (const i64 threads : kThreadSweep) {
-    for (const i64 batch : kBatchSweep) {
-      results.push_back(run_csc_vecmat(threads, batch, smoke));
-      results.push_back(run_quantized_matmul(threads, batch, smoke));
-      results.push_back(run_pe_matvec(PeKind::kSram, threads, batch, smoke));
-      results.push_back(run_pe_matvec(PeKind::kMram, threads, batch, smoke));
-    }
+  for (const i64 batch : kBatchSweep) {
+    results.push_back(run_csc_vecmat(batch, smoke));
+    results.push_back(run_quantized_matmul(batch, smoke));
+    results.push_back(run_pe_matvec(PeKind::kSram, batch, smoke));
+    results.push_back(run_pe_matvec(PeKind::kMram, batch, smoke));
   }
-  // Raw vs modeled backend pairs: single-threaded by design (the gate
-  // isolates kernel quality from parallel scaling, which the modeled
-  // gates above already cover).
   for (const i64 batch : kBatchSweep) {
     for (const PeKind kind : {PeKind::kSram, PeKind::kMram}) {
       auto [raw, modeled] = run_backend_pair(kind, batch, smoke);
@@ -713,16 +618,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("%-26s %7s %5s %12s %9s %6s %5s\n", "kernel", "threads",
-              "batch", "ns/row", "speedup", "gated", "wall");
+  std::printf("%-26s %5s %12s %10s %9s %6s %5s\n", "kernel", "batch",
+              "ns/row", "modeled", "speedup", "gated", "wall");
   for (const BenchResult& r : results) {
-    std::printf("%-26s %7lld %5lld %12.1f %9.4f %6s %5s\n", r.kernel.c_str(),
-                static_cast<long long>(r.threads),
-                static_cast<long long>(r.batch), r.ns_op, r.speedup,
-                r.gated ? "yes" : "no", r.wall_gated ? "yes" : "no");
+    std::printf("%-26s %5lld %12.1f %10.4f %9.4f %6s %5s\n", r.kernel.c_str(),
+                static_cast<long long>(r.batch), r.ns_op, r.modeled,
+                r.speedup, r.gated ? "yes" : "no",
+                r.wall_gated ? "yes" : "no");
   }
-  std::printf("\nbit-exactness: every parallel configuration and every raw "
-              "backend run matched its reference exactly.\n");
+  std::printf("\nbit-exactness: every raw backend run matched the modeled "
+              "walk exactly.\n");
 
   const std::string json = to_json(results);
   std::ofstream out(out_path);

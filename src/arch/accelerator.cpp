@@ -157,7 +157,7 @@ FlatCsc HybridCore::resident(Deployment& dep) {
 void HybridCore::raw_matmul(Deployment& dep, std::span<const i8> activations,
                             i64 batch, std::span<i32> out) {
   arena_.reset();
-  raw_csc_matmul(resident(dep), activations, batch, out, arena_, intra_pool_);
+  raw_csc_matmul(resident(dep), activations, batch, out, arena_);
   // Cycle metrics are modeled-only: the raw backend reports zero.
   last_makespan_ = 0;
   last_utilization_ = 0.0;
@@ -212,8 +212,7 @@ void HybridCore::conv_into(i64 handle, std::span<const i16> planes,
   MSH_REQUIRE(layout.k() <= dep.dense_rows);
   arena_.reset();
   if (options_.backend == KernelBackend::kRaw) {
-    direct_conv(resident(dep), planes.data(), layout, out.data(), arena_,
-                intra_pool_);
+    direct_conv(resident(dep), planes.data(), layout, out.data(), arena_);
     last_makespan_ = 0;
     last_utilization_ = 0.0;
     return;
@@ -223,8 +222,7 @@ void HybridCore::conv_into(i64 handle, std::span<const i16> planes,
   const i64 rows = layout.batch * spatial;
   std::span<i8> codes = arena_.alloc<i8>(rows * dep.dense_rows);
   std::span<i32> y = arena_.alloc<i32>(rows * dep.cols);
-  gather_code_rows(planes.data(), layout, dep.dense_rows, codes.data(), arena_,
-                   intra_pool_);
+  gather_code_rows(planes.data(), layout, dep.dense_rows, codes.data(), arena_);
   modeled_matmul(dep, codes, rows, y);
   for (i64 p = 0; p < rows; ++p) {
     const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
@@ -243,44 +241,12 @@ void HybridCore::modeled_matmul(Deployment& dep,
     last_makespan_ = 0;
     return;
   }
-  // Intra-batch parallel path: contiguous row lanes, each modeling (and
-  // running on) a clone of the deployment's tiles. Rows are independent
-  // (private accumulators, fixed output offsets, lane-local event sums),
-  // so the outputs are bit-identical to the sequential walk. The lanes
-  // are exactly the chunks parallel_for dispatches.
-  ThreadPool* pool = intra_pool_;
-  const bool parallel = pool != nullptr && pool->size() > 1 && batch > 1;
-  const i64 lanes = parallel ? pool->shards(batch) : 1;
-  const i64 per_lane = (batch + lanes - 1) / lanes;
-  if (static_cast<i64>(walk_lanes_.size()) < lanes)
-    walk_lanes_.resize(static_cast<size_t>(lanes));
-  for (i64 l = 0; l < lanes; ++l) {
-    WalkLane& lane = walk_lanes_[static_cast<size_t>(l)];
-    lane.pe_events.assign(static_cast<size_t>(dep.pe_count()), {});
-    lane.tile_cycles.assign(static_cast<size_t>(dep.pe_count()), 0);
-    lane.rows = 0;
-    lane.shared_acc_ops = 0;
-  }
-  auto walk = [&](i64 begin, i64 end) {
-    WalkLane& lane = walk_lanes_[static_cast<size_t>(begin / per_lane)];
-    for (i64 b = begin; b < end; ++b) {
-      compute_row(dep,
-                  activations.subspan(static_cast<size_t>(b * dep.dense_rows),
-                                      static_cast<size_t>(dep.dense_rows)),
-                  lane,
-                  out.subspan(static_cast<size_t>(b * dep.cols),
-                              static_cast<size_t>(dep.cols)));
-    }
-  };
-  if (parallel) {
-    pool->parallel_for(batch, walk);
-  } else {
-    walk(0, batch);
-  }
-
-  // Accounting, applied after the walk: the final bus, buffer and PE
-  // event state is exactly a row-by-row sequential walk's. Activations
-  // arrive over the bus into the core buffer once per row
+  WalkLane& lane = walk_;
+  lane.pe_events.assign(static_cast<size_t>(dep.pe_count()), {});
+  lane.tile_cycles.assign(static_cast<size_t>(dep.pe_count()), 0);
+  lane.rows = 0;
+  lane.shared_acc_ops = 0;
+  // Activations arrive over the bus into the core buffer once per row
   // (row-stationary: every PE pass reuses the buffered copy) and each PE
   // reads its rows from it; results leave over the bus.
   i64 read_bytes = 0;
@@ -294,30 +260,28 @@ void HybridCore::modeled_matmul(Deployment& dep,
     bus_.transfer(static_cast<i64>(acts.size()) * 8);
     MSH_REQUIRE(buffer_.load(acts));
     buffer_.record_read(read_bytes);
+    compute_row(dep, acts, lane,
+                out.subspan(static_cast<size_t>(b * dep.cols),
+                            static_cast<size_t>(dep.cols)));
     bus_.transfer(dep.cols * 32);
   }
-  for (i64 l = 0; l < lanes; ++l) {
-    const WalkLane& lane = walk_lanes_[static_cast<size_t>(l)];
-    for (i64 i = 0; i < dep.pe_count(); ++i) {
-      const PeEventCounts& events = lane.pe_events[static_cast<size_t>(i)];
-      if (dep.is_sram) {
-        dep.sram_pes[static_cast<size_t>(i)]->absorb_events(events);
-      } else {
-        dep.mram_pes[static_cast<size_t>(i)]->absorb_events(events);
-      }
+  for (i64 i = 0; i < dep.pe_count(); ++i) {
+    const PeEventCounts& events = lane.pe_events[static_cast<size_t>(i)];
+    if (dep.is_sram) {
+      dep.sram_pes[static_cast<size_t>(i)]->absorb_events(events);
+    } else {
+      dep.mram_pes[static_cast<size_t>(i)]->absorb_events(events);
     }
-    shared_acc_ops_ += lane.shared_acc_ops;
   }
+  shared_acc_ops_ += lane.shared_acc_ops;
 
   // SIMT schedule over the physical PE pool, once: every row costs each
-  // tile the same cycles. Modeled time: lanes run concurrently on their
-  // tile clones, so the batch finishes when the busiest (first, longest)
-  // lane does; sequentially that lane is the whole batch.
+  // tile the same cycles, and the rows stream through the same tiles one
+  // after another, so the batch takes batch x the one-row makespan.
   const i64 pe_pool = dep.is_sram ? options_.sram_pe_pool
                                   : options_.topology.mram_pes_per_core();
-  const ScheduleResult sched =
-      Scheduler(pe_pool).schedule(walk_lanes_.front().tile_cycles);
-  last_makespan_ = per_lane * sched.makespan;
+  const ScheduleResult sched = Scheduler(pe_pool).schedule(lane.tile_cycles);
+  last_makespan_ = batch * sched.makespan;
   last_utilization_ = sched.utilization();
 }
 

@@ -12,7 +12,6 @@
 #include "arch/bus.h"
 #include "arch/scheduler.h"
 #include "arch/topology.h"
-#include "common/thread_pool.h"
 #include "kernels/arena.h"
 #include "kernels/backend.h"
 #include "kernels/direct_conv.h"
@@ -60,15 +59,10 @@ class HybridCore {
   /// (length = cols).
   std::vector<i32> matvec(i64 handle, std::span<const i8> activations);
 
-  /// Batched version: x is row-major [batch x dense_rows]. With an
-  /// intra-op pool attached (see set_intra_op_pool), batch rows are
-  /// sharded into contiguous lanes and executed concurrently, each lane
-  /// modeling a clone of the deployment's PE tiles: outputs, PE event
-  /// totals, and bus/buffer accounting are bit-identical to the
-  /// sequential walk (row results land at fixed offsets; per-lane event
-  /// counters merge in deterministic order), while last_makespan()
-  /// becomes the busiest lane's cycle sum — the modeled time of the
-  /// tile-parallel execution.
+  /// Batched version: x is row-major [batch x dense_rows]. Rows stream
+  /// one after another through the deployment's PE tiles, so on the
+  /// modeled backend last_makespan() is batch x the one-row SIMT
+  /// makespan.
   std::vector<i32> matmul(i64 handle, std::span<const i8> activations,
                           i64 batch);
 
@@ -77,8 +71,8 @@ class HybridCore {
   /// repacks a written deployment): its widened activations and offset
   /// tables live in the core's kernel arena, reused at its high-water
   /// mark. On the modeled backend the walk's scratch lives in the
-  /// core's per-lane WalkLanes, so a warmed dispatch allocates a fixed
-  /// number of times (its schedule), whatever the batch.
+  /// core's WalkLane, so a warmed dispatch allocates a fixed number of
+  /// times (its schedule), whatever the batch.
   void matmul_into(i64 handle, std::span<const i8> activations, i64 batch,
                    std::span<i32> out);
 
@@ -108,12 +102,6 @@ class HybridCore {
     return arena_.bytes_reserved() + io_arena_.bytes_reserved();
   }
 
-  /// Attaches a host thread pool for intra-batch (row-level) parallel
-  /// matmul. Non-owning; nullptr (the default) keeps every path
-  /// sequential. The pool must outlive the core or be detached first.
-  void set_intra_op_pool(ThreadPool* pool) { intra_pool_ = pool; }
-  ThreadPool* intra_op_pool() const { return intra_pool_; }
-
   /// Pointer view over one deployment's PE-resident compressed codes —
   /// the physical surface where NVM faults land and ECC scrubs repair.
   /// Only valid (non-padding) slots are exposed: padding cells never
@@ -142,7 +130,8 @@ class HybridCore {
   bool deployment_is_sram(i64 handle) const;
 
   /// Cycle makespan of the last matvec/matmul, from the SIMT schedule
-  /// over the physical PE pool.
+  /// over the physical PE pool: batch x the one-row makespan, a function
+  /// of the workload and the modeled pool alone.
   i64 last_makespan() const { return last_makespan_; }
   f64 last_utilization() const { return last_utilization_; }
 
@@ -178,12 +167,10 @@ class HybridCore {
     }
   };
 
-  /// Working storage of one modeled walk lane — the whole dispatch when
-  /// sequential, one contiguous row chunk on the intra-op path. The core
-  /// keeps one per lane and reuses it at its high-water mark, so a warmed
-  /// modeled dispatch allocates nothing per row. Only results and event
-  /// sums live here, never cell-derived state: each row re-reads the
-  /// live tiles.
+  /// Working storage of the modeled walk. The core keeps one and reuses
+  /// it at its high-water mark, so a warmed modeled dispatch allocates
+  /// nothing per row. Only results and event sums live here, never
+  /// cell-derived state: each row re-reads the live tiles.
   struct WalkLane {
     ModeledScratch walk;    ///< the PE walks' buffers
     TileMatvec pe_out;      ///< one PE's results
@@ -196,7 +183,7 @@ class HybridCore {
   };
   /// One activation row's walk over a deployment's PE tiles into
   /// `result` [cols], with no side effects on the core or the PEs: the
-  /// event deltas land in `lane`. The unit of work each lane executes.
+  /// event deltas land in `lane`.
   void compute_row(const Deployment& dep, std::span<const i8> activations,
                    WalkLane& lane, std::span<i32> result) const;
 
@@ -207,12 +194,11 @@ class HybridCore {
   /// if a write made it stale.
   FlatCsc resident(Deployment& dep);
   /// Raw-backend dispatch: runs the SIMD matmul over the resident packed
-  /// weights into `out`, sharding columns over the intra-op pool. No
-  /// accounting.
+  /// weights into `out`. No accounting.
   void raw_matmul(Deployment& dep, std::span<const i8> activations, i64 batch,
                   std::span<i32> out);
-  /// Modeled-backend batched walk (sequential or row lanes) into `out`,
-  /// with the full bus/buffer/PE accounting and the SIMT schedule.
+  /// Modeled-backend batched walk into `out`, with the full
+  /// bus/buffer/PE accounting and the SIMT schedule.
   void modeled_matmul(Deployment& dep, std::span<const i8> activations,
                       i64 batch, std::span<i32> out);
 
@@ -222,8 +208,7 @@ class HybridCore {
   Bus bus_;
   ActivationBuffer buffer_;
   std::vector<Deployment> deployments_;
-  std::vector<WalkLane> walk_lanes_;  ///< modeled scratch, one per lane
-  ThreadPool* intra_pool_ = nullptr;
+  WalkLane walk_;  ///< modeled-walk scratch
   i64 last_makespan_ = 0;
   f64 last_utilization_ = 0.0;
   i64 shared_acc_ops_ = 0;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/byte_cursor.h"
 #include "common/crc32.h"
 #include "common/logging.h"
 
@@ -24,64 +25,6 @@ std::string hex32(u32 value) {
   std::snprintf(buf, sizeof(buf), "0x%08x", value);
   return buf;
 }
-
-/// Bounded little-endian reader over the in-memory blob. Every read
-/// checks `remaining()` up front, so a short-read file fails with an
-/// explicit "truncated <what>" error naming the field it ran out in —
-/// it can never alias as a CRC failure or trigger a giant allocation
-/// from a half-read length field.
-class Cursor {
- public:
-  Cursor(const char* data, size_t size, const std::string& context)
-      : data_(data), size_(size), context_(context) {}
-
-  size_t remaining() const { return size_ - pos_; }
-  size_t pos() const { return pos_; }
-
-  template <typename T>
-  T pod(const char* what) {
-    T value{};
-    bytes(&value, sizeof(T), what);
-    return value;
-  }
-
-  void bytes(void* dst, size_t n, const char* what) {
-    if (remaining() < n) {
-      throw SimulationError("DeploymentImage: truncated " +
-                            std::string(what) + " in " + context_ +
-                            " (short read: need " + std::to_string(n) +
-                            " byte(s), " + std::to_string(remaining()) +
-                            " left)");
-    }
-    std::memcpy(dst, data_ + pos_, n);
-    pos_ += n;
-  }
-
-  template <typename T>
-  std::vector<T> vec(size_t count, const char* what) {
-    std::vector<T> out;
-    // Reserve only what the blob can actually back: a corrupt count is
-    // caught by the bounds check before it becomes a huge allocation.
-    if (remaining() < count * sizeof(T)) {
-      throw SimulationError("DeploymentImage: truncated " +
-                            std::string(what) + " in " + context_ +
-                            " (short read: need " +
-                            std::to_string(count * sizeof(T)) +
-                            " byte(s), " + std::to_string(remaining()) +
-                            " left)");
-    }
-    out.resize(count);
-    std::memcpy(out.data(), data_ + pos_, count * sizeof(T));
-    pos_ += count * sizeof(T);
-    return out;
-  }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  const std::string& context_;
-};
 
 }  // namespace
 
@@ -175,7 +118,8 @@ DeploymentImage DeploymentImage::deserialize(const std::string& blob,
     throw SimulationError("DeploymentImage: truncated footer in " + context +
                           " (short read)");
   }
-  Cursor cur(blob.data(), blob.size() - footer, context);
+  ByteCursor cur(blob.data(), blob.size() - footer, "DeploymentImage",
+                 context);
   cur.pod<u32>("magic");  // magic + version, validated above
   cur.pod<u32>("version");
 
@@ -184,9 +128,7 @@ DeploymentImage DeploymentImage::deserialize(const std::string& blob,
   const u64 count = cur.pod<u64>("entry count");
   for (u64 e = 0; e < count; ++e) {
     const u64 name_len = cur.pod<u64>("entry name length");
-    if (name_len == 0 || name_len > 4096)
-      throw SimulationError("DeploymentImage: implausible name length in " +
-                            context);
+    if (name_len == 0 || name_len > 4096) cur.fail("implausible name length");
     std::string name(name_len, '\0');
     cur.bytes(name.data(), name_len, "entry name");
 
@@ -198,11 +140,12 @@ DeploymentImage DeploymentImage::deserialize(const std::string& blob,
     const f32 scale = cur.pod<f32>("entry header");
     if (!cfg.valid() || dense_rows <= 0 || cols <= 0 ||
         dense_rows % cfg.m != 0) {
-      throw SimulationError("DeploymentImage: corrupt entry header in " +
-                            context);
+      cur.fail("corrupt entry header");
     }
-    const size_t total =
-        static_cast<size_t>(dense_rows / cfg.m * cfg.n * cols);
+    // Each payload holds one byte per packed slot; a wrapped or unbacked
+    // slot count is rejected before anything is allocated.
+    const i64 slots[] = {dense_rows / cfg.m, cfg.n, cols};
+    const size_t total = cur.count(slots, 1, "values payload");
     auto values = cur.vec<i8>(total, "values payload");
     auto indices = cur.vec<u8>(total, "indices payload");
     auto valid = cur.vec<u8>(total, "valid payload");
@@ -213,10 +156,9 @@ DeploymentImage DeploymentImage::deserialize(const std::string& blob,
                                           std::move(valid)));
   }
   if (cur.remaining() != 0) {
-    throw SimulationError(
-        "DeploymentImage: trailing garbage in " + context + " (" +
-        std::to_string(cur.remaining()) +
-        " byte(s) past the last entry): refusing a tampered image");
+    cur.fail("trailing garbage",
+             " (" + std::to_string(cur.remaining()) +
+                 " byte(s) past the last entry): refusing a tampered image");
   }
 
   if (version >= 2) {

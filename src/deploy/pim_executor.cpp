@@ -59,10 +59,6 @@ PimRepNetExecutor::PimRepNetExecutor(RepNetModel& model,
                                      const Dataset& calibration,
                                      PimExecutorOptions options)
     : model_(model), options_(options), core_(core_options(options)) {
-  if (options_.intra_op_threads > 1) {
-    intra_pool_ = std::make_unique<ThreadPool>(options_.intra_op_threads);
-    core_.set_intra_op_pool(intra_pool_.get());
-  }
   calibrate(calibration);
   deploy();
 }
@@ -76,10 +72,6 @@ PimRepNetExecutor::PimRepNetExecutor(
       core_(core_options(options)),
       input_amax_(amax),
       source_image_(std::move(image)) {
-  if (options_.intra_op_threads > 1) {
-    intra_pool_ = std::make_unique<ThreadPool>(options_.intra_op_threads);
-    core_.set_intra_op_pool(intra_pool_.get());
-  }
   deploy();
 }
 

@@ -40,11 +40,6 @@ struct PimExecutorOptions {
   /// words on weight bytes + even parity on index cells (spare array
   /// columns), parity-only on both, or raw.
   EccMode ecc = EccMode::kNone;
-  /// Host threads for intra-batch (row-level) parallel PIM compute.
-  /// <= 1 keeps every layer sequential (the default); N > 1 gives the
-  /// executor a private N-thread pool that shards batch rows across PE
-  /// tile lanes. Outputs stay bit-identical to sequential execution.
-  i64 intra_op_threads = 1;
   /// Endurance model of the physical MRAM medium this executor programs.
   /// Null (the default) keeps programming ideal and free. Non-null, every
   /// MRAM array write — deploy, redeploy, scrub repair — routes through
@@ -79,17 +74,14 @@ class PimRepNetExecutor {
   ///
   /// Thread-safety contract: an executor is externally single-threaded —
   /// at most one thread may call into it at a time (it mutates its own
-  /// HybridCore event counters). Internally, forward() may fan batch rows
-  /// out across `intra_op_threads` host threads on a pool this executor
-  /// owns; those lanes touch only lane-local state plus read-only tile
-  /// cells, and their event deltas merge back deterministically before
-  /// forward() returns, so the option changes neither results nor the
-  /// externally visible contract. Hardware-mode forward treats the shared
-  /// RepNetModel as strictly read-only. Several replicas deployed from
-  /// the same model may therefore run forward() concurrently, one
-  /// (external) thread per replica — the serving runtime's concurrency
-  /// model (see src/runtime). Replica- and row-level parallelism compose:
-  /// total host threads = workers x intra_op_threads.
+  /// HybridCore event counters) and forward() runs every layer on that
+  /// calling thread, starting no thread of its own. Hardware-mode forward
+  /// treats the shared RepNetModel as strictly read-only. Several
+  /// replicas deployed from the same model may therefore run forward()
+  /// concurrently, one (external) thread per replica — the serving
+  /// runtime's concurrency model (see src/runtime), and the only host
+  /// parallelism; modeled parallelism is the SIMT schedule over the PE
+  /// pool (last_makespan()).
   Tensor forward(const Tensor& images);
 
   /// forward() on `backend` for this one call, then back to the
@@ -294,9 +286,6 @@ class PimRepNetExecutor {
   RepNetModel& model_;
   PimExecutorOptions options_;
   HybridCore core_;
-  /// Private intra-op worker pool (null when intra_op_threads <= 1);
-  /// attached to core_ so every deployed layer's matmul can shard rows.
-  std::unique_ptr<ThreadPool> intra_pool_;
   std::unordered_map<const void*, f32> input_amax_;
   std::unordered_map<const Conv2d*, std::unique_ptr<PimConv>> convs_;
   std::unique_ptr<PimLinear> classifier_;

@@ -114,7 +114,6 @@ Tensor PimMatmulLayer::matmul(const Tensor& x, const Tensor* bias) {
               static_cast<i64>(bias->numel()) == out_);
   const i64 batch = x.shape()[0];
   const bool add_bias = bias != nullptr && !bias->empty();
-  ThreadPool* pool = core_.intra_op_pool();
 
   // The float<->INT8 boundary is shared kernel code (kernels/
   // quant_kernels.h) so both compute backends quantize and dequantize
@@ -123,14 +122,14 @@ Tensor PimMatmulLayer::matmul(const Tensor& x, const Tensor* bias) {
   scratch.reset();
   const std::span<i8> codes = scratch.alloc<i8>(batch * padded_k_);
   quantize_activations(x.data(), batch, k_, padded_k_, act_params_,
-                       codes.data(), pool);
+                       codes.data());
 
   const std::span<i32> acc = scratch.alloc<i32>(batch * out_);
   core_.matmul_into(handle_, codes, batch, acc);
   Tensor y(Shape{batch, out_});
   const f32 scale = act_params_.scale * weight_scale_;
   dequantize_outputs(acc.data(), batch, out_, scale,
-                     add_bias ? bias->data() : nullptr, y.data(), pool);
+                     add_bias ? bias->data() : nullptr, y.data());
   return y;
 }
 
@@ -151,7 +150,6 @@ Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
       geom_.stride, geom_.padding);
   const i64 n = layout.batch, ho = layout.out_h, wo = layout.out_w;
   const i64 out_ch = geom_.out_channels, spatial = ho * wo;
-  ThreadPool* pool = core_.intra_op_pool();
   KernelArena& scratch = core_.io_scratch();
   scratch.reset();
 
@@ -160,33 +158,31 @@ Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
   // becomes its code a single time.
   const std::span<i16> planes = scratch.alloc<i16>(layout.size());
   quantize_conv_planes(x.data(), layout, matmul_.activation_params(),
-                       planes.data(), pool);
+                       planes.data());
   const std::span<i32> acc = scratch.alloc<i32>(out_ch * layout.positions);
   core_.conv_into(matmul_.handle(), planes, layout, acc);
 
-  // Dequantize + bias + epilogue in one pass, sharded over (image,
-  // output channel) planes: each plane is written by exactly one lane,
-  // reading its accumulators a row of the padded layout at a time.
+  // Dequantize + bias + epilogue in one pass over the (image, output
+  // channel) planes, reading each plane's accumulators a row of the
+  // padded layout at a time.
   Tensor y(Shape{n, out_ch, ho, wo});
   MSH_REQUIRE(epilogue.bn == nullptr || epilogue.bn->channels() == out_ch);
   MSH_REQUIRE(epilogue.residual == nullptr ||
               epilogue.residual->shape() == y.shape());
   const f32 scale = matmul_.activation_scale() * matmul_.weight_scale();
-  parallel_for(pool, n * out_ch, [&](i64 begin, i64 end) {
-    for (i64 p = begin; p < end; ++p) {
-      const i64 img = p / out_ch, oc = p % out_ch;
-      const f32 b = bias_.empty() ? 0.0f : bias_[oc];
-      f32* dst = y.data() + p * spatial;
-      for (i64 oy = 0; oy < ho; ++oy) {
-        const i32* src =
-            acc.data() + oc * layout.positions + layout.position(img, oy, 0);
-        for (i64 ox = 0; ox < wo; ++ox) {
-          dst[oy * wo + ox] = scale * static_cast<f32>(src[ox]) + b;
-        }
+  for (i64 p = 0; p < n * out_ch; ++p) {
+    const i64 img = p / out_ch, oc = p % out_ch;
+    const f32 b = bias_.empty() ? 0.0f : bias_[oc];
+    f32* dst = y.data() + p * spatial;
+    for (i64 oy = 0; oy < ho; ++oy) {
+      const i32* src =
+          acc.data() + oc * layout.positions + layout.position(img, oy, 0);
+      for (i64 ox = 0; ox < wo; ++ox) {
+        dst[oy * wo + ox] = scale * static_cast<f32>(src[ox]) + b;
       }
-      epilogue.apply_plane(dst, p, out_ch, spatial);
     }
-  });
+    epilogue.apply_plane(dst, p, out_ch, spatial);
+  }
   return y;
 }
 

@@ -38,12 +38,8 @@ class PimMatmulLayer {
   /// `bias` (length out, optional) is fused into the dequantization loop
   /// so every output element is written exactly once — numerically
   /// identical to dequantizing first and adding bias after (the same two
-  /// FP32 roundings in the same order), but parallel-safe: rows never
-  /// need a second read-modify-write pass.
-  ///
-  /// Quantize and dequantize shard across the core's intra-op pool when
-  /// one is attached; both loops are element-independent, so the result
-  /// is bit-identical to the sequential walk.
+  /// FP32 roundings in the same order), without a second
+  /// read-modify-write pass over the rows.
   Tensor matmul(const Tensor& x, const Tensor* bias = nullptr);
 
   /// Rewrites the deployment with updated weights (same shape; the N:M
@@ -134,9 +130,7 @@ class PimConv {
   /// im2col rows and adding bias after. Every buffer but the returned
   /// tensor lives in the core's scratch arenas. Each plane is finished by
   /// `epilogue` while it is still in cache (the default leaves the plain
-  /// conv output). Quantize, conv and dequantize shard over the core's
-  /// intra-op pool, one lane per channel or plane, so the result is
-  /// bit-identical at any thread count.
+  /// conv output).
   Tensor forward(const Tensor& x, const ConvEpilogue& epilogue = {});
 
   const PimMatmulLayer& matmul_layer() const { return matmul_; }

@@ -24,7 +24,6 @@
 
 #include <span>
 
-#include "common/thread_pool.h"
 #include "kernels/arena.h"
 #include "kernels/flat_csc.h"
 #include "quant/quant.h"
@@ -60,24 +59,20 @@ struct ConvPlanes {
 
 /// Quantizes x [batch, C, H, W] into `planes` (layout.size() elements):
 /// every code is params.quantize of its input, through simd::quantize,
-/// and everything else is 0. Channels shard over `pool`.
+/// and everything else is 0.
 void quantize_conv_planes(const f32* x, const ConvPlanes& layout,
-                          const QuantParams& params, i16* planes,
-                          ThreadPool* pool);
+                          const QuantParams& params, i16* planes);
 
 /// out[c * layout.positions + q] = wrap-32 sum over column c's entries of
 /// weight * planes[row_offset(entry_row) + q], for q < layout.positions.
-/// Output channels shard over `pool`, each output element written by one
-/// lane, so the result is identical at any thread count. Reads at most
-/// layout.size() plane elements.
+/// Reads at most layout.size() plane elements.
 void direct_conv(const FlatCsc& w, const i16* planes, const ConvPlanes& layout,
-                 i32* out, KernelArena& arena, ThreadPool* pool);
+                 i32* out, KernelArena& arena);
 
 /// The modeled backend's conv input: one INT8 row per valid output
 /// position (image, oy, ox order) in im2col's K order (channel, ky, kx),
 /// padding taps and the tail up to `dense_rows` code 0.
 void gather_code_rows(const i16* planes, const ConvPlanes& layout,
-                      i64 dense_rows, i8* rows, KernelArena& arena,
-                      ThreadPool* pool);
+                      i64 dense_rows, i8* rows, KernelArena& arena);
 
 }  // namespace msh

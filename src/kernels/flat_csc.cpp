@@ -128,8 +128,7 @@ FlatCsc build_flat_csc_mram(std::span<const MramPeTile* const> tiles,
 }
 
 void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
-                    std::span<i32> out, KernelArena& arena,
-                    ThreadPool* pool) {
+                    std::span<i32> out, KernelArena& arena, std::nullptr_t) {
   MSH_REQUIRE(static_cast<i64>(acts.size()) == batch * w.dense_rows);
   MSH_REQUIRE(static_cast<i64>(out.size()) == batch * w.cols);
 
@@ -149,21 +148,19 @@ void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
     for (i64 r = 0; r < w.dense_rows; ++r) {
       row_off[static_cast<size_t>(r)] = r * nb;
     }
-    parallel_for(pool, w.cols, [&](i64 begin, i64 end) {
-      i32 acc[kBlock];
-      for (i64 c = begin; c < end; ++c) {
-        const i64 lo = w.col_ptr[static_cast<size_t>(c)];
-        const i64 pairs = (w.col_ptr[static_cast<size_t>(c) + 1] - lo) / 2;
-        for (i64 j0 = 0; j0 < nb; j0 += simd::kMacTile) {
-          simd::pair_mac(acc + j0, std::min(simd::kMacTile, nb - j0),
-                         xt.data() + j0, w.entry_row.data() + lo,
-                         row_off.data(), w.pair_weight.data() + lo / 2, pairs);
-        }
-        for (i64 j = 0; j < nb; ++j) {
-          out[static_cast<size_t>((b0 + j) * w.cols + c)] = acc[j];
-        }
+    i32 acc[kBlock];
+    for (i64 c = 0; c < w.cols; ++c) {
+      const i64 lo = w.col_ptr[static_cast<size_t>(c)];
+      const i64 pairs = (w.col_ptr[static_cast<size_t>(c) + 1] - lo) / 2;
+      for (i64 j0 = 0; j0 < nb; j0 += simd::kMacTile) {
+        simd::pair_mac(acc + j0, std::min(simd::kMacTile, nb - j0),
+                       xt.data() + j0, w.entry_row.data() + lo,
+                       row_off.data(), w.pair_weight.data() + lo / 2, pairs);
       }
-    });
+      for (i64 j = 0; j < nb; ++j) {
+        out[static_cast<size_t>((b0 + j) * w.cols + c)] = acc[j];
+      }
+    }
   }
 }
 

@@ -22,10 +22,10 @@
 // pairing. The zero-weight dummies contribute exactly 0.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "kernels/arena.h"
 #include "pim/pe_tile.h"  // header-only tile formats
 
@@ -78,11 +78,11 @@ FlatCsc build_flat_csc_mram(std::span<const MramPeTile* const> tiles,
 
 /// out[b * cols + c] = wrap-32 sum over column c's entries of
 /// weight * acts[b * dense_rows + entry_row], for every batch row b.
-/// Batch rows are blocked and widened to i16 in the arena; columns are
-/// sharded over `pool` (nullptr runs inline). Deterministic: each output
-/// element is written by exactly one lane.
+/// Batch rows are blocked and widened to i16 in the arena. The trailing
+/// parameter only keeps older `nullptr` call sites compiling; it carries
+/// nothing.
 void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
                     std::span<i32> out, KernelArena& arena,
-                    ThreadPool* pool);
+                    std::nullptr_t = nullptr);
 
 }  // namespace msh

@@ -12,7 +12,8 @@
 // two operations and built with FP contraction off.
 #pragma once
 
-#include "common/thread_pool.h"
+#include <cstddef>
+
 #include "common/types.h"
 #include "quant/quant.h"
 
@@ -20,15 +21,15 @@ namespace msh {
 
 /// Quantizes a [batch x k] float activation block into the padded INT8
 /// layout [batch x padded_k] the PE arrays consume (pad tail zeroed).
-/// Row-sharded over `pool`: each row's codes are written by exactly one
-/// lane, so the parallel result is bit-identical to the sequential loop.
+/// The trailing parameter only keeps older `nullptr` call sites
+/// compiling; it carries nothing.
 void quantize_activations(const f32* x, i64 batch, i64 k, i64 padded_k,
                           const QuantParams& params, i8* codes,
-                          ThreadPool* pool);
+                          std::nullptr_t = nullptr);
 
 /// Dequantizes raw INT32 accumulators [batch x out] into floats with an
-/// optional fused bias (`bias` null skips it). Same sharding contract.
+/// optional fused bias (`bias` null skips it). Same trailing parameter.
 void dequantize_outputs(const i32* raw, i64 batch, i64 out, f32 scale,
-                        const f32* bias, f32* y, ThreadPool* pool);
+                        const f32* bias, f32* y, std::nullptr_t = nullptr);
 
 }  // namespace msh

@@ -58,7 +58,9 @@ QuantizedNmMatrix QuantizedNmMatrix::from_raw(NmConfig cfg, i64 dense_rows,
   q.dense_rows_ = dense_rows;
   q.cols_ = cols;
   q.packed_rows_ = dense_rows / cfg.m * cfg.n;
-  const size_t total = static_cast<size_t>(q.packed_rows_ * cols);
+  i64 slots = 0;
+  MSH_REQUIRE(!__builtin_mul_overflow(q.packed_rows_, cols, &slots));
+  const size_t total = static_cast<size_t>(slots);
   MSH_REQUIRE(values.size() == total);
   MSH_REQUIRE(indices.size() == total);
   MSH_REQUIRE(valid.size() == total);

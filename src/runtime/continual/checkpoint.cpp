@@ -1,7 +1,8 @@
 #include "runtime/continual/checkpoint.h"
 
-#include <cstring>
 #include <sstream>
+
+#include "common/byte_cursor.h"
 
 namespace msh {
 
@@ -25,60 +26,29 @@ void put_tensors(std::string& out, const std::vector<Tensor>& tensors) {
   }
 }
 
-class Cursor {
- public:
-  Cursor(const std::string& blob, const std::string& context)
-      : blob_(blob), context_(context) {}
-
-  template <typename T>
-  T pod(const char* what) {
-    T value{};
-    if (blob_.size() - pos_ < sizeof(T))
-      throw SimulationError("LearnerCheckpoint: truncated " +
-                            std::string(what) + " in " + context_);
-    std::memcpy(&value, blob_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  std::vector<Tensor> tensors(const char* what) {
-    const u64 count = pod<u64>(what);
-    if (count > 1u << 20)
-      throw SimulationError("LearnerCheckpoint: implausible tensor count in " +
-                            context_);
-    std::vector<Tensor> out;
-    out.reserve(count);
-    for (u64 i = 0; i < count; ++i) {
-      const u32 rank = pod<u32>(what);
-      if (rank > 8)
-        throw SimulationError("LearnerCheckpoint: implausible rank in " +
-                              context_);
-      std::vector<i64> dims(rank);
-      for (u32 d = 0; d < rank; ++d) {
-        dims[d] = pod<i64>(what);
-        if (dims[d] <= 0 || dims[d] > (i64{1} << 32))
-          throw SimulationError("LearnerCheckpoint: implausible dim in " +
-                                context_);
-      }
-      Tensor t{Shape(dims)};
-      const size_t bytes = static_cast<size_t>(t.numel()) * sizeof(f32);
-      if (blob_.size() - pos_ < bytes)
-        throw SimulationError("LearnerCheckpoint: truncated " +
-                              std::string(what) + " payload in " + context_);
-      std::memcpy(t.data(), blob_.data() + pos_, bytes);
-      pos_ += bytes;
-      out.push_back(std::move(t));
+std::vector<Tensor> get_tensors(ByteCursor& cur, const char* what) {
+  const u64 count = cur.pod<u64>(what);
+  if (count > 1u << 20)
+    cur.fail(std::string("implausible ") + what + " tensor count");
+  std::vector<Tensor> out;
+  out.reserve(count);
+  for (u64 i = 0; i < count; ++i) {
+    const u32 rank = cur.pod<u32>(what);
+    if (rank > 8) cur.fail(std::string("implausible ") + what + " rank");
+    std::vector<i64> dims(rank);
+    for (i64& d : dims) {
+      d = cur.pod<i64>(what);
+      if (d <= 0) cur.fail(std::string("implausible ") + what + " dim");
     }
-    return out;
+    // A wrapped or unbacked element count is rejected before the tensor
+    // is allocated.
+    const size_t numel = cur.count(dims, sizeof(f32), what);
+    Tensor t{Shape(dims)};
+    cur.bytes(t.data(), numel * sizeof(f32), what);
+    out.push_back(std::move(t));
   }
-
-  size_t remaining() const { return blob_.size() - pos_; }
-
- private:
-  const std::string& blob_;
-  const std::string& context_;
-  size_t pos_ = 0;
-};
+  return out;
+}
 
 }  // namespace
 
@@ -102,13 +72,11 @@ std::string LearnerCheckpoint::serialize() const {
 
 LearnerCheckpoint LearnerCheckpoint::deserialize(
     const std::string& blob, const std::string& context) {
-  Cursor cur(blob, context);
-  if (cur.pod<u32>("magic") != kMagic)
-    throw SimulationError("LearnerCheckpoint: bad magic in " + context);
+  ByteCursor cur(blob.data(), blob.size(), "LearnerCheckpoint", context);
+  if (cur.pod<u32>("magic") != kMagic) cur.fail("bad magic");
   const u32 version = cur.pod<u32>("version");
   if (version != kVersion)
-    throw SimulationError("LearnerCheckpoint: unsupported version " +
-                          std::to_string(version) + " in " + context);
+    cur.fail("unsupported version " + std::to_string(version));
   LearnerCheckpoint cp;
   cp.rounds = cur.pod<i64>("rounds");
   cp.steps = cur.pod<i64>("steps");
@@ -119,11 +87,9 @@ LearnerCheckpoint LearnerCheckpoint::deserialize(
   cp.best_accuracy = cur.pod<f64>("best_accuracy");
   cp.last_accuracy = cur.pod<f64>("last_accuracy");
   cp.image_generation = cur.pod<u64>("image_generation");
-  cp.params = cur.tensors("params");
-  cp.velocity = cur.tensors("velocity");
-  if (cur.remaining() != 0)
-    throw SimulationError("LearnerCheckpoint: trailing garbage in " +
-                          context);
+  cp.params = get_tensors(cur, "params");
+  cp.velocity = get_tensors(cur, "velocity");
+  if (cur.remaining() != 0) cur.fail("trailing garbage");
   return cp;
 }
 

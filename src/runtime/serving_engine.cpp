@@ -20,14 +20,6 @@ RequestQueueOptions queue_options(const ServingEngineOptions& options) {
   return queue;
 }
 
-/// Folds the engine-level intra_op_threads override into the executor
-/// options every replica (and every heal/swap redeploy) is built from.
-ServingEngineOptions resolve_intra_op(ServingEngineOptions options) {
-  if (options.intra_op_threads >= 1)
-    options.executor.intra_op_threads = options.intra_op_threads;
-  return options;
-}
-
 /// One physical-medium model per worker (empty without wear tracking).
 /// Per-worker seeds decorrelate pulse outcomes so the fleet does not
 /// wear out in lockstep.
@@ -49,13 +41,14 @@ std::vector<std::shared_ptr<MramWearTracker>> make_wear_trackers(
 
 ServingEngine::ServingEngine(RepNetModel& model, const Dataset& calibration,
                              ServingEngineOptions options)
-    : options_(resolve_intra_op(std::move(options))),
+    : options_(std::move(options)),
       model_(model),
       wear_trackers_(make_wear_trackers(options_)),
       replicas_(make_executor_replicas(model, calibration, options_.workers,
                                        options_.executor, wear_trackers_)),
       queue_(queue_options(options_)),
       admission_(options_.admission, monotonic_now_us()) {
+  MSH_REQUIRE(options_.intra_op_threads <= 1);
   MSH_REQUIRE(options_.idle_poll_us > 0);
   MSH_REQUIRE(options_.max_retries >= 0);
   MSH_REQUIRE(options_.request_deadline_us >= 0.0);

@@ -95,15 +95,9 @@ struct ServingEngineOptions {
   i64 queue_capacity = 64;   ///< admission bound (requests, not rows)
   BatcherOptions batcher = {};
   PimExecutorOptions executor = {};
-  /// Intra-op (row-level) threads per replica. The two parallelism axes
-  /// compose and trade off: `workers` replicas bound how many requests
-  /// are in flight (throughput under concurrent load), while each
-  /// replica's intra-op pool shards one batch's rows across PE tile
-  /// lanes (latency of a single large batch). Total host threads =
-  /// workers x intra_op_threads. 0 keeps whatever
-  /// `executor.intra_op_threads` says; >= 1 overrides it for every
-  /// replica, including heal/swap redeployments. Results stay
-  /// bit-identical either way.
+  /// Inert, kept so existing `= 1` settings still compile: every replica
+  /// runs its layers on its worker thread alone, and the constructor
+  /// rejects values above 1.
   i64 intra_op_threads = 0;
   /// Per-class token buckets + queue budgets. Defaults admit everything.
   AdmissionOptions admission = {};

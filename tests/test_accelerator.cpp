@@ -130,6 +130,27 @@ TEST(HybridCore, MakespanReflectsPoolSize) {
   core_large.matvec(core_large.deploy_sram(w), act);
   EXPECT_GT(core_small.last_makespan(), core_large.last_makespan());
   EXPECT_LE(core_large.last_utilization(), 1.0);
+
+  // Rows stream through the same tiles one after another, on both PE
+  // kinds: batch B takes B x the one-row makespan, at the same
+  // utilization.
+  const QuantizedNmMatrix frozen = random_matrix(2048, 16, kSparse1of8, 20);
+  for (const bool sram : {true, false}) {
+    HybridCore core;
+    const QuantizedNmMatrix& m = sram ? w : frozen;
+    const i64 handle = sram ? core.deploy_sram(m) : core.deploy_mram(m);
+    core.matvec(handle, random_activations(m.dense_rows(), 21));
+    const i64 one_row = core.last_makespan();
+    const f64 utilization = core.last_utilization();
+    ASSERT_GT(one_row, 0);
+    for (const i64 batch : {2, 7, 32}) {
+      core.matmul(handle, random_activations(batch * m.dense_rows(), 22),
+                  batch);
+      EXPECT_EQ(core.last_makespan(), batch * one_row)
+          << (sram ? "sram" : "mram") << " batch " << batch;
+      EXPECT_EQ(core.last_utilization(), utilization);
+    }
+  }
 }
 
 TEST(HybridCore, SharedAccumulatorMergesCrossPeSpill) {

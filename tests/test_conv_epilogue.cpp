@@ -8,7 +8,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <tuple>
 
 #include "deploy/pim_executor.h"
 #include "workloads/dataset.h"
@@ -138,23 +137,18 @@ TEST(ConvEpilogue, PimConvFusedPassMatchesPlainForwardThenLayers) {
     residual[3] = -0.0f;
     for (const KernelBackend backend :
          {KernelBackend::kModeled, KernelBackend::kRaw}) {
-      for (const i64 threads : {1, 4}) {
-        HybridCoreOptions options;
-        options.backend = backend;
-        ThreadPool pool(threads);
-        HybridCore core(options);
-        if (threads > 1) core.set_intra_op_pool(&pool);
-        PimConv pim(core, conv, kSparse1of4, PeKind::kSram, 0.03f);
-        const Tensor plain = pim.forward(x);
-        for (const ReluForm relu : {ReluForm::kNone, ReluForm::kPositive, ReluForm::kMax}) {
-          SCOPED_TRACE("b" + std::to_string(batch) + " " +
-                       to_string(backend) + " t" + std::to_string(threads) +
-                       " relu " + std::to_string(static_cast<int>(relu)));
-          const ConvEpilogue epilogue{
-              .bn = &bn, .residual = &residual, .relu = relu};
-          expect_bytes_equal(pim.forward(x, epilogue),
-                             unfused(plain, &bn, &residual, relu));
-        }
+      HybridCoreOptions options;
+      options.backend = backend;
+      HybridCore core(options);
+      PimConv pim(core, conv, kSparse1of4, PeKind::kSram, 0.03f);
+      const Tensor plain = pim.forward(x);
+      for (const ReluForm relu : {ReluForm::kNone, ReluForm::kPositive, ReluForm::kMax}) {
+        SCOPED_TRACE("b" + std::to_string(batch) + " " + to_string(backend) +
+                     " relu " + std::to_string(static_cast<int>(relu)));
+        const ConvEpilogue epilogue{
+            .bn = &bn, .residual = &residual, .relu = relu};
+        expect_bytes_equal(pim.forward(x, epilogue),
+                           unfused(plain, &bn, &residual, relu));
       }
     }
   }
@@ -355,13 +349,12 @@ TEST_F(ExecutorEpilogueTest, EachSiteKeepsItsReluForm) {
 
 class ExecutorEpilogueWalkTest
     : public ExecutorEpilogueTest,
-      public ::testing::WithParamInterface<std::tuple<KernelBackend, i64>> {};
+      public ::testing::WithParamInterface<KernelBackend> {};
 
 TEST_P(ExecutorEpilogueWalkTest, FusedHardwareWalkMatchesUnfusedComposition) {
-  const auto [backend, threads] = GetParam();
+  const KernelBackend backend = GetParam();
   PimExecutorOptions options;
   options.backend = backend;
-  options.intra_op_threads = threads;
   PimRepNetExecutor executor(*model_, data_.train, options);
   UnfusedDeployment unfused(*model_, executor, backend, options.nm);
   for (const i64 batch : {1, 7, 32}) {
@@ -372,14 +365,9 @@ TEST_P(ExecutorEpilogueWalkTest, FusedHardwareWalkMatchesUnfusedComposition) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BackendsAndThreads, ExecutorEpilogueWalkTest,
-    ::testing::Combine(::testing::Values(KernelBackend::kRaw,
-                                         KernelBackend::kModeled),
-                       ::testing::Values(i64{1}, i64{4})),
-    [](const auto& info) {
-      return std::string(to_string(std::get<0>(info.param))) + "_t" +
-             std::to_string(std::get<1>(info.param));
-    });
+    Backends, ExecutorEpilogueWalkTest,
+    ::testing::Values(KernelBackend::kRaw, KernelBackend::kModeled),
+    [](const auto& info) { return std::string(to_string(info.param)); });
 
 }  // namespace
 }  // namespace msh

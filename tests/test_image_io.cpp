@@ -240,6 +240,28 @@ TEST(DeploymentImage, ShortReadRejectedDistinctly) {
   }
 }
 
+TEST(DeploymentImage, WrappedSlotCountRejected) {
+  // One 4:4 entry with dense_rows = 2^33 and cols = 2^31: 2^64 slots,
+  // which wraps to 0 in i64. No payload and a valid CRC must still be
+  // rejected, not parsed as an empty matrix.
+  std::string blob = "MSHI";
+  auto put = [&blob](const auto& value) {
+    blob.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(u32{3});  // version
+  put(u64{0});  // generation
+  put(u64{1});  // entry count
+  put(u64{1});  // name length
+  blob += "w";
+  put(i32{4});
+  put(i32{4});
+  put(i64{1} << 33);  // dense_rows
+  put(i64{1} << 31);  // cols
+  put(1.0f);          // scale
+  put(crc32(blob.data(), blob.size()));
+  EXPECT_THROW(DeploymentImage::deserialize(blob, "crafted"), SimulationError);
+}
+
 TEST(DeploymentImage, SaveIsAtomicAndReplacesExisting) {
   DeploymentImage first;
   first.add("a", random_matrix(64, 4, kSparse1of4, 12));
@@ -272,6 +294,10 @@ TEST(QuantizedNmRaw, FromRawValidates) {
   // Size mismatch.
   EXPECT_THROW(QuantizedNmMatrix::from_raw(kSparse1of4, 8, 1, 1.0f, {1},
                                            {0}, {1}),
+               ContractError);
+  // A slot count that wraps to 0 (2^33 packed rows x 2^31 columns).
+  EXPECT_THROW(QuantizedNmMatrix::from_raw(kSparse1of4, i64{1} << 35,
+                                           i64{1} << 31, 1.0f, {}, {}, {}),
                ContractError);
 }
 

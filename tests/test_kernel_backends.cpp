@@ -1,14 +1,17 @@
 // Two-tier executor differential suite (DESIGN §5i): the raw SIMD
 // backend must be bit-identical to the modeled backend on every forward
-// — across shapes, sparsity patterns, PE kinds, protection modes and
-// thread counts — and must export byte-identical DeploymentImages, while
-// reporting zero modeled metrics. Also covers composition with fault
-// injection, ECC scrub, clone/heal plumbing and the zero-copy batch
-// assembly the raw path serves through.
+// — across shapes, sparsity patterns, PE kinds and protection modes —
+// and must export byte-identical DeploymentImages, while reporting zero
+// modeled metrics. Also pins PimConv's INT8 lowering to the float im2col
+// composition it replaced, byte for byte, on both backends, and covers
+// composition with fault injection, ECC scrub, clone/heal plumbing and
+// the zero-copy batch assembly the raw path serves through.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "deploy/pim_executor.h"
 #include "kernels/quant_kernels.h"
@@ -56,20 +59,35 @@ void expect_tensors_bit_equal(const Tensor& a, const Tensor& b) {
   }
 }
 
+/// Every PE event counter, compared field by field.
+void expect_events_equal(const PeEventCounts& a, const PeEventCounts& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.buffer_bits_read, b.buffer_bits_read);
+  EXPECT_EQ(a.buffer_bits_written, b.buffer_bits_written);
+  EXPECT_EQ(a.sram_array_cycles, b.sram_array_cycles);
+  EXPECT_EQ(a.sram_decoder_cycles, b.sram_decoder_cycles);
+  EXPECT_EQ(a.sram_adder_tree_ops, b.sram_adder_tree_ops);
+  EXPECT_EQ(a.sram_shift_acc_ops, b.sram_shift_acc_ops);
+  EXPECT_EQ(a.sram_index_compares, b.sram_index_compares);
+  EXPECT_EQ(a.sram_row_acc_ops, b.sram_row_acc_ops);
+  EXPECT_EQ(a.sram_weight_bits_written, b.sram_weight_bits_written);
+  EXPECT_EQ(a.sram_write_row_ops, b.sram_write_row_ops);
+  EXPECT_EQ(a.mram_row_reads, b.mram_row_reads);
+  EXPECT_EQ(a.mram_shift_acc_ops, b.mram_shift_acc_ops);
+  EXPECT_EQ(a.mram_adder_tree_ops, b.mram_adder_tree_ops);
+  EXPECT_EQ(a.mram_set_reset_bits, b.mram_set_reset_bits);
+  EXPECT_EQ(a.mram_write_row_ops, b.mram_write_row_ops);
+}
+
 /// One differential case: the same weights on a modeled core and a raw
 /// core, the same activations through both layers, bit-equal outputs.
 void expect_backends_match(const Tensor& w, NmConfig cfg, PeKind kind,
-                           i64 threads, i64 batch, u64 seed) {
+                           i64 batch, u64 seed) {
   const i64 k = w.shape()[1];
   HybridCore modeled_core;
   HybridCoreOptions raw_options;
   raw_options.backend = KernelBackend::kRaw;
   HybridCore raw_core(raw_options);
-  ThreadPool pool(threads);
-  if (threads > 1) {
-    modeled_core.set_intra_op_pool(&pool);
-    raw_core.set_intra_op_pool(&pool);
-  }
   PimMatmulLayer modeled_layer(modeled_core, w, cfg, kind, 0.05f);
   PimMatmulLayer raw_layer(raw_core, w, cfg, kind, 0.05f);
 
@@ -94,7 +112,7 @@ void expect_backends_match(const Tensor& w, NmConfig cfg, PeKind kind,
   EXPECT_EQ(after.mram_row_reads, deploy_events.mram_row_reads);
 }
 
-TEST(KernelBackends, RandomizedShapesSparsitiesThreads) {
+TEST(KernelBackends, RandomizedShapesAndSparsities) {
   const NmConfig cfgs[] = {kSparse1of4, kSparse1of8, NmConfig{2, 4}};
   Rng rng(2024);
   for (i64 i = 0; i < 18; ++i) {
@@ -102,16 +120,14 @@ TEST(KernelBackends, RandomizedShapesSparsitiesThreads) {
     const i64 out = rng.uniform_int(3, 24);
     const i64 k = cfg.m * rng.uniform_int(4, 20);
     const PeKind kind = (i % 2 == 0) ? PeKind::kSram : PeKind::kMram;
-    const i64 threads = (i % 4 == 3) ? 3 : 1;
     const i64 batch = rng.uniform_int(1, 13);
     SCOPED_TRACE("case " + std::to_string(i) + ": " +
                  std::to_string(cfg.n) + ":" + std::to_string(cfg.m) +
                  " [" + std::to_string(out) + "x" + std::to_string(k) +
                  "] " + (kind == PeKind::kSram ? "sram" : "mram") +
-                 " threads=" + std::to_string(threads) +
                  " batch=" + std::to_string(batch));
     const Tensor w = sparse_weight(out, k, cfg, 500 + i);
-    expect_backends_match(w, cfg, kind, threads, batch, 9000 + i);
+    expect_backends_match(w, cfg, kind, batch, 9000 + i);
   }
 }
 
@@ -120,8 +136,156 @@ TEST(KernelBackends, DenseFallbackMatches) {
   // must follow the same path.
   Rng rng(31);
   const Tensor w = Tensor::randn(Shape{7, 36}, rng);  // 36 pads to 1:4
-  expect_backends_match(w, kSparse1of4, PeKind::kSram, 1, 5, 77);
-  expect_backends_match(w, kSparse1of4, PeKind::kMram, 3, 5, 78);
+  expect_backends_match(w, kSparse1of4, PeKind::kSram, 5, 77);
+  expect_backends_match(w, kSparse1of4, PeKind::kMram, 5, 78);
+}
+
+TEST(KernelBackends, BiasAppliedOncePerOutputWithBatch) {
+  // With batch > 1, the fused dequant+bias write must add the bias exactly
+  // once per output element, identically on both backends.
+  const i64 out = 5, k = 64, batch = 7;
+  const Tensor w = sparse_weight(out, k, kSparse1of4, 47);
+  Rng rng(53);
+  Tensor bias = Tensor::randn(Shape{out}, rng);
+
+  HybridCore modeled_core;
+  PimMatmulLayer modeled_layer(modeled_core, w, kSparse1of4, PeKind::kSram,
+                               0.05f);
+  HybridCoreOptions raw_options;
+  raw_options.backend = KernelBackend::kRaw;
+  HybridCore raw_core(raw_options);
+  PimMatmulLayer raw_layer(raw_core, w, kSparse1of4, PeKind::kSram, 0.05f);
+
+  const Tensor x = Tensor::randn(Shape{batch, k}, rng, 0.0f, 1.0f);
+  const Tensor y = modeled_layer.matmul(x, &bias);
+  const Tensor y_nobias = modeled_layer.matmul(x);
+  expect_tensors_bit_equal(y, raw_layer.matmul(x, &bias));
+  for (i64 b = 0; b < batch; ++b) {
+    for (i64 j = 0; j < out; ++j) {
+      // Exactly one bias addition, fused into the dequant rounding.
+      ASSERT_EQ(y[b * out + j], y_nobias[b * out + j] + bias[j]);
+    }
+  }
+}
+
+// ----- conv lowering: INT8 im2col vs the float composition ------------
+
+/// The float lowering PimConv::forward replaced, kept as its reference:
+/// im2col -> transpose -> quantize_activations -> HybridCore::matmul ->
+/// dequantize_outputs -> NCHW scatter + bias (0.0f when absent).
+Tensor reference_conv_forward(HybridCore& core, const PimConv& conv,
+                              const Conv2dGeometry& geom, const Tensor& bias,
+                              const Tensor& x) {
+  const PimMatmulLayer& mm = conv.matmul_layer();
+  const Tensor rows = im2col(x, geom).transposed();  // [positions, K]
+  const i64 positions = rows.shape()[0], k = rows.shape()[1];
+  const i64 out = geom.out_channels;
+  std::vector<i8> codes(static_cast<size_t>(positions * mm.padded_k()));
+  quantize_activations(rows.data(), positions, k, mm.padded_k(),
+                       mm.activation_params(), codes.data());
+  const std::vector<i32> acc = core.matmul(mm.handle(), codes, positions);
+  std::vector<f32> flat(static_cast<size_t>(positions * out));
+  dequantize_outputs(acc.data(), positions, out,
+                     mm.activation_scale() * mm.weight_scale(), nullptr,
+                     flat.data());
+
+  const i64 n = x.shape()[0];
+  const i64 ho = geom.out_dim(x.shape()[2]), wo = geom.out_dim(x.shape()[3]);
+  const i64 spatial = ho * wo;
+  Tensor y(Shape{n, out, ho, wo});
+  for (i64 img = 0; img < n; ++img) {
+    for (i64 oc = 0; oc < out; ++oc) {
+      const f32 b = bias.empty() ? 0.0f : bias[oc];
+      for (i64 s = 0; s < spatial; ++s) {
+        y[(img * out + oc) * spatial + s] =
+            flat[static_cast<size_t>((img * spatial + s) * out + oc)] + b;
+      }
+    }
+  }
+  return y;
+}
+
+TEST(PimConvLowering, MatchesFloatIm2colReferenceBitExactly) {
+  // kernel x stride x padding x bias x batch x backend. Kernel 2 takes
+  // the gather's generic path, 1 and 3 its unrolled ones. Odd cases
+  // deploy dense, with K = 27 (the stem's) and 6 not multiples of the
+  // group size M = 4, so the K tail is padded; even cases deploy 1:4
+  // sparse. A 7x5 input catches any H/W mix-up.
+  i64 case_id = 0;
+  for (const i64 kernel : {1, 2, 3}) {
+    for (const i64 stride : {1, 2}) {
+      for (const i64 padding : {0, 1}) {
+        for (const bool with_bias : {false, true}) {
+          ++case_id;
+          const bool sparse = case_id % 2 == 0;
+          const i64 in_ch = sparse ? 4 : (kernel == 3 ? 3 : 6);
+          const Conv2dGeometry geom{.in_channels = in_ch,
+                                    .out_channels = 5,
+                                    .kernel = kernel,
+                                    .stride = stride,
+                                    .padding = padding};
+          Rng rng(100 + static_cast<u64>(case_id));
+          Conv2d conv(geom, rng, with_bias);
+          const i64 k = in_ch * kernel * kernel;
+          if (sparse) {
+            conv.set_weight(sparse_weight(5, k, kSparse1of4, 200 + case_id));
+          }
+          if (with_bias) conv.bias().value = Tensor::randn(Shape{5}, rng);
+
+          for (const i64 batch : {1, 7, 32}) {
+            // Wide enough that ~10% of codes saturate at the 0.02 scale,
+            // with some exact zeros mixed in.
+            Tensor x = Tensor::randn(Shape{batch, in_ch, 7, 5}, rng, 0.0f,
+                                     1.0f);
+            for (i64 i = 0; i < x.numel(); i += 11) x[i] = 0.0f;
+            for (const KernelBackend backend :
+                 {KernelBackend::kModeled, KernelBackend::kRaw}) {
+              HybridCoreOptions options;
+              options.backend = backend;
+              HybridCore ref_core(options);
+              PimConv ref_conv(ref_core, conv, kSparse1of4, PeKind::kSram,
+                               0.02f);
+              const Tensor want = reference_conv_forward(
+                  ref_core, ref_conv, geom,
+                  with_bias ? conv.bias().value : Tensor(), x);
+              SCOPED_TRACE("k" + std::to_string(kernel) + " s" +
+                           std::to_string(stride) + " p" +
+                           std::to_string(padding) +
+                           (with_bias ? " bias" : " nobias") + " b" +
+                           std::to_string(batch) + " " +
+                           to_string(backend));
+              HybridCore core(options);
+              PimConv lowered(core, conv, kSparse1of4, PeKind::kSram,
+                              0.02f);
+              ASSERT_EQ(lowered.matmul_layer().deployed_sparse(), sparse);
+
+              const Tensor got = lowered.forward(x);
+              ASSERT_EQ(got.shape(), want.shape());
+              for (i64 i = 0; i < got.numel(); ++i) {
+                // Byte equality: also tells 0.0f from -0.0f.
+                ASSERT_EQ(std::bit_cast<u32>(got[i]),
+                          std::bit_cast<u32>(want[i]))
+                    << "output element " << i;
+              }
+              // The modeled walk sees the same code rows, so every
+              // event, bus and buffer counter matches the reference too.
+              expect_events_equal(core.pe_events(), ref_core.pe_events());
+              EXPECT_EQ(core.shared_accumulator_ops(),
+                        ref_core.shared_accumulator_ops());
+              EXPECT_EQ(core.bus().bits_moved(),
+                        ref_core.bus().bits_moved());
+              EXPECT_EQ(core.bus().busy_cycles(),
+                        ref_core.bus().busy_cycles());
+              EXPECT_EQ(core.buffer().bytes_loaded(),
+                        ref_core.buffer().bytes_loaded());
+              EXPECT_EQ(core.buffer().bytes_read(),
+                        ref_core.buffer().bytes_read());
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelBackends, MatvecPathMatches) {
@@ -294,8 +458,7 @@ void expect_quantize_matches(const std::vector<f32>& x,
                              const QuantParams& params) {
   std::vector<i8> codes(x.size());
   quantize_activations(x.data(), 1, static_cast<i64>(x.size()),
-                       static_cast<i64>(x.size()), params, codes.data(),
-                       nullptr);
+                       static_cast<i64>(x.size()), params, codes.data());
   for (size_t i = 0; i < x.size(); ++i) {
     ASSERT_EQ(static_cast<i32>(codes[i]), params.quantize(x[i]))
         << "bits " << std::bit_cast<u32>(x[i]) << " on " << simd::kIsa;
@@ -336,10 +499,9 @@ TEST(SimdTest, QuantizeMatchesScalarOverFloatBitPatterns) {
 
 TEST(SimdTest, QuantizeCoversTailsAndPad) {
   // Every length through two full 16-wide bodies plus a tail, with a pad
-  // past k, over several rows sharded on a pool: codes match the scalar
-  // reference and the pad is zero.
+  // past k, over several rows: codes match the scalar reference and the
+  // pad is zero.
   Rng rng(11);
-  ThreadPool pool(3);
   const QuantParams params = params_for(0.02f, 8);
   for (i64 k = 0; k <= 33; ++k) {
     for (const i64 pad : {0, 3}) {
@@ -347,7 +509,7 @@ TEST(SimdTest, QuantizeCoversTailsAndPad) {
       const Tensor x = Tensor::randn(Shape{batch, std::max<i64>(k, 1)}, rng);
       std::vector<i8> codes(static_cast<size_t>(batch * padded_k), 99);
       quantize_activations(x.data(), batch, k, padded_k, params,
-                           codes.data(), &pool);
+                           codes.data());
       for (i64 b = 0; b < batch; ++b) {
         for (i64 i = 0; i < padded_k; ++i) {
           const i32 want = i < k ? params.quantize(x[b * k + i]) : 0;
@@ -364,12 +526,10 @@ TEST(SimdTest, QuantizeCoversTailsAndPad) {
 
 class BackendExecutorTest : public ::testing::Test {
  protected:
-  static PimExecutorOptions options_for(KernelBackend backend, EccMode ecc,
-                                        i64 threads = 1) {
+  static PimExecutorOptions options_for(KernelBackend backend, EccMode ecc) {
     PimExecutorOptions options;
     options.backend = backend;
     options.ecc = ecc;
-    options.intra_op_threads = threads;
     options.calibration_batch = 8;
     options.calibration_batches = 1;
     return options;
@@ -403,21 +563,6 @@ TEST_F(BackendExecutorTest, ForwardAndImageBitExactPerProtectionMode) {
     EXPECT_EQ(modeled.export_image().serialize(),
               raw.export_image().serialize());
   }
-}
-
-TEST_F(BackendExecutorTest, IntraOpShardingMatchesOnRaw) {
-  const Tensor images = data_.test.batch_images(0, 6);
-  PimRepNetExecutor modeled(
-      *model_, data_.train,
-      options_for(KernelBackend::kModeled, EccMode::kNone));
-  PimRepNetExecutor raw_seq(
-      *model_, data_.train, options_for(KernelBackend::kRaw, EccMode::kNone));
-  PimRepNetExecutor raw_par(
-      *model_, data_.train,
-      options_for(KernelBackend::kRaw, EccMode::kNone, /*threads=*/3));
-  const Tensor y = modeled.forward(images);
-  expect_tensors_bit_equal(y, raw_seq.forward(images));
-  expect_tensors_bit_equal(y, raw_par.forward(images));
 }
 
 TEST_F(BackendExecutorTest, FaultInjectionAndScrubCompose) {

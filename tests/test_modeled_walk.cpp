@@ -5,7 +5,7 @@
 // stage, a std::map row accumulator, and a per-row SIMT schedule. The
 // walks under test must reproduce its results and every event counter
 // exactly, on random tiles and through HybridCore's matvec / matmul /
-// conv_into at one and four intra-op threads.
+// conv_into.
 //
 // The binary also replaces the global operator new with a counting one,
 // which gives a wall-clock-free perf gate: a warmed modeled dispatch
@@ -20,7 +20,6 @@
 
 #include "arch/accelerator.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "kernels/direct_conv.h"
 #include "kernels/index_unit.h"
 #include "kernels/modeled.h"
@@ -342,30 +341,19 @@ struct Core {
     return out;
   }
 
-  /// Batched walk as `threads` row lanes (1: the sequential walk).
-  std::vector<i32> matmul(std::span<const i8> activations, i64 batch,
-                          i64 threads) {
+  /// Batched walk, row by row: the batch's makespan is the sum of its
+  /// rows' makespans.
+  std::vector<i32> matmul(std::span<const i8> activations, i64 batch) {
     const i64 dense_rows = static_cast<i64>(activations.size()) / batch;
     std::vector<i32> out;
-    std::vector<i64> makespans;
+    last_makespan = 0;
     for (i64 b = 0; b < batch; ++b) {
       const Row r = row(activations.subspan(
           static_cast<size_t>(b * dense_rows),
           static_cast<size_t>(dense_rows)));
       out.insert(out.end(), r.result.begin(), r.result.end());
-      makespans.push_back(r.makespan);
+      last_makespan += r.makespan;
       last_utilization = r.utilization;
-    }
-    const i64 lanes = (threads > 1 && batch > 1) ? std::min(threads, batch)
-                                                 : 1;
-    const i64 per_lane = (batch + lanes - 1) / lanes;
-    last_makespan = 0;
-    for (i64 lane = 0; lane < lanes; ++lane) {
-      i64 lane_cycles = 0;
-      for (i64 b = lane * per_lane; b < std::min(batch, (lane + 1) * per_lane);
-           ++b)
-        lane_cycles += makespans[static_cast<size_t>(b)];
-      last_makespan = std::max(last_makespan, lane_cycles);
     }
     return out;
   }
@@ -580,15 +568,13 @@ QuantizedNmMatrix random_matrix(i64 k, i64 c, NmConfig cfg, u64 seed) {
 
 struct Deployed {
   HybridCore core;
-  ThreadPool pool;
   i64 handle = 0;
   ref::Core want;
   Bus deployed_bus;  ///< the core's bus after deployment
 
-  Deployed(const QuantizedNmMatrix& w, bool sram, i64 threads,
+  Deployed(const QuantizedNmMatrix& w, bool sram,
            const HybridCoreOptions& options = {})
-      : core(options), pool(threads) {
-    core.set_intra_op_pool(&pool);
+      : core(options) {
     handle = sram ? core.deploy_sram(w) : core.deploy_mram(w);
     want.is_sram = sram;
     want.cols = w.cols();
@@ -673,32 +659,26 @@ constexpr CoreCase kCoreCases[] = {
 
 TEST(ModeledWalkGolden, CoreMatvecAndMatmulMatchReference) {
   for (const CoreCase& tc : kCoreCases) {
-    for (const i64 threads : {1, 4}) {
-      SCOPED_TRACE(testing::Message()
-                   << tc.name << " threads=" << threads);
-      const QuantizedNmMatrix w =
-          random_matrix(tc.k, tc.cols, tc.cfg, 31 + tc.k);
-      Deployed d(w, tc.sram, threads);
-      Rng rng(77);
+    SCOPED_TRACE(tc.name);
+    const QuantizedNmMatrix w = random_matrix(tc.k, tc.cols, tc.cfg, 31 + tc.k);
+    Deployed d(w, tc.sram);
+    Rng rng(77);
 
-      const std::vector<i8> one = random_codes(w.dense_rows(), rng);
-      EXPECT_EQ(d.core.matvec(d.handle, one), d.want.matmul(one, 1, 1));
-      d.expect_accounting();
+    const std::vector<i8> one = random_codes(w.dense_rows(), rng);
+    EXPECT_EQ(d.core.matvec(d.handle, one), d.want.matmul(one, 1));
+    d.expect_accounting();
 
-      // Uneven lanes at four threads: 7 rows run as 2+2+2+1, 9 as 3+3+3.
-      const std::vector<i8> acts = random_codes(7 * w.dense_rows(), rng);
-      EXPECT_EQ(d.core.matmul(d.handle, acts, 7),
-                d.want.matmul(acts, 7, threads));
-      d.expect_accounting();
+    const std::vector<i8> acts = random_codes(7 * w.dense_rows(), rng);
+    EXPECT_EQ(d.core.matmul(d.handle, acts, 7), d.want.matmul(acts, 7));
+    d.expect_accounting();
 
-      const std::vector<i8> more = random_codes(9 * w.dense_rows(), rng);
-      std::vector<i32> into(static_cast<size_t>(9 * w.cols()));
-      d.core.matmul_into(d.handle, more, 9, into);
-      EXPECT_EQ(into, d.want.matmul(more, 9, threads));
-      d.expect_accounting();
-      if (tc.merges_across_pes) {
-        EXPECT_GT(d.want.shared_acc_ops, 0);
-      }
+    const std::vector<i8> more = random_codes(9 * w.dense_rows(), rng);
+    std::vector<i32> into(static_cast<size_t>(9 * w.cols()));
+    d.core.matmul_into(d.handle, more, 9, into);
+    EXPECT_EQ(into, d.want.matmul(more, 9));
+    d.expect_accounting();
+    if (tc.merges_across_pes) {
+      EXPECT_GT(d.want.shared_acc_ops, 0);
     }
   }
 }
@@ -715,36 +695,33 @@ TEST(ModeledWalkGolden, CoreConvMatchesReference) {
   x[1] = 127.0f;
   x[2] = 0.0f;
   std::vector<i16> planes(static_cast<size_t>(layout.size()));
-  quantize_conv_planes(x.data(), layout, params, planes.data(), nullptr);
+  quantize_conv_planes(x.data(), layout, params, planes.data());
 
   for (const bool sram : {true, false}) {
-    for (const i64 threads : {1, 4}) {
-      SCOPED_TRACE(testing::Message()
-                   << (sram ? "sram" : "mram") << " threads=" << threads);
-      const QuantizedNmMatrix w = random_matrix(48, 7, kSparse1of4, 13);
-      Deployed d(w, sram, threads);
+    SCOPED_TRACE(sram ? "sram" : "mram");
+    const QuantizedNmMatrix w = random_matrix(48, 7, kSparse1of4, 13);
+    Deployed d(w, sram);
 
-      std::vector<i32> out(static_cast<size_t>(7 * layout.positions));
-      d.core.conv_into(d.handle, planes, layout, out);
+    std::vector<i32> out(static_cast<size_t>(7 * layout.positions));
+    d.core.conv_into(d.handle, planes, layout, out);
 
-      const i64 rows = layout.batch * layout.out_h * layout.out_w;
-      std::vector<i8> codes(static_cast<size_t>(rows * w.dense_rows()));
-      KernelArena arena;
-      gather_code_rows(planes.data(), layout, w.dense_rows(), codes.data(),
-                       arena, nullptr);
-      const std::vector<i32> want = d.want.matmul(codes, rows, threads);
-      for (i64 p = 0; p < rows; ++p) {
-        const i64 spatial = layout.out_h * layout.out_w;
-        const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
-                                      p % layout.out_w);
-        for (i64 c = 0; c < 7; ++c) {
-          ASSERT_EQ(out[static_cast<size_t>(c * layout.positions + q)],
-                    want[static_cast<size_t>(p * 7 + c)])
-              << "position " << p << " channel " << c;
-        }
+    const i64 rows = layout.batch * layout.out_h * layout.out_w;
+    std::vector<i8> codes(static_cast<size_t>(rows * w.dense_rows()));
+    KernelArena arena;
+    gather_code_rows(planes.data(), layout, w.dense_rows(), codes.data(),
+                     arena);
+    const std::vector<i32> want = d.want.matmul(codes, rows);
+    for (i64 p = 0; p < rows; ++p) {
+      const i64 spatial = layout.out_h * layout.out_w;
+      const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
+                                    p % layout.out_w);
+      for (i64 c = 0; c < 7; ++c) {
+        ASSERT_EQ(out[static_cast<size_t>(c * layout.positions + q)],
+                  want[static_cast<size_t>(p * 7 + c)])
+            << "position " << p << " channel " << c;
       }
-      d.expect_accounting();
     }
+    d.expect_accounting();
   }
 }
 

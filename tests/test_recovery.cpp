@@ -194,6 +194,27 @@ TEST(LearnerCheckpoint, EveryTruncationThrows) {
                SimulationError);
 }
 
+TEST(LearnerCheckpoint, WrappedElementCountRejected) {
+  // A [2^32, 2^32] tensor has 2^64 elements, which wraps to 0 in i64: it
+  // must be rejected, not read as an empty tensor with no payload.
+  LearnerCheckpoint cp = sample_checkpoint();
+  cp.params.clear();
+  cp.velocity.clear();
+  std::string blob = cp.serialize();
+  // Both tensor lists are empty: replace them with one crafted entry.
+  blob.resize(blob.size() - 2 * sizeof(u64));
+  auto put = [&blob](const auto& value) {
+    blob.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(u64{1});
+  put(u32{2});
+  put(i64{1} << 32);
+  put(i64{1} << 32);
+  put(u64{0});
+  EXPECT_THROW(LearnerCheckpoint::deserialize(blob, "crafted"),
+               SimulationError);
+}
+
 // ------------------------------------------------- image truncation corpus
 
 // A v3 image cut at EVERY byte offset must refuse to load — and a short

@@ -223,7 +223,7 @@ TEST_F(PackInvalidationTest, EngineSwapAndHealServeFreshPacks) {
 struct ConvCase {
   i64 kernel = 3, stride = 1, padding = 1;
   i64 in_ch = 3, out_ch = 6, height = 7, width = 9;
-  i64 batch = 1, threads = 1;
+  i64 batch = 1;
   PeKind kind = PeKind::kMram;
   bool sparse = true;
 };
@@ -233,7 +233,6 @@ std::string describe(const ConvCase& c) {
          " p" + std::to_string(c.padding) + " " + std::to_string(c.in_ch) +
          "->" + std::to_string(c.out_ch) + " " + std::to_string(c.height) +
          "x" + std::to_string(c.width) + " b" + std::to_string(c.batch) +
-         " t" + std::to_string(c.threads) +
          (c.kind == PeKind::kSram ? " sram" : " mram") +
          (c.sparse ? " 1:4" : " dense");
 }
@@ -289,8 +288,6 @@ void expect_conv_backends_match(const ConvCase& c,
   conv.bias().value = Tensor::randn(Shape{c.out_ch}, rng, 0.0f, 0.5f);
 
   HybridCore core;
-  ThreadPool pool(c.threads);
-  if (c.threads > 1) core.set_intra_op_pool(&pool);
   PimConv pim(core, conv, kSparse1of4, c.kind, 0.04f);
   PimMatmulLayer reference(core, w, kSparse1of4, c.kind, 0.04f);
   ASSERT_EQ(pim.matmul_layer().deployed_sparse(), c.sparse);
@@ -323,8 +320,8 @@ void expect_conv_backends_match(const ConvCase& c,
   EXPECT_TRUE(same_bytes(pim.forward(x), plain_ref)) << "modeled";
 }
 
-TEST(DirectConvGrid, KernelStridePaddingBatchThreads) {
-  // Every kernel x stride x padding once; batch, threads, PE kind,
+TEST(DirectConvGrid, KernelStridePaddingBatch) {
+  // Every kernel x stride x padding once; batch, PE kind,
   // packing and the odd, non-square input and channel counts rotate
   // through the grid so each value meets several geometries.
   const i64 batches[] = {1, 7, 32};
@@ -343,7 +340,6 @@ TEST(DirectConvGrid, KernelStridePaddingBatchThreads) {
         c.out_ch = out_chs[i % 4];
         std::tie(c.height, c.width) = sizes[(i + i / 3) % 3];
         c.batch = batches[i % 3];
-        c.threads = (i / 2) % 2 == 0 ? 1 : 4;
         c.kind = i % 2 == 0 ? PeKind::kMram : PeKind::kSram;
         c.sparse = (i / 4) % 2 == 0;
         expect_conv_backends_match(c);
