@@ -4,6 +4,7 @@
 // fine enough for queueing math).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -23,12 +24,20 @@ inline f64 monotonic_now_us() {
 /// next whole microsecond. Truncating (the obvious
 /// `microseconds(static_cast<i64>(us))`) silently turns any sub-microsecond
 /// timeout into 0 — an immediate-timeout busy spin on every wait path that
-/// takes a fractional budget. Zero (and negative) stay zero, preserving the
-/// non-blocking `pop(0.0)` contract.
+/// takes a fractional budget. Zero (and negative, and NaN) stay zero,
+/// preserving the non-blocking `pop(0.0)` contract.
+///
+/// Large budgets, +inf included, saturate at kMaxTimeoutUs (~31.7 years):
+/// casting ceil(inf) to i64 is undefined (INT64_MIN on x86, so "wait
+/// forever" became "never wait"), and a wait_for budget must also survive
+/// its conversion to steady_clock nanoseconds added to now() without
+/// overflowing.
+inline constexpr f64 kMaxTimeoutUs = 1e15;
+
 inline std::chrono::microseconds microseconds_ceil(f64 timeout_us) {
-  if (timeout_us <= 0.0) return std::chrono::microseconds(0);
+  if (!(timeout_us > 0.0)) return std::chrono::microseconds(0);
   return std::chrono::microseconds(
-      static_cast<i64>(std::ceil(timeout_us)));
+      static_cast<i64>(std::ceil(std::min(timeout_us, kMaxTimeoutUs))));
 }
 
 /// Elapsed-time meter around monotonic_now_us().

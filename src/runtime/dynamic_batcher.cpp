@@ -46,24 +46,60 @@ void assemble_batch_images(MicroBatch& batch) {
   batch.images = concat_request_images(batch.requests);
 }
 
+const char* to_string(BatchClose reason) {
+  switch (reason) {
+    case BatchClose::kFull:
+      return "full";
+    case BatchClose::kWaitExpired:
+      return "wait_expired";
+    case BatchClose::kIdlePeer:
+      return "idle_peer";
+    case BatchClose::kDrained:
+      return "drained";
+  }
+  return "unknown";
+}
+
 std::optional<MicroBatch> DynamicBatcher::next(f64 idle_timeout_us) {
   auto first = queue_.pop(idle_timeout_us);
+  // A shed pickup must not end the round: the caller reads nullopt on a
+  // closed queue as "drained", and live work may still sit behind it.
+  while (first && shed_ && shed_(*first, monotonic_now_us()))
+    first = queue_.pop(0.0);
   if (!first) return std::nullopt;
-  if (shed_ && shed_(*first, monotonic_now_us())) return std::nullopt;
 
   MicroBatch batch;
   batch.rows = first->rows;
   batch.requests.push_back(std::move(*first));
 
-  // Latency-bounded coalescing. A single oversized request (> max rows)
-  // still dispatches — requests are never split; the batch may likewise
-  // overshoot by at most one request's rows.
+  // Latency-bounded, work-conserving coalescing. A single oversized
+  // request (> max rows) still dispatches — requests are never split;
+  // the batch may likewise overshoot by at most one request's rows.
   const f64 deadline = monotonic_now_us() + options_.max_wait_us;
-  while (batch.rows < options_.max_batch_rows) {
+  while (true) {
+    if (batch.rows >= options_.max_batch_rows) {
+      batch.close_reason = BatchClose::kFull;
+      break;
+    }
     const f64 remaining = deadline - monotonic_now_us();
-    if (remaining <= 0) break;
-    auto follower = queue_.pop(remaining);
-    if (!follower) break;  // deadline hit, or queue closed and drained
+    if (remaining <= 0) {
+      batch.close_reason = BatchClose::kWaitExpired;
+      break;
+    }
+    auto follower = queue_.pop_follower(remaining);
+    if (!follower) {
+      // pop_follower waits out its whole budget unless the queue closes
+      // or a peer is idle: an early return on an open queue is the
+      // idle-peer case.
+      if (queue_.closed()) {
+        batch.close_reason = BatchClose::kDrained;
+      } else if (monotonic_now_us() < deadline) {
+        batch.close_reason = BatchClose::kIdlePeer;
+      } else {
+        batch.close_reason = BatchClose::kWaitExpired;
+      }
+      break;
+    }
     if (shed_ && shed_(*follower, monotonic_now_us())) continue;
     batch.rows += follower->rows;
     batch.requests.push_back(std::move(*follower));

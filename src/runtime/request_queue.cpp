@@ -66,8 +66,8 @@ detail::PendingRequest RequestQueue::take_next_locked() {
   return {};
 }
 
-std::optional<detail::PendingRequest> RequestQueue::pop(f64 timeout_us) {
-  std::unique_lock<std::mutex> lock(mutex_);
+std::optional<detail::PendingRequest> RequestQueue::wait_and_take(
+    std::unique_lock<std::mutex>& lock, f64 timeout_us) {
   // Round the budget *up*: truncation would turn a fractional-microsecond
   // timeout into 0, silently degrading every sub-us pop into a
   // busy-spinning immediate timeout. pop(0.0) stays non-blocking.
@@ -75,6 +75,21 @@ std::optional<detail::PendingRequest> RequestQueue::pop(f64 timeout_us) {
                   [&] { return total_ > 0 || closed_; });
   if (total_ == 0) return std::nullopt;
   return take_next_locked();
+}
+
+std::optional<detail::PendingRequest> RequestQueue::pop(f64 timeout_us) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  ++idle_consumers_;
+  auto request = wait_and_take(lock, timeout_us);
+  --idle_consumers_;
+  return request;
+}
+
+std::optional<detail::PendingRequest> RequestQueue::pop_follower(
+    f64 timeout_us) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (total_ == 0 && idle_consumers_ > 0) return std::nullopt;
+  return wait_and_take(lock, timeout_us);
 }
 
 void RequestQueue::close() {
@@ -94,6 +109,11 @@ void RequestQueue::reopen() {
 bool RequestQueue::closed() const {
   const std::lock_guard<std::mutex> guard(mutex_);
   return closed_;
+}
+
+i64 RequestQueue::idle_consumers() const {
+  const std::lock_guard<std::mutex> guard(mutex_);
+  return idle_consumers_;
 }
 
 i64 RequestQueue::depth() const {

@@ -67,6 +67,13 @@ class RequestQueue {
   /// drained (closing still lets consumers take what was accepted).
   std::optional<detail::PendingRequest> pop(f64 timeout_us);
 
+  /// pop() for a batch that is already open: returns nullopt at once
+  /// when the queue is empty while another consumer is blocked in pop()
+  /// for a first request — that idle peer would serve any follower the
+  /// moment it arrived, so waiting for one only adds latency. Otherwise
+  /// waits exactly as pop() does.
+  std::optional<detail::PendingRequest> pop_follower(f64 timeout_us);
+
   /// Stops admission; waiting consumers drain the remainder and then see
   /// nullopt without waiting out their timeout.
   void close();
@@ -82,15 +89,20 @@ class RequestQueue {
   i64 depth() const;
   i64 depth(Priority priority) const;
   i64 capacity() const { return options_.capacity; }
+  /// Consumers blocked in pop() on an empty queue right now.
+  i64 idle_consumers() const;
 
  private:
   detail::PendingRequest take_next_locked();
+  std::optional<detail::PendingRequest> wait_and_take(
+      std::unique_lock<std::mutex>& lock, f64 timeout_us);
 
   const RequestQueueOptions options_;
   mutable std::mutex mutex_;
   std::condition_variable ready_;
   std::array<std::deque<detail::PendingRequest>, kPriorityClasses> items_;
   i64 total_ = 0;
+  i64 idle_consumers_ = 0;  ///< blocked in pop() for a first request
   bool closed_ = false;
 };
 

@@ -716,7 +716,7 @@ void ServingEngine::serve_batch(i64 index, MicroBatch& batch) {
     }
   }
 
-  metrics_.record_batch(batch.rows);
+  metrics_.record_batch(batch.rows, batch.close_reason);
   const f64 dispatch_start_us = monotonic_now_us();
   Tensor logits;
   std::string error;

@@ -11,7 +11,9 @@
 //            -> RequestQueue (bounded; per-class budgets; EDF within
 //               class, strict priority across classes)
 //            -> DynamicBatcher (per worker: coalesce up to
-//               max_batch_rows / max_wait_us; unmeetable deadlines shed)
+//               max_batch_rows / max_wait_us, closing at once when
+//               the queue is empty and a peer worker is idle;
+//               unmeetable deadlines shed)
 //            -> replica forward() -> per-request logits -> ResponseFuture
 //
 // Overload control (status semantics):
@@ -268,6 +270,8 @@ class ServingEngine {
   i64 workers() const { return static_cast<i64>(replicas_.size()); }
   bool running() const { return running_.load(std::memory_order_acquire); }
   i64 queue_depth() const { return queue_.depth(); }
+  /// Workers blocked in the queue waiting for a first request right now.
+  i64 idle_workers() const { return queue_.idle_consumers(); }
   i64 queue_capacity() const { return queue_.capacity(); }
 
   const ServingMetrics& metrics() const { return metrics_; }

@@ -106,10 +106,11 @@ void ServingMetrics::record_shadow(bool match) {
   if (!match) shadow_mismatches_ += 1;
 }
 
-void ServingMetrics::record_batch(i64 rows) {
+void ServingMetrics::record_batch(i64 rows, BatchClose reason) {
   MSH_REQUIRE(rows >= 0);
   const std::lock_guard<std::mutex> guard(mutex_);
   batches_ += 1;
+  batch_close_reasons_[static_cast<size_t>(reason)] += 1;
   if (static_cast<size_t>(rows) >= batch_rows_histogram_.size())
     batch_rows_histogram_.resize(static_cast<size_t>(rows) + 1, 0);
   batch_rows_histogram_[static_cast<size_t>(rows)] += 1;
@@ -288,6 +289,7 @@ MetricsSnapshot ServingMetrics::snapshot() const {
   s.total_latency = total_latency_;
   s.classes = classes_;
   s.batch_rows_histogram = batch_rows_histogram_;
+  s.batch_close_reasons = batch_close_reasons_;
   s.queue_depth_samples = queue_depth_samples_;
   s.queue_depth_mean =
       queue_depth_samples_ == 0 ? 0.0
@@ -399,7 +401,13 @@ std::string ServingMetrics::to_json(const MetricsSnapshot& s) {
     if (i) os << ',';
     os << s.batch_rows_histogram[i];
   }
-  os << "]},\"queue_depth\":{\"samples\":" << s.queue_depth_samples
+  os << "],\"close_reasons\":{";
+  for (i64 r = 0; r < kBatchCloseReasons; ++r) {
+    if (r) os << ',';
+    os << '"' << to_string(static_cast<BatchClose>(r))
+       << "\":" << s.batch_close_reasons[static_cast<size_t>(r)];
+  }
+  os << "}},\"queue_depth\":{\"samples\":" << s.queue_depth_samples
      << ",\"mean\":" << s.queue_depth_mean << ",\"max\":" << s.queue_depth_max
      << '}';
   const TrainingLaneCounters& lane = s.training_lane;

@@ -15,6 +15,7 @@
 
 #include "common/types.h"
 #include "device/wear.h"
+#include "runtime/dynamic_batcher.h"
 #include "runtime/request.h"
 
 namespace msh {
@@ -156,6 +157,9 @@ struct MetricsSnapshot {
   LatencyHistogram total_latency;
   std::array<ClassCounters, kPriorityClasses> classes;
   std::vector<i64> batch_rows_histogram;  ///< index = rows in batch
+  /// Dispatched batches by why they closed, indexed by BatchClose; sums
+  /// to `batches`.
+  std::array<i64, kBatchCloseReasons> batch_close_reasons{};
   i64 queue_depth_samples = 0;
   f64 queue_depth_mean = 0.0;
   i64 queue_depth_max = 0;
@@ -180,7 +184,7 @@ class ServingMetrics {
   void record_scrub(i64 corrected, i64 detected_uncorrectable, i64 silent);
   /// One shadow-oracle check; `match` = modeled logits equal the served.
   void record_shadow(bool match);
-  void record_batch(i64 rows);
+  void record_batch(i64 rows, BatchClose reason);
   void sample_queue_depth(i64 depth);
   /// One breaker edge: closed->open, open->half-open, or ->closed.
   void record_breaker_open();
@@ -268,6 +272,7 @@ class ServingMetrics {
   LatencyHistogram total_latency_;
   std::array<ClassCounters, kPriorityClasses> classes_;
   std::vector<i64> batch_rows_histogram_;
+  std::array<i64, kBatchCloseReasons> batch_close_reasons_{};
   i64 queue_depth_samples_ = 0;
   f64 queue_depth_sum_ = 0.0;
   i64 queue_depth_max_ = 0;

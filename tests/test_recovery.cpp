@@ -5,9 +5,11 @@
 // a CRC failure, and never resurrects a half-published image.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -392,6 +394,18 @@ TEST(Stopwatch, MicrosecondsCeilNeverTruncatesToZero) {
   EXPECT_EQ(microseconds_ceil(0.4).count(), 1);
   EXPECT_EQ(microseconds_ceil(1.0).count(), 1);
   EXPECT_EQ(microseconds_ceil(2000.5).count(), 2001);
+}
+
+TEST(Stopwatch, MicrosecondsCeilSaturatesHugeAndInfiniteBudgets) {
+  const i64 cap = static_cast<i64>(kMaxTimeoutUs);
+  EXPECT_EQ(microseconds_ceil(std::numeric_limits<f64>::infinity()).count(),
+            cap);
+  EXPECT_EQ(microseconds_ceil(1e300).count(), cap);
+  EXPECT_EQ(microseconds_ceil(std::numeric_limits<f64>::quiet_NaN()).count(),
+            0);
+  // The cap still converts to steady_clock ticks added to now().
+  const auto far = std::chrono::steady_clock::now() + microseconds_ceil(1e300);
+  EXPECT_GT(far, std::chrono::steady_clock::now());
 }
 
 // A fractional pop() timeout must wait the ceiling of its budget, not

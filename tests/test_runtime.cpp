@@ -4,7 +4,10 @@
 // the single-threaded executor on the same inputs.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -62,6 +65,55 @@ TEST(RequestQueue, CloseDrainsThenReturnsEmpty) {
   EXPECT_LT(watch.elapsed_us(), 1e6);
 }
 
+/// Spins until `queue` has `count` consumers blocked in pop().
+void await_idle_consumers(const RequestQueue& queue, i64 count) {
+  while (queue.idle_consumers() < count) std::this_thread::yield();
+}
+
+TEST(RequestQueue, FollowerPopReturnsAtOnceWhilePeerIdle) {
+  RequestQueue queue(4);
+  std::thread peer([&] { EXPECT_FALSE(queue.pop(5e6)); });
+  await_idle_consumers(queue, 1);
+  // Empty queue, idle peer: a follower would go to the peer anyway.
+  const Stopwatch watch;
+  EXPECT_FALSE(queue.pop_follower(5e6));
+  EXPECT_LT(watch.elapsed_us(), 1e6);
+  queue.close();
+  peer.join();
+}
+
+TEST(RequestQueue, FollowerPopWaitsWithoutIdlePeer) {
+  RequestQueue queue(4);
+  ASSERT_EQ(queue.idle_consumers(), 0);
+  const Stopwatch watch;
+  EXPECT_FALSE(queue.pop_follower(5e4));
+  EXPECT_GE(watch.elapsed_us(), 5e4);
+  // A queued request is taken whether or not a peer is idle.
+  ASSERT_TRUE(queue.try_push(make_pending(1, tiny_images(1, 1))));
+  auto follower = queue.pop_follower(5e4);
+  ASSERT_TRUE(follower);
+  EXPECT_EQ(follower->id, 1u);
+}
+
+// +inf means "wait until something arrives or the queue closes"; an
+// unsaturated ceil(inf) cast to i64 used to turn it into an instant
+// timeout.
+TEST(RequestQueue, InfinitePopBlocksUntilClose) {
+  RequestQueue queue(4);
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    EXPECT_FALSE(queue.pop(std::numeric_limits<f64>::infinity()));
+    returned.store(true);
+  });
+  while (queue.idle_consumers() == 0 && !returned.load())
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(returned.load());
+  queue.close();
+  consumer.join();
+  EXPECT_TRUE(returned.load());
+}
+
 TEST(DynamicBatcher, FlushesPartialBatchOnDeadline) {
   RequestQueue queue(16);
   for (u64 i = 1; i <= 3; ++i)
@@ -76,6 +128,8 @@ TEST(DynamicBatcher, FlushesPartialBatchOnDeadline) {
   EXPECT_EQ(batch->requests[0].id, 1u);  // arrival order preserved
   EXPECT_EQ(batch->requests[2].id, 3u);
   EXPECT_EQ(batch->images.shape(), Shape({3, 3, 12, 12}));
+  // No other consumer exists, so the batch waited out max_wait_us.
+  EXPECT_EQ(batch->close_reason, BatchClose::kWaitExpired);
 }
 
 TEST(DynamicBatcher, ClosesFullBatchWithoutWaitingOutDeadline) {
@@ -89,6 +143,20 @@ TEST(DynamicBatcher, ClosesFullBatchWithoutWaitingOutDeadline) {
   EXPECT_EQ(batch->rows, 4);
   EXPECT_LT(watch.elapsed_us(), 4e6);  // did not sit out the 5s deadline
   EXPECT_EQ(queue.depth(), 1);
+  EXPECT_EQ(batch->close_reason, BatchClose::kFull);
+}
+
+TEST(DynamicBatcher, ClosesAtOnceOnClosedDrainedQueue) {
+  RequestQueue queue(16);
+  ASSERT_TRUE(queue.try_push(make_pending(1, tiny_images(1, 1))));
+  queue.close();
+  DynamicBatcher batcher(queue, {.max_batch_rows = 4, .max_wait_us = 5e6});
+  const Stopwatch watch;
+  auto batch = batcher.next(1e6);
+  ASSERT_TRUE(batch);
+  EXPECT_EQ(batch->rows, 1);
+  EXPECT_EQ(batch->close_reason, BatchClose::kDrained);
+  EXPECT_LT(watch.elapsed_us(), 1e6);
 }
 
 detail::PendingRequest make_classed(u64 id, Priority priority,
@@ -193,11 +261,27 @@ TEST(DynamicBatcher, ShedFirstPickupYieldsNulloptNotEmptyBatch) {
   ASSERT_TRUE(queue.try_push(make_classed(2, Priority::kBatch, past)));
   DynamicBatcher batcher(queue, {.max_batch_rows = 4, .max_wait_us = 1000.0},
                          shed_expired);
-  // A shed first pickup ends the round with no batch (the worker loops
-  // straight back into next()); each call consumes one expired request.
+  // Shed pickups never form an empty batch: the round sheds every
+  // expired request it meets and, with nothing live left, yields nullopt.
   EXPECT_FALSE(batcher.next(20000.0));
-  EXPECT_EQ(queue.depth(), 1);
-  EXPECT_FALSE(batcher.next(20000.0));
+  EXPECT_EQ(queue.depth(), 0);
+}
+
+TEST(DynamicBatcher, ShedFirstPickupKeepsPickingForALiveRequest) {
+  RequestQueue queue(8);
+  const f64 past = monotonic_now_us();
+  ASSERT_TRUE(queue.try_push(make_classed(1, Priority::kBatch, past)));
+  ASSERT_TRUE(queue.try_push(make_classed(2, Priority::kBatch, past)));
+  ASSERT_TRUE(queue.try_push(make_classed(3, Priority::kBatch)));
+  queue.close();
+  DynamicBatcher batcher(queue, {.max_batch_rows = 1, .max_wait_us = 1000.0},
+                         shed_expired);
+  // A closed queue with live work behind shed requests is not drained:
+  // the round must hand back the live request, not nullopt.
+  auto batch = batcher.next(20000.0);
+  ASSERT_TRUE(batch);
+  ASSERT_EQ(batch->requests.size(), 1u);
+  EXPECT_EQ(batch->requests[0].id, 3u);
   EXPECT_EQ(queue.depth(), 0);
 }
 
@@ -1062,6 +1146,84 @@ TEST_F(ServingEngineTest, PowerFailDamageIsSeedDeterministic) {
   EXPECT_EQ(rra.ecc_refetched, rrb.ecc_refetched);
   EXPECT_EQ(rra.workers_warm, rrb.workers_warm);
   EXPECT_EQ(rra.workers_cold, rrb.workers_cold);
+}
+
+i64 close_count(const MetricsSnapshot& snapshot, BatchClose reason) {
+  return snapshot.batch_close_reasons[static_cast<size_t>(reason)];
+}
+
+TEST_F(ServingEngineTest, LoneRequestDispatchesAtOnceWhilePeerIdle) {
+  ServingEngineOptions options;
+  options.workers = 2;
+  options.batcher = {.max_batch_rows = 8, .max_wait_us = 5e6};
+  // One long idle wait per worker: both stay counted idle throughout.
+  options.idle_poll_us = 6e7;
+  ServingEngine engine(*model_, data_.train, options);
+  while (engine.idle_workers() < 2) std::this_thread::yield();
+
+  const InferenceResponse response =
+      engine.submit(data_.test.batch_images(0, 1)).get();
+  EXPECT_EQ(response.status, RequestStatus::kOk);
+  // The peer was idle, so no follower wait: well under max_wait_us.
+  EXPECT_LT(response.queue_us, 1e6);
+  engine.shutdown();
+  const MetricsSnapshot snapshot = engine.metrics().snapshot();
+  EXPECT_EQ(snapshot.batches, 1);
+  EXPECT_EQ(close_count(snapshot, BatchClose::kIdlePeer), 1);
+  EXPECT_NE(engine.metrics_json().find(
+                "\"close_reasons\":{\"full\":0,\"wait_expired\":0,"
+                "\"idle_peer\":1,\"drained\":0}"),
+            std::string::npos);
+}
+
+TEST_F(ServingEngineTest, LoneRequestWaitsOutMaxWaitWithoutPeer) {
+  ServingEngineOptions options;
+  options.workers = 1;
+  options.batcher = {.max_batch_rows = 8, .max_wait_us = 5e4};
+  ServingEngine engine(*model_, data_.train, options);
+
+  const InferenceResponse response =
+      engine.submit(data_.test.batch_images(0, 1)).get();
+  EXPECT_EQ(response.status, RequestStatus::kOk);
+  // No peer to hand followers to: coalescing keeps its full window.
+  EXPECT_GE(response.queue_us, 5e4);
+  engine.shutdown();
+  const MetricsSnapshot snapshot = engine.metrics().snapshot();
+  EXPECT_EQ(snapshot.batches, 1);
+  EXPECT_EQ(close_count(snapshot, BatchClose::kWaitExpired), 1);
+}
+
+// A request shed at pickup must not end a worker's shutdown drain while
+// accepted work is still queued behind it.
+TEST_F(ServingEngineTest, ShedPickupDoesNotEndShutdownDrain) {
+  ServingEngineOptions options;
+  options.workers = 1;
+  options.batcher = {.max_batch_rows = 1, .max_wait_us = 0.0};
+  options.executor.backend = KernelBackend::kModeled;
+  options.autostart = false;
+  ServingEngine engine(*model_, data_.train, options);
+
+  // The slow interactive batch runs first; by the time it finishes the
+  // queue is closed, and the expired request heads the batch class.
+  ResponseFuture big = engine.submit(data_.train.batch_images(0, 32));
+  const SubmitOptions batch_class{.priority = Priority::kBatch};
+  ResponseFuture doomed = engine.submit(
+      data_.test.batch_images(1, 1),
+      {.priority = Priority::kBatch, .deadline_us = 1.0});
+  std::vector<ResponseFuture> plain;
+  for (i64 i = 0; i < 3; ++i)
+    plain.push_back(engine.submit(data_.test.batch_images(2 + i, 1),
+                                  batch_class));
+  engine.start();
+  engine.shutdown();
+
+  EXPECT_EQ(big.get().status, RequestStatus::kOk);
+  EXPECT_EQ(doomed.get().status, RequestStatus::kTimedOut);
+  for (auto& future : plain)
+    EXPECT_EQ(future.get().status, RequestStatus::kOk);
+  const MetricsSnapshot snapshot = engine.metrics().snapshot();
+  EXPECT_EQ(snapshot.rejected_requests, 0);
+  EXPECT_EQ(snapshot.completed_requests, 4);
 }
 
 }  // namespace
