@@ -34,11 +34,11 @@ class SimulationError : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] inline void contract_fail(const char* kind, const char* expr,
-                                       const char* file, int line) {
-  throw ContractError(std::string(kind) + " failed: " + expr + " at " + file +
-                      ":" + std::to_string(line));
-}
+/// Throws the ContractError of a failed MSH_REQUIRE / MSH_ENSURE. Out of
+/// line, so a check inlines as a compare and a call: no translation unit
+/// (the -mavx2 raw kernels included) defines its string building.
+[[noreturn]] void contract_fail(const char* kind, const char* expr,
+                                const char* file, int line);
 }  // namespace detail
 
 }  // namespace msh

@@ -148,8 +148,7 @@ Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
   const ConvPlanes layout = ConvPlanes::make(
       x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3], geom_.kernel,
       geom_.stride, geom_.padding);
-  const i64 n = layout.batch, ho = layout.out_h, wo = layout.out_w;
-  const i64 out_ch = geom_.out_channels, spatial = ho * wo;
+  const i64 out_ch = geom_.out_channels;
   KernelArena& scratch = core_.io_scratch();
   scratch.reset();
 
@@ -162,39 +161,124 @@ Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
   const std::span<i32> acc = scratch.alloc<i32>(out_ch * layout.positions);
   core_.conv_into(matmul_.handle(), planes, layout, acc);
 
-  // Dequantize + bias + epilogue in one pass over the (image, output
-  // channel) planes, reading each plane's accumulators a row of the
-  // padded layout at a time.
-  Tensor y(Shape{n, out_ch, ho, wo});
-  MSH_REQUIRE(epilogue.bn == nullptr || epilogue.bn->channels() == out_ch);
-  MSH_REQUIRE(epilogue.residual == nullptr ||
-              epilogue.residual->shape() == y.shape());
-  const f32 scale = matmul_.activation_scale() * matmul_.weight_scale();
-  for (i64 p = 0; p < n * out_ch; ++p) {
-    const i64 img = p / out_ch, oc = p % out_ch;
-    const f32 b = bias_.empty() ? 0.0f : bias_[oc];
-    f32* dst = y.data() + p * spatial;
-    for (i64 oy = 0; oy < ho; ++oy) {
-      const i32* src =
-          acc.data() + oc * layout.positions + layout.position(img, oy, 0);
+  Tensor y(Shape{layout.batch, out_ch, layout.out_h, layout.out_w});
+  epilogue.dequantize_apply(acc.data(), layout,
+                            matmul_.activation_scale() * matmul_.weight_scale(),
+                            bias_.empty() ? nullptr : bias_.data(), y,
+                            scratch);
+  return y;
+}
+
+namespace {
+
+/// One channel's eval-mode BN constants, as BatchNorm2d::forward computes
+/// them.
+struct BnChannel {
+  f32 g, beta, mean, inv_std;
+};
+
+BnChannel bn_channel(const BatchNorm2d& bn, i64 ch) {
+  return {bn.gamma()[ch], bn.beta()[ch], bn.running_mean()[ch],
+          1.0f / std::sqrt(bn.running_var()[ch] + bn.eps())};
+}
+
+/// ConvEpilogue::dequantize_apply's operands.
+struct FusedPlanes {
+  const i32* acc;
+  const ConvPlanes* layout;
+  i64 channels;
+  f32 scale;
+  const f32* bias;
+  const BnChannel* bn;  ///< [channels], when BN runs
+  const f32* residual;
+  f32* y;
+};
+
+template <bool kBn, bool kResidual, ConvEpilogue::Relu kRelu>
+void dequantize_apply_planes(const FusedPlanes& f) {
+  const ConvPlanes& g = *f.layout;
+  const i64 wo = g.out_w, spatial = g.out_h * wo;
+  for (i64 p = 0; p < g.batch * f.channels; ++p) {
+    const i64 img = p / f.channels, oc = p % f.channels;
+    const f32 b = f.bias != nullptr ? f.bias[oc] : 0.0f;
+    BnChannel bn{};
+    if constexpr (kBn) bn = f.bn[oc];
+    for (i64 oy = 0; oy < g.out_h; ++oy) {
+      const i32* src = f.acc + oc * g.positions + g.position(img, oy, 0);
+      const i64 at = p * spatial + oy * wo;
+      f32* dst = f.y + at;
       for (i64 ox = 0; ox < wo; ++ox) {
-        dst[oy * wo + ox] = scale * static_cast<f32>(src[ox]) + b;
+        f32 v = f.scale * static_cast<f32>(src[ox]) + b;
+        if constexpr (kBn) v = bn.g * (v - bn.mean) * bn.inv_std + bn.beta;
+        if constexpr (kResidual) v += f.residual[at + ox];
+        if constexpr (kRelu == ConvEpilogue::Relu::kPositive) {
+          v = v > 0.0f ? v : 0.0f;
+        } else if constexpr (kRelu == ConvEpilogue::Relu::kMax) {
+          v = std::max(v, 0.0f);
+        }
+        dst[ox] = v;
       }
     }
-    epilogue.apply_plane(dst, p, out_ch, spatial);
   }
-  return y;
+}
+
+template <bool kBn, bool kResidual>
+void dequantize_apply_planes(const FusedPlanes& f, ConvEpilogue::Relu relu) {
+  using Relu = ConvEpilogue::Relu;
+  switch (relu) {
+    case Relu::kNone:
+      return dequantize_apply_planes<kBn, kResidual, Relu::kNone>(f);
+    case Relu::kPositive:
+      return dequantize_apply_planes<kBn, kResidual, Relu::kPositive>(f);
+    case Relu::kMax:
+      return dequantize_apply_planes<kBn, kResidual, Relu::kMax>(f);
+  }
+}
+
+}  // namespace
+
+void ConvEpilogue::dequantize_apply(const i32* acc, const ConvPlanes& layout,
+                                    f32 scale, const f32* bias, Tensor& y,
+                                    KernelArena& scratch) const {
+  MSH_REQUIRE(y.shape().rank() == 4);
+  const i64 channels = y.shape()[1];
+  MSH_REQUIRE(y.shape()[0] == layout.batch && y.shape()[2] == layout.out_h &&
+              y.shape()[3] == layout.out_w);
+  MSH_REQUIRE(bn == nullptr || bn->channels() == channels);
+  MSH_REQUIRE(residual == nullptr || residual->shape() == y.shape());
+  std::span<BnChannel> constants;
+  if (bn != nullptr) {
+    constants = scratch.alloc<BnChannel>(channels);
+    for (i64 c = 0; c < channels; ++c) {
+      constants[static_cast<size_t>(c)] = bn_channel(*bn, c);
+    }
+  }
+  const FusedPlanes f{.acc = acc,
+                      .layout = &layout,
+                      .channels = channels,
+                      .scale = scale,
+                      .bias = bias,
+                      .bn = constants.data(),
+                      .residual = residual != nullptr ? residual->data()
+                                                      : nullptr,
+                      .y = y.data()};
+  if (bn != nullptr && residual != nullptr) {
+    dequantize_apply_planes<true, true>(f, relu);
+  } else if (bn != nullptr) {
+    dequantize_apply_planes<true, false>(f, relu);
+  } else if (residual != nullptr) {
+    dequantize_apply_planes<false, true>(f, relu);
+  } else {
+    dequantize_apply_planes<false, false>(f, relu);
+  }
 }
 
 void ConvEpilogue::apply_plane(f32* v, i64 plane, i64 channels,
                                i64 spatial) const {
   if (bn != nullptr) {
-    const i64 ch = plane % channels;
-    const f32 g = bn->gamma()[ch], beta = bn->beta()[ch];
-    const f32 mean = bn->running_mean()[ch];
-    const f32 inv_std = 1.0f / std::sqrt(bn->running_var()[ch] + bn->eps());
+    const BnChannel c = bn_channel(*bn, plane % channels);
     for (i64 s = 0; s < spatial; ++s) {
-      v[s] = g * (v[s] - mean) * inv_std + beta;
+      v[s] = c.g * (v[s] - c.mean) * c.inv_std + c.beta;
     }
   }
   if (residual != nullptr) {

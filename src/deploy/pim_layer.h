@@ -107,6 +107,19 @@ struct ConvEpilogue {
   void apply_plane(f32* v, i64 plane, i64 channels, i64 spatial) const;
   /// Finishes every plane of `y` in place — the software conv's pass.
   void apply(Tensor& y) const;
+
+  /// The hardware conv's pass: writes y [N, C, Ho, Wo] (layout's batch
+  /// and output size, C = y.shape()[1]) from accumulators in the direct
+  /// conv layout, acc[c * layout.positions + layout.position(n, oy, ox)]
+  /// (kernels/direct_conv.h), one element at a time: scale * acc +
+  /// bias[c] (0.0f when `bias` is null), then BN, residual and ReLU. The
+  /// FP32 operations and their order are those of dequantizing every
+  /// plane and then calling apply_plane on it, so the bytes are too. BN's
+  /// per-channel constants are computed once, into `scratch`, and the
+  /// loop is specialized on the steps present.
+  void dequantize_apply(const i32* acc, const ConvPlanes& layout, f32 scale,
+                        const f32* bias, Tensor& y,
+                        KernelArena& scratch) const;
 };
 
 /// A conv layer on the hardware: the input is quantized straight into
@@ -128,9 +141,9 @@ class PimConv {
   /// scale * acc + bias per element (bias 0.0f when the conv has none):
   /// the same two FP32 roundings, in the same order, as dequantizing
   /// im2col rows and adding bias after. Every buffer but the returned
-  /// tensor lives in the core's scratch arenas. Each plane is finished by
-  /// `epilogue` while it is still in cache (the default leaves the plain
-  /// conv output).
+  /// tensor lives in the core's scratch arenas. Each element is finished
+  /// by `epilogue` in the same pass (ConvEpilogue::dequantize_apply; the
+  /// default leaves the plain conv output).
   Tensor forward(const Tensor& x, const ConvEpilogue& epilogue = {});
 
   const PimMatmulLayer& matmul_layer() const { return matmul_; }

@@ -1,7 +1,6 @@
 #include "kernels/direct_conv.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "kernels/simd.h"
 
@@ -62,80 +61,6 @@ void ConvPlanes::row_offsets(std::span<i64> off) const {
     }
   }
   for (; r < rows; ++r) off[static_cast<size_t>(r)] = 0;
-}
-
-void quantize_conv_planes(const f32* x, const ConvPlanes& g,
-                          const QuantParams& params, i16* planes) {
-  const i64 s = g.stride, phases = g.phases;
-  const i64 image_len = g.plane_h * g.plane_w;
-  const i64 channel_len = phases * phases * g.plane_len;
-  // Strided rows quantize in pieces of a multiple of s columns, so every
-  // piece splits into phases alike: phase 0 starts at column `first` of
-  // the piece (padded column first + padding is a multiple of s), in
-  // plane column q0 for the row's first piece.
-  constexpr i64 kPiece = 1024;
-  const i64 piece = kPiece / s * s;
-  const i64 first = (s - g.padding % s) % s;
-  const i64 q0 = (g.padding + first) / s;
-  std::memset(planes, 0, static_cast<size_t>(g.plane_len) * sizeof(i16));
-  i16 codes[kPiece];
-  for (i64 c = 0; c < g.channels; ++c) {
-    i16* cp = planes + (1 + c * phases * phases) * g.plane_len;
-    std::memset(cp, 0, static_cast<size_t>(channel_len) * sizeof(i16));
-    for (i64 n = 0; n < g.batch; ++n) {
-      const f32* src = x + (n * g.channels + c) * g.height * g.width;
-      i16* image = cp + n * image_len;
-      if (s == 1) {  // one phase: each row lands whole, after the pad
-        for (i64 iy = 0; iy < g.height; ++iy, src += g.width) {
-          simd::quantize(src, g.width, params,
-                         image + (iy + g.padding) * g.plane_w + g.padding);
-        }
-        continue;
-      }
-      // Padded row iy + padding is row qy of phase row ry.
-      i64 ry = g.padding % s, qy = g.padding / s;
-      for (i64 iy = 0; iy < g.height; ++iy, src += g.width) {
-        if (ry < phases) {  // else no tap reads the row
-          i16* line = image + ry * phases * g.plane_len + qy * g.plane_w;
-          for (i64 x0 = 0; x0 < g.width; x0 += piece, line += piece / s) {
-            const i64 len = std::min(piece, g.width - x0);
-            simd::quantize(src + x0, len, params, codes);
-            for (i64 rx = 0; rx < phases; ++rx) {
-              // Phase rx: columns first + rx + k * s, wrapped into the
-              // piece (one plane column earlier when wrapped).
-              const i64 at = first + rx < s ? first + rx : first + rx - s;
-              i16* dst = line + rx * g.plane_len + q0 - (at < first);
-              for (i64 i = at; i < len; i += s) *dst++ = codes[i];
-            }
-          }
-        }
-        if (++ry == s) {
-          ry = 0;
-          ++qy;
-        }
-      }
-    }
-  }
-}
-
-void direct_conv(const FlatCsc& w, const i16* planes, const ConvPlanes& g,
-                 i32* out, KernelArena& arena) {
-  MSH_REQUIRE(w.dense_rows >= g.k());
-  std::span<i64> row_off = arena.alloc<i64>(w.dense_rows);
-  g.row_offsets(row_off);
-  const i64 tiles = g.positions / simd::kMacTile;
-  // Tile-major: one tile's slices of every tap stay in L1 while the
-  // output channels walk them.
-  for (i64 t = 0; t < tiles; ++t) {
-    const i64 q0 = t * simd::kMacTile;
-    for (i64 c = 0; c < w.cols; ++c) {
-      const i64 lo = w.col_ptr[static_cast<size_t>(c)];
-      const i64 pairs = (w.col_ptr[static_cast<size_t>(c) + 1] - lo) / 2;
-      simd::pair_mac(out + c * g.positions + q0, simd::kMacTile, planes + q0,
-                     w.entry_row.data() + lo, row_off.data(),
-                     w.pair_weight.data() + lo / 2, pairs);
-    }
-  }
 }
 
 void gather_code_rows(const i16* planes, const ConvPlanes& g, i64 dense_rows,

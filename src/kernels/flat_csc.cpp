@@ -127,41 +127,4 @@ FlatCsc build_flat_csc_mram(std::span<const MramPeTile* const> tiles,
   return to_arena(pack_csc_mram(tiles, cols, dense_rows), arena);
 }
 
-void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
-                    std::span<i32> out, KernelArena& arena, std::nullptr_t) {
-  MSH_REQUIRE(static_cast<i64>(acts.size()) == batch * w.dense_rows);
-  MSH_REQUIRE(static_cast<i64>(out.size()) == batch * w.cols);
-
-  // Batch rows are processed in blocks: activations for one block are
-  // transposed and widened to i16 once (xt[row][j]: entry e's lanes start
-  // at row_off[entry_row[e]] = entry_row[e] * nb), then every column
-  // walks its entry pairs against the whole block, a tile at a time.
-  constexpr i64 kBlock = 64;
-  const i64 nb_max = std::min(batch, kBlock);
-  std::span<i16> xt = arena.alloc<i16>(w.dense_rows * nb_max);
-  std::span<i64> row_off = arena.alloc<i64>(w.dense_rows);
-
-  for (i64 b0 = 0; b0 < batch; b0 += kBlock) {
-    const i64 nb = std::min(kBlock, batch - b0);
-    simd::widen_transpose(acts.data() + b0 * w.dense_rows, nb, w.dense_rows,
-                          xt.data());
-    for (i64 r = 0; r < w.dense_rows; ++r) {
-      row_off[static_cast<size_t>(r)] = r * nb;
-    }
-    i32 acc[kBlock];
-    for (i64 c = 0; c < w.cols; ++c) {
-      const i64 lo = w.col_ptr[static_cast<size_t>(c)];
-      const i64 pairs = (w.col_ptr[static_cast<size_t>(c) + 1] - lo) / 2;
-      for (i64 j0 = 0; j0 < nb; j0 += simd::kMacTile) {
-        simd::pair_mac(acc + j0, std::min(simd::kMacTile, nb - j0),
-                       xt.data() + j0, w.entry_row.data() + lo,
-                       row_off.data(), w.pair_weight.data() + lo / 2, pairs);
-      }
-      for (i64 j = 0; j < nb; ++j) {
-        out[static_cast<size_t>((b0 + j) * w.cols + c)] = acc[j];
-      }
-    }
-  }
-}
-
 }  // namespace msh

@@ -2,12 +2,13 @@
 // float<->INT8 boundary must be a single implementation so backend
 // choice can never move a value across a rounding edge.
 //
-// Quantize is vectorized (simd::quantize, AVX2/SSE2/NEON) and checked
-// bit-exact against the scalar QuantParams::quantize, its fallback and
-// reference: it is one divide, a clamp and a round-half-even convert,
-// with nothing an FMA could contract. Its saturation contract is total —
-// ±inf and out-of-range values clamp to qmax/qmin, NaN to qmin —
-// identically on every ISA. Dequantize stays scalar: scale * acc + bias
+// Quantize is vectorized (simd::quantize, AVX2/SSE2/NEON; the ISA copy
+// raw_kernels() picked, kernels/raw_kernels.h) and checked bit-exact
+// against the scalar QuantParams::quantize, its fallback and reference:
+// it is one divide, a clamp and a round-half-even convert, with nothing
+// an FMA could contract. Its saturation contract is total — ±inf and
+// out-of-range values clamp to qmax/qmin, NaN to qmin — identically on
+// every ISA. Dequantize stays scalar: scale * acc + bias
 // is exactly the multiply-add a compiler may fuse, so it is written as
 // two operations and built with FP contraction off.
 #pragma once

@@ -1,8 +1,18 @@
-// Portable SIMD primitives for the raw kernel backend. Dispatch is
-// compile-time: AVX2 when the build enables it, else SSE2 (baseline on
-// x86-64), else NEON, else scalar. Every variant computes the identical
-// result, so backend bit-exactness never depends on which one the
-// compiler picked.
+// Portable SIMD primitives for the raw kernel backend. Each translation
+// unit gets the widest bodies its own compile flags allow: AVX2 when
+// they enable it, else SSE2 (baseline on x86-64), else NEON, else
+// scalar. Every variant computes the identical result, so backend
+// bit-exactness never depends on which one the compiler picked.
+//
+// Namespace rule: everything below but kIsa lives in an inline
+// namespace named for that ISA (msh::simd::avx2, sse2, neon, scalar),
+// chosen by the same #if that chooses the bodies, and inside it in an
+// unnamed namespace. A -mavx2 translation unit and a baseline one
+// therefore never define the same mangled name, and no translation unit
+// defines a weak copy a linker could merge: the linker can never hand a
+// VEX-encoded body to a baseline caller. The raw kernels that inline
+// these bodies are compiled once per ISA and picked at run time from the
+// CPU (kernels/raw_kernels.h); kIsa names the pick.
 //
 // pair_mac is the raw kernels' multiply-accumulate: two compressed
 // entries per step against one pre-packed weight word, over a tile of
@@ -23,23 +33,28 @@
 
 #if defined(__AVX2__)
 #include <immintrin.h>
+#define MSH_SIMD_ISA avx2
 #elif defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
 #include <emmintrin.h>
+#define MSH_SIMD_ISA sse2
 #elif defined(__ARM_NEON)
 #include <arm_neon.h>
+#define MSH_SIMD_ISA neon
+#else
+#define MSH_SIMD_ISA scalar
 #endif
 
 namespace msh::simd {
 
-#if defined(__AVX2__)
-inline constexpr const char* kIsa = "avx2";
-#elif defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
-inline constexpr const char* kIsa = "sse2";
-#elif defined(__ARM_NEON)
-inline constexpr const char* kIsa = "neon";
-#else
-inline constexpr const char* kIsa = "scalar";
-#endif
+/// The ISA of the raw kernel copy this CPU runs ("avx2", "sse2", "neon"
+/// or "scalar"), as raw_kernels() (kernels/raw_kernels.h) chose it during
+/// static initialization: read it from main() on, not from another
+/// static initializer. Not the bodies this translation unit inlines —
+/// those are MSH_SIMD_ISA's.
+extern const char* const kIsa;
+
+inline namespace MSH_SIMD_ISA {
+namespace {
 
 /// Output lanes one pair_mac call keeps in registers.
 inline constexpr i64 kMacTile = 32;
@@ -375,4 +390,6 @@ inline void quantize(const f32* x, i64 n, const QuantParams& params,
   for (; j < n; ++j) codes[j] = static_cast<Code>(params.quantize(x[j]));
 }
 
+}  // namespace
+}  // namespace MSH_SIMD_ISA
 }  // namespace msh::simd

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "deploy/pim_executor.h"
+#include "kernels/quant_kernels.h"
 #include "workloads/dataset.h"
 
 namespace msh {
@@ -112,6 +113,92 @@ TEST(ConvEpilogue, EdgeCasesMatchUnfusedLayers) {
   EXPECT_EQ(bn_positive[spatial + 3], 0.0f);
   EXPECT_TRUE(std::isnan(bn_max[spatial + 3]));
   EXPECT_EQ(std::bit_cast<u32>(bn_max[0]), std::bit_cast<u32>(-0.0f));
+}
+
+TEST(ConvEpilogue, DequantizeApplyMatchesDequantizeThenApplyPlane) {
+  // The hardware conv's one-pass epilogue against dequantizing every
+  // plane and then apply_plane, byte for byte, for all 12 BN x residual x
+  // ReLU forms. Scale -1 turns a zero accumulator into -0.0, 1e30 sends
+  // large ones to +-inf; biases, BN channels and the residual carry -0.0,
+  // NaN and +-inf of their own.
+  constexpr f32 kEps = 1e-5f;
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  const ConvPlanes layout = ConvPlanes::make(3, 2, 4, 5, 3, 1, 1);
+  constexpr i64 kChannels = 4;
+  const Shape out_shape{layout.batch, kChannels, layout.out_h, layout.out_w};
+
+  Rng rng(41);
+  std::vector<i32> acc(static_cast<size_t>(kChannels * layout.positions));
+  for (size_t i = 0; i < acc.size(); ++i) {
+    acc[i] = static_cast<i32>(rng.uniform_int(-300, 300));
+    if (i % 7 == 0) acc[i] = 0;
+    if (i % 11 == 0) acc[i] = i % 2 == 0 ? 1 << 30 : -(1 << 30);
+  }
+  const std::vector<f32> bias = {-0.0f, nan, inf, 0.5f};
+
+  // Channel 0 keeps -0.0 through BN, channel 1 (negative variance) makes
+  // every output NaN, channel 2 has an infinite gamma, channel 3 is an
+  // ordinary affine.
+  BatchNorm2d bn(kChannels, 0.1f, kEps);
+  bn.set_running_stats(
+      Tensor::from_data(Shape{kChannels}, {0.0f, 0.0f, 0.25f, -0.5f}),
+      Tensor::from_data(Shape{kChannels}, {1.0f - kEps, -1.0f, 0.5f, 2.0f}));
+  bn.params()[0]->value =
+      Tensor::from_data(Shape{kChannels}, {1.0f, 1.0f, inf, 1.5f});
+  bn.params()[1]->value =
+      Tensor::from_data(Shape{kChannels}, {-0.0f, 0.0f, -0.1f, 0.2f});
+  Tensor residual = Tensor::randn(out_shape, rng);
+  for (i64 i = 0; i < residual.numel(); i += 5) {
+    const f32 specials[] = {-0.0f, nan, inf, -inf, 0.0f};
+    residual[i] = specials[(i / 5) % 5];
+  }
+
+  for (const f32 scale : {-1.0f, 0.03f, 1e30f}) {
+    for (const bool with_bias : {false, true}) {
+      // Dequantized planes, as the unfused path writes them: each row
+      // through dequantize_outputs (built without FP contraction, unlike
+      // this file), plus the bias, 0.0f when the conv has none.
+      Tensor plain(out_shape);
+      const i64 wo = layout.out_w, spatial = layout.out_h * wo;
+      for (i64 p = 0; p < layout.batch * kChannels; ++p) {
+        const i64 img = p / kChannels, oc = p % kChannels;
+        const std::vector<f32> row_bias(
+            static_cast<size_t>(wo),
+            with_bias ? bias[static_cast<size_t>(oc)] : 0.0f);
+        for (i64 oy = 0; oy < layout.out_h; ++oy) {
+          dequantize_outputs(
+              acc.data() + oc * layout.positions + layout.position(img, oy, 0),
+              1, wo, scale, row_bias.data(),
+              plain.data() + p * spatial + oy * wo);
+        }
+      }
+      for (const bool with_bn : {false, true}) {
+        for (const bool with_residual : {false, true}) {
+          for (const ReluForm relu :
+               {ReluForm::kNone, ReluForm::kPositive, ReluForm::kMax}) {
+            SCOPED_TRACE("scale " + std::to_string(scale) +
+                         (with_bias ? " bias" : "") +
+                         (with_bn ? " bn" : "") +
+                         (with_residual ? " residual" : "") + " relu " +
+                         std::to_string(static_cast<int>(relu)));
+            const ConvEpilogue epilogue{
+                .bn = with_bn ? &bn : nullptr,
+                .residual = with_residual ? &residual : nullptr,
+                .relu = relu};
+            Tensor want = plain;
+            epilogue.apply(want);
+            Tensor got(out_shape);
+            KernelArena scratch;
+            epilogue.dequantize_apply(acc.data(), layout, scale,
+                                      with_bias ? bias.data() : nullptr, got,
+                                      scratch);
+            expect_bytes_equal(got, want);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ConvEpilogue, PimConvFusedPassMatchesPlainForwardThenLayers) {

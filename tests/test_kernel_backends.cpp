@@ -15,6 +15,7 @@
 
 #include "deploy/pim_executor.h"
 #include "kernels/quant_kernels.h"
+#include "kernels/raw_kernels.h"
 #include "kernels/simd.h"
 #include "runtime/dynamic_batcher.h"
 #include "sparse/nm_mask.h"
@@ -363,7 +364,10 @@ struct PairedEntries {
   i64 pairs() const { return static_cast<i64>(word.size()); }
 };
 
-TEST(SimdTest, PairMacMatchesScalarReferenceOnEveryTileLength) {
+using PairMacFn = decltype(RawKernels::pair_mac);
+using WidenTransposeFn = decltype(RawKernels::widen_transpose);
+
+void expect_pair_mac_matches_reference(PairMacFn pair_mac, const char* isa) {
   // Rows of INT8-ranged i16 activations at irregular offsets, read from
   // lane 0 up to n; odd entry counts run through the dummy, and the
   // weights include -128 * -128 pairs, the largest products there are.
@@ -394,19 +398,19 @@ TEST(SimdTest, PairMacMatchesScalarReferenceOnEveryTileLength) {
       }
       const PairedEntries paired(rows, weights);
       std::vector<i32> out(static_cast<size_t>(simd::kMacTile), 12345);
-      simd::pair_mac(out.data(), n, x.data(), paired.row.data(), off.data(),
-                     paired.word.data(), paired.pairs());
+      pair_mac(out.data(), n, x.data(), paired.row.data(), off.data(),
+               paired.word.data(), paired.pairs());
       for (i64 j = 0; j < simd::kMacTile; ++j) {
         const i32 expect = j < n ? want[static_cast<size_t>(j)] : 12345;
         ASSERT_EQ(out[static_cast<size_t>(j)], expect)
             << entries << " entries, n=" << n << ", lane " << j << " on "
-            << simd::kIsa;
+            << isa;
       }
     }
   }
 }
 
-TEST(SimdTest, PairMacWrapsPastInt32Max) {
+void expect_pair_mac_wraps(PairMacFn pair_mac, const char* isa) {
   // Every pair adds (-128)(-128) + (-128)(-128) = 2^15, so 65540 pairs
   // carry the i32 accumulators 2^17 past INT32_MAX; the result is the
   // two's-complement wrap of the exact sum, on every lane and tail.
@@ -419,16 +423,17 @@ TEST(SimdTest, PairMacWrapsPastInt32Max) {
   ASSERT_LT(want, 0);
   for (const i64 n : {1, 7, 8, 17, 31, 32}) {
     std::vector<i32> out(static_cast<size_t>(n));
-    simd::pair_mac(out.data(), n, x.data(), rows.data(), off.data(),
-                   words.data(), kPairs);
+    pair_mac(out.data(), n, x.data(), rows.data(), off.data(), words.data(),
+             kPairs);
     for (i64 j = 0; j < n; ++j) {
       ASSERT_EQ(out[static_cast<size_t>(j)], want)
-          << "n=" << n << " lane " << j << " on " << simd::kIsa;
+          << "n=" << n << " lane " << j << " on " << isa;
     }
   }
 }
 
-TEST(SimdTest, WidenTransposeMatchesScalar) {
+void expect_widen_transpose_matches(WidenTransposeFn widen_transpose,
+                                    const char* isa) {
   // Shapes around the 8 x 16 tile: full tiles, row and column edges, and
   // blocks smaller than one tile, over the whole INT8 range.
   Rng rng(5);
@@ -437,17 +442,31 @@ TEST(SimdTest, WidenTransposeMatchesScalar) {
       std::vector<i8> x(static_cast<size_t>(rows * cols));
       for (i8& v : x) v = static_cast<i8>(rng.uniform_int(-128, 127));
       std::vector<i16> xt(x.size());
-      simd::widen_transpose(x.data(), rows, cols, xt.data());
+      widen_transpose(x.data(), rows, cols, xt.data());
       for (i64 r = 0; r < rows; ++r) {
         for (i64 c = 0; c < cols; ++c) {
           ASSERT_EQ(xt[static_cast<size_t>(c * rows + r)],
                     x[static_cast<size_t>(r * cols + c)])
               << rows << "x" << cols << " at (" << r << ", " << c << ") on "
-              << simd::kIsa;
+              << isa;
         }
       }
     }
   }
+}
+
+// The simd.h bodies this translation unit inlines (its own build flags'
+// ISA, simd::MSH_SIMD_ISA), as any baseline caller gets them.
+TEST(SimdTest, PairMacMatchesScalarReferenceOnEveryTileLength) {
+  expect_pair_mac_matches_reference(simd::pair_mac, "this unit's bodies");
+}
+
+TEST(SimdTest, PairMacWrapsPastInt32Max) {
+  expect_pair_mac_wraps(simd::pair_mac, "this unit's bodies");
+}
+
+TEST(SimdTest, WidenTransposeMatchesScalar) {
+  expect_widen_transpose_matches(simd::widen_transpose, "this unit's bodies");
 }
 
 // ----- SIMD quantizer vs the scalar reference -------------------------
@@ -519,6 +538,282 @@ TEST(SimdTest, QuantizeCoversTailsAndPad) {
         }
       }
     }
+  }
+}
+
+// ----- every ISA copy of the raw kernels, called directly ------------
+
+/// The ISA copies this build compiled (kernels/raw_kernels.h).
+std::vector<const RawKernels*> compiled_copies() {
+#if defined(MSH_RAW_KERNELS_AVX2)
+  return {&isa::sse2::kRawKernels, &isa::avx2::kRawKernels};
+#else
+  return {&isa::MSH_SIMD_ISA::kRawKernels};
+#endif
+}
+
+/// Each test runs one copy against the scalar references, byte for
+/// byte; a copy this CPU cannot run is skipped.
+class RawKernelIsaTest : public ::testing::TestWithParam<const RawKernels*> {
+ protected:
+  void SetUp() override {
+#if defined(MSH_RAW_KERNELS_AVX2)
+    if (GetParam() == &isa::avx2::kRawKernels &&
+        !__builtin_cpu_supports("avx2")) {
+      GTEST_SKIP() << "this CPU has no AVX2";
+    }
+#endif
+  }
+  const RawKernels& copy() const { return *GetParam(); }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Isa, RawKernelIsaTest, ::testing::ValuesIn(compiled_copies()),
+    [](const ::testing::TestParamInfo<const RawKernels*>& info) {
+      return std::string(info.param->isa);
+    });
+
+TEST_P(RawKernelIsaTest, PairMacMatchesScalarReference) {
+  expect_pair_mac_matches_reference(copy().pair_mac, copy().isa);
+  expect_pair_mac_wraps(copy().pair_mac, copy().isa);
+}
+
+TEST_P(RawKernelIsaTest, WidenTransposeMatchesScalar) {
+  expect_widen_transpose_matches(copy().widen_transpose, copy().isa);
+}
+
+/// codes[i] == params.quantize(x[i]) through both code widths of `copy`,
+/// and nothing past x.size() is written.
+void expect_copy_quantizes(const RawKernels& copy, const std::vector<f32>& x,
+                           const QuantParams& params) {
+  const size_t n = x.size();
+  std::vector<i8> bytes(n + 1, 99);
+  std::vector<i16> words(n + 1, 999);
+  copy.quantize_i8(x.data(), static_cast<i64>(n), params, bytes.data());
+  copy.quantize_i16(x.data(), static_cast<i64>(n), params, words.data());
+  for (size_t i = 0; i < n; ++i) {
+    const i32 want = params.quantize(x[i]);
+    ASSERT_EQ(bytes[i], want) << "i8, n=" << n << ", element " << i
+                              << ", bits " << std::bit_cast<u32>(x[i]);
+    ASSERT_EQ(words[i], want) << "i16, n=" << n << ", element " << i
+                              << ", bits " << std::bit_cast<u32>(x[i]);
+  }
+  ASSERT_EQ(bytes[n], 99) << "i8 wrote past n=" << n;
+  ASSERT_EQ(words[n], 999) << "i16 wrote past n=" << n;
+}
+
+TEST_P(RawKernelIsaTest, QuantizeMatchesScalarAtEveryLength) {
+  // Every length through the 16-, 8- and 4-wide bodies and their tails.
+  // Specials sit at every lane position: ties either side of even,
+  // +-inf, NaNs, out-of-range magnitudes, signed zeros and denormals.
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  const QuantParams params = params_for(0.5f, 8);
+  const std::vector<f32> specials = {
+      0.25f, 0.75f, 1.25f, -0.25f, -0.75f, 63.25f, 63.75f, -63.75f,
+      inf, -inf, nan, -nan, std::bit_cast<f32>(u32{0x7f800001}),
+      1e30f, -1e30f, 2e9f, -2e9f, 0.0f, -0.0f,
+      std::numeric_limits<f32>::denorm_min(), 64.0f, -64.0f, 200.0f};
+  Rng rng(13);
+  for (i64 n = 0; n <= 67; ++n) {
+    for (size_t shift = 0; shift < specials.size(); shift += 5) {
+      std::vector<f32> x(static_cast<size_t>(n));
+      for (i64 i = 0; i < n; ++i) {
+        x[static_cast<size_t>(i)] =
+            i % 3 == 0 ? specials[(static_cast<size_t>(i) + shift) %
+                                  specials.size()]
+                       : static_cast<f32>(rng.gaussian(0.0, 40.0));
+      }
+      expect_copy_quantizes(copy(), x, params);
+    }
+  }
+  // And a stride-997 sweep of all float bit patterns, at a small and a
+  // large scale.
+  std::vector<f32> sweep;
+  for (u64 bits = 0; bits <= 0xffffffffu; bits += 997) {
+    sweep.push_back(std::bit_cast<f32>(static_cast<u32>(bits)));
+  }
+  expect_copy_quantizes(copy(), sweep, params_for(1e-3f, 8));
+  expect_copy_quantizes(copy(), sweep, params_for(3.7f, 4));
+}
+
+/// A random FlatCsc: each column takes each dense row with probability
+/// `density`, weights over the whole INT8 range, padded to an even entry
+/// count with the zero dummy on row 0 as the packers pad it.
+PackedCsc random_packed(i64 cols, i64 dense_rows, f64 density, Rng& rng) {
+  PackedCsc p;
+  p.cols = cols;
+  p.dense_rows = dense_rows;
+  p.col_ptr.push_back(0);
+  std::vector<i8> weights;
+  for (i64 c = 0; c < cols; ++c) {
+    for (i64 r = 0; r < dense_rows; ++r) {
+      if (!rng.bernoulli(density)) continue;
+      p.entry_row.push_back(static_cast<i32>(r));
+      weights.push_back(static_cast<i8>(rng.uniform_int(-128, 127)));
+    }
+    if (p.entry_row.size() % 2 != 0) {
+      p.entry_row.push_back(0);
+      weights.push_back(0);
+    }
+    p.col_ptr.push_back(static_cast<i64>(p.entry_row.size()));
+  }
+  for (size_t e = 0; e < weights.size(); e += 2) {
+    p.pair_weight.push_back(simd::pack_pair(weights[e], weights[e + 1]));
+  }
+  return p;
+}
+
+/// out[c * lanes + j] = wrap-32 sum over column c's entries of weight *
+/// x[row_off[entry_row] + j]: the scalar reference of both raw kernels.
+std::vector<i32> reference_columns(const PackedCsc& w,
+                                   const std::vector<i64>& row_off,
+                                   const i16* x, i64 lanes) {
+  std::vector<i32> out(static_cast<size_t>(w.cols * lanes));
+  for (i64 c = 0; c < w.cols; ++c) {
+    for (i64 j = 0; j < lanes; ++j) {
+      u32 acc = 0;
+      for (i64 e = w.col_ptr[static_cast<size_t>(c)];
+           e < w.col_ptr[static_cast<size_t>(c) + 1]; ++e) {
+        const i32 word = w.pair_weight[static_cast<size_t>(e / 2)];
+        const i32 weight = e % 2 == 0 ? static_cast<i16>(word) : word >> 16;
+        const i64 row = w.entry_row[static_cast<size_t>(e)];
+        acc += static_cast<u32>(weight *
+                                x[row_off[static_cast<size_t>(row)] + j]);
+      }
+      out[static_cast<size_t>(c * lanes + j)] = static_cast<i32>(acc);
+    }
+  }
+  return out;
+}
+
+TEST_P(RawKernelIsaTest, RawCscMatmulMatchesScalarReference) {
+  // Batches either side of the 32-lane tile and the 64-row block, over
+  // random shapes and sparsities, dummies and empty columns included.
+  Rng rng(29);
+  for (const i64 batch : {1, 5, 31, 32, 33, 64, 65, 97}) {
+    const i64 cols = rng.uniform_int(1, 40);
+    const i64 dense_rows = rng.uniform_int(1, 150);
+    const f64 density = rng.uniform(0.0, 0.6);
+    SCOPED_TRACE("batch " + std::to_string(batch) + ", " +
+                 std::to_string(cols) + " x " + std::to_string(dense_rows) +
+                 ", density " + std::to_string(density));
+    const PackedCsc w = random_packed(cols, dense_rows, density, rng);
+    std::vector<i8> acts(static_cast<size_t>(batch * dense_rows));
+    for (i8& a : acts) a = static_cast<i8>(rng.uniform_int(-128, 127));
+    // Column-major i16 copy for the reference: lane j of row r.
+    std::vector<i16> xt(acts.size());
+    std::vector<i64> row_off(static_cast<size_t>(dense_rows));
+    for (i64 r = 0; r < dense_rows; ++r) {
+      row_off[static_cast<size_t>(r)] = r * batch;
+      for (i64 b = 0; b < batch; ++b) {
+        xt[static_cast<size_t>(r * batch + b)] =
+            acts[static_cast<size_t>(b * dense_rows + r)];
+      }
+    }
+    const std::vector<i32> want =
+        reference_columns(w, row_off, xt.data(), batch);  // [cols x batch]
+    KernelArena arena;
+    std::vector<i32> out(static_cast<size_t>(batch * cols));
+    copy().raw_csc_matmul(w.view(), acts, batch, out, arena);
+    for (i64 b = 0; b < batch; ++b) {
+      for (i64 c = 0; c < cols; ++c) {
+        ASSERT_EQ(out[static_cast<size_t>(b * cols + c)],
+                  want[static_cast<size_t>(c * batch + b)])
+            << "row " << b << ", column " << c;
+      }
+    }
+  }
+}
+
+/// quantize_conv_planes' layout by its definition (kernels/direct_conv.h):
+/// the phase planes of the zero-padded images, everything else 0.
+std::vector<i16> reference_planes(const std::vector<f32>& x,
+                                  const ConvPlanes& g,
+                                  const QuantParams& params) {
+  std::vector<i16> planes(static_cast<size_t>(g.size()), 0);
+  const i64 s = g.stride;
+  for (i64 c = 0; c < g.channels; ++c) {
+    for (i64 ry = 0; ry < g.phases; ++ry) {
+      for (i64 rx = 0; rx < g.phases; ++rx) {
+        const i64 plane = 1 + (c * g.phases + ry) * g.phases + rx;
+        for (i64 n = 0; n < g.batch; ++n) {
+          for (i64 qy = 0; qy < g.plane_h; ++qy) {
+            for (i64 qx = 0; qx < g.plane_w; ++qx) {
+              const i64 y = s * qy + ry - g.padding;
+              const i64 xx = s * qx + rx - g.padding;
+              if (y < 0 || y >= g.height || xx < 0 || xx >= g.width) continue;
+              const f32 v = x[static_cast<size_t>(
+                  ((n * g.channels + c) * g.height + y) * g.width + xx)];
+              planes[static_cast<size_t>(plane * g.plane_len +
+                                         g.position(n, qy, qx))] =
+                  static_cast<i16>(params.quantize(v));
+            }
+          }
+        }
+      }
+    }
+  }
+  return planes;
+}
+
+TEST_P(RawKernelIsaTest, ConvPlanesAndDirectConvMatchScalarReference) {
+  // DirectConvGrid's shapes (every kernel x stride x padding, odd
+  // channel counts and non-square inputs, batch 1 / 7 / 32), plus images
+  // larger than the 1024-code quantize buffer, which go a row piece at a
+  // time — at stride 3 a 1100-wide row in two pieces.
+  struct ConvShape {
+    i64 kernel, stride, padding, in_ch, out_ch, height, width, batch;
+  };
+  std::vector<ConvShape> shapes;
+  const i64 batches[] = {1, 7, 32};
+  const i64 in_chs[] = {3, 5, 7};
+  const i64 out_chs[] = {5, 13, 7, 9};
+  const std::pair<i64, i64> sizes[] = {{7, 9}, {6, 11}, {9, 5}};
+  i64 i = 0;
+  for (const i64 kernel : {1, 3, 5}) {
+    for (const i64 stride : {1, 2, 3}) {
+      for (const i64 padding : {0, 1, 2}) {
+        const auto [h, w] = sizes[(i + i / 3) % 3];
+        shapes.push_back({kernel, stride, padding, in_chs[(i / 3) % 3],
+                          out_chs[i % 4], h, w, batches[i % 3]});
+        ++i;
+      }
+    }
+  }
+  shapes.push_back({3, 1, 1, 2, 3, 40, 41, 2});
+  shapes.push_back({3, 2, 1, 2, 3, 33, 35, 1});
+  shapes.push_back({5, 3, 2, 1, 4, 3, 1100, 1});
+  const QuantParams params = params_for(0.04f, 8);
+  Rng rng(31);
+  for (const ConvShape& c : shapes) {
+    SCOPED_TRACE("k" + std::to_string(c.kernel) + " s" +
+                 std::to_string(c.stride) + " p" + std::to_string(c.padding) +
+                 " " + std::to_string(c.in_ch) + "x" +
+                 std::to_string(c.height) + "x" + std::to_string(c.width) +
+                 " b" + std::to_string(c.batch));
+    const ConvPlanes g =
+        ConvPlanes::make(c.batch, c.in_ch, c.height, c.width, c.kernel,
+                         c.stride, c.padding);
+    std::vector<f32> x(
+        static_cast<size_t>(c.batch * c.in_ch * c.height * c.width));
+    for (f32& v : x) v = static_cast<f32>(rng.gaussian(0.0, 3.0));
+    const std::vector<i16> want_planes = reference_planes(x, g, params);
+    std::vector<i16> planes(want_planes.size(), 777);
+    copy().quantize_conv_planes(x.data(), g, params, planes.data());
+    ASSERT_EQ(planes, want_planes);
+
+    // Dense rows past C * k * k (a padded K tail) read the zero plane.
+    const i64 dense_rows = (g.k() + 3) / 4 * 4;
+    const PackedCsc w = random_packed(c.out_ch, dense_rows, 0.3, rng);
+    std::vector<i64> row_off(static_cast<size_t>(dense_rows));
+    g.row_offsets(row_off);
+    const std::vector<i32> want =
+        reference_columns(w, row_off, planes.data(), g.positions);
+    KernelArena arena;
+    std::vector<i32> out(want.size(), 12345);
+    copy().direct_conv(w.view(), planes.data(), g, out.data(), arena);
+    ASSERT_EQ(out, want);
   }
 }
 
