@@ -102,41 +102,6 @@ bool HybridCore::deployment_is_sram(i64 handle) const {
   return deployments_[static_cast<size_t>(handle)].is_sram;
 }
 
-void HybridCore::compute_row(const Deployment& dep,
-                             std::span<const i8> activations, WalkLane& lane,
-                             std::span<i32> result) const {
-  lane.acc.assign(static_cast<size_t>(dep.cols), 0);
-  lane.touched.assign(static_cast<size_t>(dep.cols), 0);
-  for (i64 i = 0; i < dep.pe_count(); ++i) {
-    PeEventCounts events;
-    if (dep.is_sram) {
-      modeled_sram_matvec(dep.sram_pes[static_cast<size_t>(i)]->tile(),
-                          activations, events, lane.walk, lane.pe_out);
-    } else {
-      modeled_mram_matvec(dep.mram_pes[static_cast<size_t>(i)]->tile(),
-                          activations, events, lane.walk, lane.pe_out);
-    }
-    // A tile's cycle cost is structural (M x 8 + tree depth on SRAM,
-    // used rows + fill on MRAM), which is what lets the dispatch
-    // schedule once for all its rows.
-    i64& cycles = lane.tile_cycles[static_cast<size_t>(i)];
-    MSH_ENSURE(lane.rows == 0 || cycles == events.cycles);
-    cycles = events.cycles;
-    lane.pe_events[static_cast<size_t>(i)] += events;
-    const TileMatvec& out = lane.pe_out;
-    for (size_t k = 0; k < out.output_ids.size(); ++k) {
-      const size_t c = static_cast<size_t>(out.output_ids[k]);
-      MSH_ENSURE(c < lane.acc.size());
-      if (lane.touched[c]) ++lane.shared_acc_ops;  // cross-PE merge
-      lane.acc[c] += out.values[k];
-      lane.touched[c] = 1;
-    }
-  }
-  ++lane.rows;
-  for (size_t c = 0; c < result.size(); ++c)
-    result[c] = static_cast<i32>(lane.acc[c]);
-}
-
 FlatCsc HybridCore::resident(Deployment& dep) {
   if (dep.packed_stale) {
     if (dep.is_sram) {
@@ -241,11 +206,6 @@ void HybridCore::modeled_matmul(Deployment& dep,
     last_makespan_ = 0;
     return;
   }
-  WalkLane& lane = walk_;
-  lane.pe_events.assign(static_cast<size_t>(dep.pe_count()), {});
-  lane.tile_cycles.assign(static_cast<size_t>(dep.pe_count()), 0);
-  lane.rows = 0;
-  lane.shared_acc_ops = 0;
   // Activations arrive over the bus into the core buffer once per row
   // (row-stationary: every PE pass reuses the buffered copy) and each PE
   // reads its rows from it; results leave over the bus.
@@ -254,26 +214,58 @@ void HybridCore::modeled_matmul(Deployment& dep,
   for (const auto& pe : dep.mram_pes)
     read_bytes += static_cast<i64>(pe->tile().rows.size());
   for (i64 b = 0; b < batch; ++b) {
-    const auto acts =
+    bus_.transfer(dep.dense_rows * 8);
+    MSH_REQUIRE(buffer_.load(
         activations.subspan(static_cast<size_t>(b * dep.dense_rows),
-                            static_cast<size_t>(dep.dense_rows));
-    bus_.transfer(static_cast<i64>(acts.size()) * 8);
-    MSH_REQUIRE(buffer_.load(acts));
+                            static_cast<size_t>(dep.dense_rows))));
     buffer_.record_read(read_bytes);
-    compute_row(dep, acts, lane,
-                out.subspan(static_cast<size_t>(b * dep.cols),
-                            static_cast<size_t>(dep.cols)));
     bus_.transfer(dep.cols * 32);
   }
+
+  // Weight-stationary walk: each tile decodes its cells once and all of
+  // the dispatch's rows stream through it. The shared accumulators merge
+  // the tiles' partial sums per (row, column); which columns a tile
+  // serves does not depend on the row, so neither do its merges.
+  WalkLane& lane = walk_;
+  const size_t cols = static_cast<size_t>(dep.cols);
+  lane.acc.assign(static_cast<size_t>(batch) * cols, 0);
+  lane.touched.assign(cols, 0);
+  lane.tile_cycles.assign(static_cast<size_t>(dep.pe_count()), 0);
+  const TileMatvec& tile_out = lane.pe_out;
   for (i64 i = 0; i < dep.pe_count(); ++i) {
-    const PeEventCounts& events = lane.pe_events[static_cast<size_t>(i)];
+    PeEventCounts events;
     if (dep.is_sram) {
-      dep.sram_pes[static_cast<size_t>(i)]->absorb_events(events);
+      SramSparsePe& pe = *dep.sram_pes[static_cast<size_t>(i)];
+      modeled_sram_matmul(pe.tile(), activations, batch, events, lane.walk,
+                          lane.pe_out);
+      pe.absorb_events(events);
     } else {
-      dep.mram_pes[static_cast<size_t>(i)]->absorb_events(events);
+      MramSparsePe& pe = *dep.mram_pes[static_cast<size_t>(i)];
+      modeled_mram_matmul(pe.tile(), activations, batch, events, lane.walk,
+                          lane.pe_out);
+      pe.absorb_events(events);
+    }
+    // A tile's cycle cost is structural (M x 8 + tree depth on SRAM,
+    // used rows + fill on MRAM), the same for every row, which is what
+    // lets the dispatch schedule once for all its rows.
+    MSH_ENSURE(events.cycles % batch == 0);
+    lane.tile_cycles[static_cast<size_t>(i)] = events.cycles / batch;
+    const size_t ids = tile_out.output_ids.size();
+    for (const i32 id : tile_out.output_ids) {
+      const size_t c = static_cast<size_t>(id);
+      MSH_ENSURE(c < cols);
+      if (lane.touched[c]) shared_acc_ops_ += batch;  // cross-PE merges
+      lane.touched[c] = 1;
+    }
+    for (size_t b = 0; b < static_cast<size_t>(batch); ++b) {
+      i64* acc = lane.acc.data() + b * cols;
+      const i64* values = tile_out.values.data() + b * ids;
+      for (size_t k = 0; k < ids; ++k)
+        acc[static_cast<size_t>(tile_out.output_ids[k])] += values[k];
     }
   }
-  shared_acc_ops_ += lane.shared_acc_ops;
+  for (size_t j = 0; j < out.size(); ++j)
+    out[j] = static_cast<i32>(lane.acc[j]);
 
   // SIMT schedule over the physical PE pool, once: every row costs each
   // tile the same cycles, and the rows stream through the same tiles one

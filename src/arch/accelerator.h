@@ -169,23 +169,15 @@ class HybridCore {
 
   /// Working storage of the modeled walk. The core keeps one and reuses
   /// it at its high-water mark, so a warmed modeled dispatch allocates
-  /// nothing per row. Only results and event sums live here, never
-  /// cell-derived state: each row re-reads the live tiles.
+  /// nothing per row. Only results live here, never cell-derived state:
+  /// each tile walk decodes the live cells afresh.
   struct WalkLane {
     ModeledScratch walk;    ///< the PE walks' buffers
-    TileMatvec pe_out;      ///< one PE's results
-    std::vector<i64> acc;   ///< one row's merged accumulators [cols]
-    std::vector<u8> touched;                ///< [cols] columns merged
-    std::vector<PeEventCounts> pe_events;   ///< per PE, summed over rows
-    std::vector<i64> tile_cycles;  ///< per PE cycle cost (row-invariant)
-    i64 rows = 0;                  ///< rows walked this dispatch
-    i64 shared_acc_ops = 0;        ///< cross-PE partial-sum merges
+    TileMatvec pe_out;      ///< one PE's results over the dispatch's rows
+    std::vector<i64> acc;   ///< merged accumulators [batch x cols]
+    std::vector<u8> touched;        ///< [cols] columns a PE already served
+    std::vector<i64> tile_cycles;   ///< per PE one-row cycle cost
   };
-  /// One activation row's walk over a deployment's PE tiles into
-  /// `result` [cols], with no side effects on the core or the PEs: the
-  /// event deltas land in `lane`.
-  void compute_row(const Deployment& dep, std::span<const i8> activations,
-                   WalkLane& lane, std::span<i32> result) const;
 
   Deployment& checked_deployment(i64 handle, std::span<const i8> activations,
                                  i64 batch);
@@ -197,8 +189,9 @@ class HybridCore {
   /// weights into `out`. No accounting.
   void raw_matmul(Deployment& dep, std::span<const i8> activations, i64 batch,
                   std::span<i32> out);
-  /// Modeled-backend batched walk into `out`, with the full
-  /// bus/buffer/PE accounting and the SIMT schedule.
+  /// Modeled-backend batched walk into `out`, tile-outer and row-inner
+  /// (one weight-stationary walk per PE tile over all `batch` rows), with
+  /// the full per-row bus/buffer/PE accounting and the SIMT schedule.
   void modeled_matmul(Deployment& dep, std::span<const i8> activations,
                       i64 batch, std::span<i32> out);
 

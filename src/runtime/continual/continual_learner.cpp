@@ -43,7 +43,8 @@ ContinualLearner::ContinualLearner(ServingEngine& engine,
   // crashed head's exact state, since every round ends head-synced).
   head_ = std::make_unique<PimLinearTrainer>(
       head_core_, trainer_model_.feature_dim(), stream_.classes(),
-      PimTrainerOptions{.lr = options_.head_lr, .seed = options_.seed});
+      PimTrainerOptions{
+          .lr = options_.head_lr, .nm = std::nullopt, .seed = options_.seed});
   head_->set_state(trainer_model_.classifier().weight().value,
                    trainer_model_.classifier().bias().value);
   head_cycles_seen_ = head_->modeled_cycles();

@@ -1,11 +1,13 @@
 // Golden tests of the modeled PE walks (kernels/modeled.h) and the core's
 // modeled dispatch. The reference is the original, straightforward form
-// of both walks, kept below verbatim: every segment of every group
-// scanned per phase x bit plane, a fresh adder-tree level vector per
-// stage, a std::map row accumulator, and a per-row SIMT schedule. The
-// walks under test must reproduce its results and every event counter
-// exactly, on random tiles and through HybridCore's matvec / matmul /
-// conv_into.
+// of both walks, kept below verbatim: one activation row per call, every
+// segment of every group scanned per phase x bit plane, a fresh
+// adder-tree level vector per stage, a std::map row accumulator, and a
+// per-row SIMT schedule. The walks under test, which take a tile over
+// many rows in one call, must reproduce its results and every event
+// counter exactly, row by row: on random tiles, on blocks of distinct
+// rows, through HybridCore's matvec / matmul / conv_into, and after
+// cells are written between two dispatches.
 //
 // The binary also replaces the global operator new with a counting one,
 // which gives a wall-clock-free perf gate: a warmed modeled dispatch
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <set>
 #include <vector>
 
 #include "arch/accelerator.h"
@@ -396,6 +399,30 @@ std::vector<i8> random_codes(i64 len, Rng& rng) {
   return act;
 }
 
+/// `batch` rows of `len` codes in which every row differs: random rows
+/// with -128, 0 and 127 pinned, from batch 4 an all -128 and an all 127
+/// row, and from batch 2 a last row of zeros.
+std::vector<i8> distinct_rows(i64 batch, i64 len, Rng& rng) {
+  std::vector<i8> acts;
+  for (i64 b = 0; b < batch; ++b) {
+    std::vector<i8> row = random_codes(len, rng);
+    if (batch >= 4 && b == 1) std::fill(row.begin(), row.end(), i8{-128});
+    if (batch >= 4 && b == 2) std::fill(row.begin(), row.end(), i8{127});
+    if (batch >= 2 && b == batch - 1) std::fill(row.begin(), row.end(), i8{0});
+    acts.insert(acts.end(), row.begin(), row.end());
+  }
+  return acts;
+}
+
+/// Distinct rows of a row-major [rows x len] block.
+size_t distinct_row_count(const std::vector<i8>& acts, i64 len) {
+  std::set<std::vector<i8>> rows;
+  for (size_t at = 0; at < acts.size(); at += static_cast<size_t>(len))
+    rows.emplace(acts.begin() + static_cast<std::ptrdiff_t>(at),
+                 acts.begin() + static_cast<std::ptrdiff_t>(at) + len);
+  return rows.size();
+}
+
 /// A 128 x 8 SRAM tile with random cells: unused segments, spill (several
 /// segments, in any group, serving one output), padding slots, and
 /// indices anywhere in the index field — including the positions a flipped
@@ -480,7 +507,7 @@ TEST(ModeledWalkGolden, SramTilesMatchReferenceWalk) {
         PeEventCounts want_events;
         const TileMatvec want = ref::sram_matvec(tile, act, want_events);
         PeEventCounts got_events;
-        modeled_sram_matvec(tile, act, got_events, scratch, out);
+        modeled_sram_matmul(tile, act, 1, got_events, scratch, out);
         expect_same(out, want);
         expect_events_equal(got_events, want_events);
 
@@ -492,7 +519,7 @@ TEST(ModeledWalkGolden, SramTilesMatchReferenceWalk) {
         const std::vector<i8> between_act =
             random_codes(between.activation_len, rng);
         PeEventCounts ignored;
-        modeled_mram_matvec(between, between_act, ignored, scratch, out);
+        modeled_mram_matmul(between, between_act, 1, ignored, scratch, out);
       }
     }
   }
@@ -515,7 +542,7 @@ TEST(ModeledWalkGolden, MramTilesMatchReferenceWalk) {
           ref::mram_matvec(tile, act, want_events, &want_stats);
       PeEventCounts got_events;
       MramPipelineStats got_stats;
-      modeled_mram_matvec(tile, act, got_events, scratch, out, &got_stats);
+      modeled_mram_matmul(tile, act, 1, got_events, scratch, out, &got_stats);
       expect_same(out, want);
       expect_events_equal(got_events, want_events);
       EXPECT_EQ(got_stats.rows, want_stats.rows);
@@ -525,7 +552,58 @@ TEST(ModeledWalkGolden, MramTilesMatchReferenceWalk) {
       const std::vector<i8> between_act =
           random_codes(between.activation_len, rng);
       PeEventCounts ignored;
-      modeled_sram_matvec(between, between_act, ignored, scratch, out);
+      modeled_sram_matmul(between, between_act, 1, ignored, scratch, out);
+    }
+  }
+}
+
+TEST(ModeledWalkGolden, TileMatmulMatchesReferenceRowByRow) {
+  // One call walks a tile over every row of a block: its per-row results
+  // and its events, summed over the rows, equal the reference walked row
+  // by row. The rows are longer than the tile's activation_len, as a
+  // core's dense rows may be.
+  Rng rng(1704);
+  ModeledScratch scratch;
+  TileMatvec out;
+  for (const NmConfig cfg : kPatterns) {
+    for (const i64 batch : {1, 7, 32}) {
+      const SramPeTile sram = random_sram_tile(cfg, 32, rng);
+      const MramPeTile mram = random_mram_tile(cfg, rng);
+      for (const bool is_sram : {true, false}) {
+        SCOPED_TRACE(testing::Message()
+                     << (is_sram ? "sram " : "mram ") << cfg.n << ":"
+                     << cfg.m << " batch=" << batch);
+        const i64 stride =
+            (is_sram ? sram.activation_len : mram.activation_len) + 3;
+        const std::vector<i8> acts = distinct_rows(batch, stride, rng);
+        ASSERT_EQ(distinct_row_count(acts, stride),
+                  static_cast<size_t>(batch));
+
+        PeEventCounts want_events;
+        MramPipelineStats want_stats;
+        TileMatvec want;
+        for (i64 b = 0; b < batch; ++b) {
+          const auto row = std::span<const i8>(acts).subspan(
+              static_cast<size_t>(b * stride), static_cast<size_t>(stride));
+          const TileMatvec y =
+              is_sram ? ref::sram_matvec(sram, row, want_events)
+                      : ref::mram_matvec(mram, row, want_events, &want_stats);
+          want.output_ids = y.output_ids;
+          want.values.insert(want.values.end(), y.values.begin(),
+                             y.values.end());
+        }
+        PeEventCounts got_events;
+        MramPipelineStats got_stats;
+        if (is_sram) {
+          modeled_sram_matmul(sram, acts, batch, got_events, scratch, out);
+        } else {
+          modeled_mram_matmul(mram, acts, batch, got_events, scratch, out,
+                              &got_stats);
+          EXPECT_EQ(got_stats.total_cycles(), want_stats.total_cycles());
+        }
+        expect_same(out, want);
+        expect_events_equal(got_events, want_events);
+      }
     }
   }
 }
@@ -585,36 +663,37 @@ struct Deployed {
       want.mram = map_to_mram_pes(w, options.mram_map);
       want.pe_pool = options.topology.mram_pes_per_core();
     }
-    flip_some_indices(sram);
+    flip_some_indices();
     core.reset_events();
     deployed_bus = core.bus();
   }
 
+  /// The reference's copies of the deployment's valid cells as (weight,
+  /// index) pointers, in the order nvm_codes lists them (PE, then slot).
+  std::vector<std::pair<i8*, u8*>> reference_cells() {
+    std::vector<std::pair<i8*, u8*>> cells;
+    for (auto& tile : want.sram)
+      for (size_t s = 0; s < tile.valid.size(); ++s)
+        if (tile.valid[s])
+          cells.emplace_back(&tile.weights[s], &tile.indices[s]);
+    for (auto& tile : want.mram)
+      for (auto& row : tile.rows)
+        for (auto& entry : row.entries)
+          if (entry.valid) cells.emplace_back(&entry.weight, &entry.index);
+    return cells;
+  }
+
   /// Flips one bit of every fifth stored index, in the core's cells and
-  /// in the reference's copy alike (the view lists valid slots in deploy
-  /// order: PE, then slot).
-  void flip_some_indices(bool sram) {
+  /// in the reference's copy alike.
+  void flip_some_indices() {
     HybridCore::NvmCodeView view = core.nvm_codes(handle);
-    size_t at = 0;
-    auto flip = [&](u8& reference_cell) {
-      if (at % 5 == 0) {
-        const u8 mask = static_cast<u8>(1u << (at % view.index_bits));
-        *view.indices[at] ^= mask;
-        reference_cell ^= mask;
-      }
-      ++at;
-    };
-    if (sram) {
-      for (auto& tile : want.sram)
-        for (size_t s = 0; s < tile.valid.size(); ++s)
-          if (tile.valid[s]) flip(tile.indices[s]);
-    } else {
-      for (auto& tile : want.mram)
-        for (auto& row : tile.rows)
-          for (auto& entry : row.entries)
-            if (entry.valid) flip(entry.index);
+    const auto cells = reference_cells();
+    ASSERT_EQ(cells.size(), view.indices.size());
+    for (size_t at = 0; at < cells.size(); at += 5) {
+      const u8 mask = static_cast<u8>(1u << (at % view.index_bits));
+      *view.indices[at] ^= mask;
+      *cells[at].second ^= mask;
     }
-    ASSERT_EQ(at, view.indices.size());
   }
 
   /// Core accounting since deployment vs the reference's.
@@ -683,44 +762,131 @@ TEST(ModeledWalkGolden, CoreMatvecAndMatmulMatchReference) {
   }
 }
 
-TEST(ModeledWalkGolden, CoreConvMatchesReference) {
-  // 5 -> 7 channels, 3x3 stride 2 pad 1 on two 9x7 images: K = 45 rounds
-  // up to the pattern's group, so the tail rows read code 0.
-  const ConvPlanes layout = ConvPlanes::make(2, 5, 9, 7, 3, 2, 1);
+TEST(ModeledWalkGolden, CoreBatchesOfDistinctRowsMatchReference) {
+  // The core walks each tile once over the whole batch; every row of it
+  // differs, so a row's results or events standing in for another's
+  // would show.
+  for (const CoreCase& tc : kCoreCases) {
+    for (const i64 batch : {1, 7, 32}) {
+      SCOPED_TRACE(testing::Message() << tc.name << " batch=" << batch);
+      const QuantizedNmMatrix w =
+          random_matrix(tc.k, tc.cols, tc.cfg, 41 + tc.k);
+      Deployed d(w, tc.sram);
+      Rng rng(static_cast<u64>(batch));
+      const std::vector<i8> acts = distinct_rows(batch, w.dense_rows(), rng);
+      ASSERT_EQ(distinct_row_count(acts, w.dense_rows()),
+                static_cast<size_t>(batch));
+      std::vector<i32> into(static_cast<size_t>(batch * w.cols()));
+      d.core.matmul_into(d.handle, acts, batch, into);
+      EXPECT_EQ(into, d.want.matmul(acts, batch));
+      d.expect_accounting();
+    }
+  }
+}
+
+/// conv_into on `d` against the reference's batched walk over the same
+/// gathered im2col code rows, then the core's accounting.
+void expect_conv_matches_reference(Deployed& d, const QuantizedNmMatrix& w,
+                                   const ConvPlanes& layout,
+                                   const std::vector<i16>& planes) {
+  std::vector<i32> out(static_cast<size_t>(w.cols() * layout.positions));
+  d.core.conv_into(d.handle, planes, layout, out);
+
+  const i64 spatial = layout.out_h * layout.out_w;
+  const i64 rows = layout.batch * spatial;
+  std::vector<i8> codes(static_cast<size_t>(rows * w.dense_rows()));
+  KernelArena arena;
+  gather_code_rows(planes.data(), layout, w.dense_rows(), codes.data(),
+                   arena);
+  const std::vector<i32> want = d.want.matmul(codes, rows);
+  for (i64 p = 0; p < rows; ++p) {
+    const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
+                                  p % layout.out_w);
+    for (i64 c = 0; c < w.cols(); ++c) {
+      ASSERT_EQ(out[static_cast<size_t>(c * layout.positions + q)],
+                want[static_cast<size_t>(p * w.cols() + c)])
+          << "position " << p << " channel " << c;
+    }
+  }
+  d.expect_accounting();
+}
+
+/// Code planes of `images` random 5 x 9 x 7 images (3x3, stride 2, pad
+/// 1) with -128, 127 and 0 pinned in the first, and from two images on a
+/// last image of zeros.
+std::vector<i16> conv_planes(const ConvPlanes& layout, Rng& rng) {
   const QuantParams params{1.0f, -128, 127};
-  Rng rng(91);
-  std::vector<f32> x(static_cast<size_t>(2 * 5 * 9 * 7));
+  const i64 per_image = layout.channels * 9 * 7;
+  std::vector<f32> x(static_cast<size_t>(layout.batch * per_image));
   for (auto& v : x) v = static_cast<f32>(rng.uniform_int(-128, 127));
   x[0] = -128.0f;
   x[1] = 127.0f;
   x[2] = 0.0f;
+  if (layout.batch >= 2) std::fill(x.end() - per_image, x.end(), 0.0f);
   std::vector<i16> planes(static_cast<size_t>(layout.size()));
   quantize_conv_planes(x.data(), layout, params, planes.data());
+  return planes;
+}
 
+TEST(ModeledWalkGolden, CoreConvMatchesReference) {
+  // 5 -> 7 channels, 3x3 stride 2 pad 1 on two 9x7 images: K = 45 rounds
+  // up to the pattern's group, so the tail rows read code 0.
+  const ConvPlanes layout = ConvPlanes::make(2, 5, 9, 7, 3, 2, 1);
+  Rng rng(91);
+  const std::vector<i16> planes = conv_planes(layout, rng);
   for (const bool sram : {true, false}) {
     SCOPED_TRACE(sram ? "sram" : "mram");
     const QuantizedNmMatrix w = random_matrix(48, 7, kSparse1of4, 13);
     Deployed d(w, sram);
+    expect_conv_matches_reference(d, w, layout, planes);
+  }
+}
 
-    std::vector<i32> out(static_cast<size_t>(7 * layout.positions));
-    d.core.conv_into(d.handle, planes, layout, out);
-
-    const i64 rows = layout.batch * layout.out_h * layout.out_w;
-    std::vector<i8> codes(static_cast<size_t>(rows * w.dense_rows()));
-    KernelArena arena;
-    gather_code_rows(planes.data(), layout, w.dense_rows(), codes.data(),
-                     arena);
-    const std::vector<i32> want = d.want.matmul(codes, rows);
-    for (i64 p = 0; p < rows; ++p) {
-      const i64 spatial = layout.out_h * layout.out_w;
-      const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
-                                    p % layout.out_w);
-      for (i64 c = 0; c < 7; ++c) {
-        ASSERT_EQ(out[static_cast<size_t>(c * layout.positions + q)],
-                  want[static_cast<size_t>(p * 7 + c)])
-            << "position " << p << " channel " << c;
-      }
+TEST(ModeledWalkGolden, CoreConvBatchesMatchReference) {
+  // The same conv at batch 1, 7 and 32 images: one tile walk streams
+  // every image's positions.
+  for (const i64 images : {1, 7, 32}) {
+    const ConvPlanes layout = ConvPlanes::make(images, 5, 9, 7, 3, 2, 1);
+    Rng rng(static_cast<u64>(92 + images));
+    const std::vector<i16> planes = conv_planes(layout, rng);
+    for (const bool sram : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << (sram ? "sram" : "mram") << " images=" << images);
+      const QuantizedNmMatrix w = random_matrix(48, 7, NmConfig{2, 4}, 14);
+      Deployed d(w, sram);
+      expect_conv_matches_reference(d, w, layout, planes);
     }
+  }
+}
+
+TEST(ModeledWalkGolden, CellWrittenBetweenDispatchesIsSeen) {
+  // A tile's decode lives for one call. Cells written through nvm_codes
+  // between two modeled dispatches on one core must show in the second,
+  // exactly as the reference walks the written tiles: decoded cells kept
+  // across dispatches would replay the old ones.
+  for (const bool sram : {true, false}) {
+    SCOPED_TRACE(sram ? "sram" : "mram");
+    const QuantizedNmMatrix w = random_matrix(256, 6, kSparse1of4, 57);
+    Deployed d(w, sram);
+    Rng rng(58);
+    const std::vector<i8> acts = distinct_rows(7, w.dense_rows(), rng);
+    const std::vector<i32> before = d.core.matmul(d.handle, acts, 7);
+    EXPECT_EQ(before, d.want.matmul(acts, 7));
+
+    HybridCore::NvmCodeView view = d.core.nvm_codes(d.handle);
+    const auto cells = d.reference_cells();
+    ASSERT_EQ(cells.size(), view.weights.size());
+    for (size_t at = 0; at < cells.size(); at += 7) {
+      const i8 weight = static_cast<i8>(~*view.weights[at]);
+      *view.weights[at] = weight;
+      *cells[at].first = weight;
+      *view.indices[at] ^= 1u;
+      *cells[at].second ^= 1u;
+    }
+
+    const std::vector<i32> after = d.core.matmul(d.handle, acts, 7);
+    EXPECT_EQ(after, d.want.matmul(acts, 7));
+    EXPECT_NE(after, before);
     d.expect_accounting();
   }
 }

@@ -378,7 +378,9 @@ TEST(OutageSchedule, DeterministicSortedAndSpaced) {
     EXPECT_LT(a[i].at_us, options.horizon_us);
     EXPECT_GE(a[i].outage_s, options.min_outage_s);
     EXPECT_LE(a[i].outage_s, options.max_outage_s);
-    if (i > 0) EXPECT_GE(a[i].at_us - a[i - 1].at_us, options.min_gap_us);
+    if (i > 0) {
+      EXPECT_GE(a[i].at_us - a[i - 1].at_us, options.min_gap_us);
+    }
   }
   options.seed = 100;
   const auto c = make_outage_schedule(options);
