@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -543,34 +544,46 @@ TEST(SimdTest, QuantizeCoversTailsAndPad) {
 
 // ----- every ISA copy of the raw kernels, called directly ------------
 
+/// One compiled ISA copy of the raw kernels, as a test parameter. It
+/// prints as its ISA name: a bare pointer would print its address, which
+/// ASLR changes on every run, and gtest_discover_tests folds the printed
+/// parameter into each CTest name.
+struct IsaCopy {
+  const RawKernels* kernels;
+};
+
+void PrintTo(const IsaCopy& copy, std::ostream* os) {
+  *os << copy.kernels->isa;
+}
+
 /// The ISA copies this build compiled (kernels/raw_kernels.h).
-std::vector<const RawKernels*> compiled_copies() {
+std::vector<IsaCopy> compiled_copies() {
 #if defined(MSH_RAW_KERNELS_AVX2)
-  return {&isa::sse2::kRawKernels, &isa::avx2::kRawKernels};
+  return {{&isa::sse2::kRawKernels}, {&isa::avx2::kRawKernels}};
 #else
-  return {&isa::MSH_SIMD_ISA::kRawKernels};
+  return {{&isa::MSH_SIMD_ISA::kRawKernels}};
 #endif
 }
 
 /// Each test runs one copy against the scalar references, byte for
 /// byte; a copy this CPU cannot run is skipped.
-class RawKernelIsaTest : public ::testing::TestWithParam<const RawKernels*> {
+class RawKernelIsaTest : public ::testing::TestWithParam<IsaCopy> {
  protected:
   void SetUp() override {
 #if defined(MSH_RAW_KERNELS_AVX2)
-    if (GetParam() == &isa::avx2::kRawKernels &&
+    if (GetParam().kernels == &isa::avx2::kRawKernels &&
         !__builtin_cpu_supports("avx2")) {
       GTEST_SKIP() << "this CPU has no AVX2";
     }
 #endif
   }
-  const RawKernels& copy() const { return *GetParam(); }
+  const RawKernels& copy() const { return *GetParam().kernels; }
 };
 
 INSTANTIATE_TEST_SUITE_P(
     Isa, RawKernelIsaTest, ::testing::ValuesIn(compiled_copies()),
-    [](const ::testing::TestParamInfo<const RawKernels*>& info) {
-      return std::string(info.param->isa);
+    [](const ::testing::TestParamInfo<IsaCopy>& info) {
+      return std::string(info.param.kernels->isa);
     });
 
 TEST_P(RawKernelIsaTest, PairMacMatchesScalarReference) {
