@@ -183,20 +183,30 @@ void HybridCore::conv_into(i64 handle, std::span<const i16> planes,
     return;
   }
 
-  const i64 spatial = layout.out_h * layout.out_w;
-  const i64 rows = layout.batch * spatial;
-  std::span<i8> codes = arena_.alloc<i8>(rows * dep.dense_rows);
-  std::span<i32> y = arena_.alloc<i32>(rows * dep.cols);
-  gather_code_rows(planes.data(), layout, dep.dense_rows, codes.data(), arena_);
-  modeled_matmul(dep, codes, rows, y);
-  for (i64 p = 0; p < rows; ++p) {
-    const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
-                                  p % layout.out_w);
-    for (i64 c = 0; c < dep.cols; ++c) {
-      out[static_cast<size_t>(c * layout.positions + q)] =
-          y[static_cast<size_t>(p * dep.cols + c)];
+  // One lane per position, straight from the planes. Only the valid
+  // positions are rows the hardware streams: the padding ring's lanes
+  // are walked and dropped, and their codes stay out of the SRAM walk's
+  // buffer reads.
+  std::span<i64> row_off = arena_.alloc<i64>(dep.dense_rows);
+  layout.row_offsets(row_off);
+  LaneView view{planes.data(), row_off, layout.positions,
+                layout.batch * layout.out_h * layout.out_w, {}};
+  if (dep.is_sram) {
+    std::span<i16> lane_mask = arena_.alloc<i16>(layout.positions);
+    std::fill(lane_mask.begin(), lane_mask.end(), i16{0});
+    for (i64 image = 0; image < layout.batch; ++image) {
+      for (i64 oy = 0; oy < layout.out_h; ++oy) {
+        i16* row = lane_mask.data() + layout.position(image, oy, 0);
+        std::fill(row, row + layout.out_w, i16{0xFF});
+      }
     }
+    std::span<i64> tap_bits = arena_.alloc<i64>(dep.dense_rows);
+    count_tap_bits(planes.data(), row_off, lane_mask, tap_bits);
+    view.tap_bits = tap_bits;
   }
+  modeled_walk(dep, view);
+  for (size_t j = 0; j < out.size(); ++j)
+    out[j] = static_cast<i32>(walk_.acc[j]);
 }
 
 void HybridCore::modeled_matmul(Deployment& dep,
@@ -206,29 +216,46 @@ void HybridCore::modeled_matmul(Deployment& dep,
     last_makespan_ = 0;
     return;
   }
+  // The rows transposed into lanes, one lane per row.
+  arena_.reset();
+  const i64 lanes = walk_lanes(batch);
+  const LaneView view = lanes_from_rows(
+      activations.data(), batch, dep.dense_rows,
+      arena_.alloc<i16>(dep.dense_rows * lanes),
+      arena_.alloc<i64>(dep.dense_rows), arena_.alloc<i64>(dep.dense_rows));
+  modeled_walk(dep, view);
+  const size_t cols = static_cast<size_t>(dep.cols);
+  for (size_t b = 0; b < static_cast<size_t>(batch); ++b) {
+    for (size_t c = 0; c < cols; ++c)
+      out[b * cols + c] =
+          static_cast<i32>(walk_.acc[c * static_cast<size_t>(lanes) + b]);
+  }
+}
+
+void HybridCore::modeled_walk(Deployment& dep, const LaneView& view) {
   // Activations arrive over the bus into the core buffer once per row
   // (row-stationary: every PE pass reuses the buffered copy) and each PE
   // reads its rows from it; results leave over the bus.
+  const i64 rows = view.rows;
   i64 read_bytes = 0;
   for (const auto& pe : dep.sram_pes) read_bytes += pe->tile().rows;
   for (const auto& pe : dep.mram_pes)
     read_bytes += static_cast<i64>(pe->tile().rows.size());
-  for (i64 b = 0; b < batch; ++b) {
+  for (i64 b = 0; b < rows; ++b) {
     bus_.transfer(dep.dense_rows * 8);
-    MSH_REQUIRE(buffer_.load(
-        activations.subspan(static_cast<size_t>(b * dep.dense_rows),
-                            static_cast<size_t>(dep.dense_rows))));
+    MSH_REQUIRE(buffer_.load(dep.dense_rows));
     buffer_.record_read(read_bytes);
     bus_.transfer(dep.cols * 32);
   }
 
   // Weight-stationary walk: each tile decodes its cells once and all of
-  // the dispatch's rows stream through it. The shared accumulators merge
-  // the tiles' partial sums per (row, column); which columns a tile
+  // the dispatch's lanes stream through it. The shared accumulators merge
+  // the tiles' partial sums per (column, lane); which columns a tile
   // serves does not depend on the row, so neither do its merges.
   WalkLane& lane = walk_;
   const size_t cols = static_cast<size_t>(dep.cols);
-  lane.acc.assign(static_cast<size_t>(batch) * cols, 0);
+  const size_t lanes = static_cast<size_t>(view.lanes);
+  lane.acc.assign(cols * lanes, 0);
   lane.touched.assign(cols, 0);
   lane.tile_cycles.assign(static_cast<size_t>(dep.pe_count()), 0);
   const TileMatvec& tile_out = lane.pe_out;
@@ -236,44 +263,36 @@ void HybridCore::modeled_matmul(Deployment& dep,
     PeEventCounts events;
     if (dep.is_sram) {
       SramSparsePe& pe = *dep.sram_pes[static_cast<size_t>(i)];
-      modeled_sram_matmul(pe.tile(), activations, batch, events, lane.walk,
-                          lane.pe_out);
+      modeled_sram_matmul(pe.tile(), view, events, lane.walk, lane.pe_out);
       pe.absorb_events(events);
     } else {
       MramSparsePe& pe = *dep.mram_pes[static_cast<size_t>(i)];
-      modeled_mram_matmul(pe.tile(), activations, batch, events, lane.walk,
-                          lane.pe_out);
+      modeled_mram_matmul(pe.tile(), view, events, lane.walk, lane.pe_out);
       pe.absorb_events(events);
     }
     // A tile's cycle cost is structural (M x 8 + tree depth on SRAM,
     // used rows + fill on MRAM), the same for every row, which is what
     // lets the dispatch schedule once for all its rows.
-    MSH_ENSURE(events.cycles % batch == 0);
-    lane.tile_cycles[static_cast<size_t>(i)] = events.cycles / batch;
-    const size_t ids = tile_out.output_ids.size();
-    for (const i32 id : tile_out.output_ids) {
-      const size_t c = static_cast<size_t>(id);
+    MSH_ENSURE(events.cycles % rows == 0);
+    lane.tile_cycles[static_cast<size_t>(i)] = events.cycles / rows;
+    for (size_t k = 0; k < tile_out.output_ids.size(); ++k) {
+      const size_t c = static_cast<size_t>(tile_out.output_ids[k]);
       MSH_ENSURE(c < cols);
-      if (lane.touched[c]) shared_acc_ops_ += batch;  // cross-PE merges
+      if (lane.touched[c]) shared_acc_ops_ += rows;  // cross-PE merges
       lane.touched[c] = 1;
-    }
-    for (size_t b = 0; b < static_cast<size_t>(batch); ++b) {
-      i64* acc = lane.acc.data() + b * cols;
-      const i64* values = tile_out.values.data() + b * ids;
-      for (size_t k = 0; k < ids; ++k)
-        acc[static_cast<size_t>(tile_out.output_ids[k])] += values[k];
+      i64* acc = lane.acc.data() + c * lanes;
+      const i64* values = tile_out.values.data() + k * lanes;
+      for (size_t q = 0; q < lanes; ++q) acc[q] += values[q];
     }
   }
-  for (size_t j = 0; j < out.size(); ++j)
-    out[j] = static_cast<i32>(lane.acc[j]);
 
   // SIMT schedule over the physical PE pool, once: every row costs each
   // tile the same cycles, and the rows stream through the same tiles one
-  // after another, so the batch takes batch x the one-row makespan.
+  // after another, so the batch takes rows x the one-row makespan.
   const i64 pe_pool = dep.is_sram ? options_.sram_pe_pool
                                   : options_.topology.mram_pes_per_core();
   const ScheduleResult sched = Scheduler(pe_pool).schedule(lane.tile_cycles);
-  last_makespan_ = batch * sched.makespan;
+  last_makespan_ = rows * sched.makespan;
   last_utilization_ = sched.utilization();
 }
 

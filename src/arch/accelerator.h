@@ -82,10 +82,10 @@ class HybridCore {
   /// receives output channel c's INT32 accumulator at position q =
   /// layout.position(image, oy, ox); other lanes are unspecified. Raw:
   /// direct_conv straight from the planes, with no heap allocation unless
-  /// it repacks a written deployment. Modeled: the planes gathered into
-  /// im2col code rows, the batched PE walk (with its events) over them,
-  /// then scattered into place. Both backends produce identical
-  /// accumulators.
+  /// it repacks a written deployment. Modeled: the PE walks (with their
+  /// events) read the same planes as a lane view, one lane per position,
+  /// and count only the batch x out_h x out_w valid positions as rows.
+  /// Both backends produce identical accumulators.
   void conv_into(i64 handle, std::span<const i16> planes,
                  const ConvPlanes& layout, std::span<i32> out);
 
@@ -173,8 +173,8 @@ class HybridCore {
   /// each tile walk decodes the live cells afresh.
   struct WalkLane {
     ModeledScratch walk;    ///< the PE walks' buffers
-    TileMatvec pe_out;      ///< one PE's results over the dispatch's rows
-    std::vector<i64> acc;   ///< merged accumulators [batch x cols]
+    TileMatvec pe_out;      ///< one PE's results over the dispatch's lanes
+    std::vector<i64> acc;   ///< merged accumulators [cols x lanes]
     std::vector<u8> touched;        ///< [cols] columns a PE already served
     std::vector<i64> tile_cycles;   ///< per PE one-row cycle cost
   };
@@ -189,11 +189,15 @@ class HybridCore {
   /// weights into `out`. No accounting.
   void raw_matmul(Deployment& dep, std::span<const i8> activations, i64 batch,
                   std::span<i32> out);
-  /// Modeled-backend batched walk into `out`, tile-outer and row-inner
-  /// (one weight-stationary walk per PE tile over all `batch` rows), with
-  /// the full per-row bus/buffer/PE accounting and the SIMT schedule.
+  /// Modeled-backend matmul into `out`: the rows transposed into a lane
+  /// view, then modeled_walk().
   void modeled_matmul(Deployment& dep, std::span<const i8> activations,
                       i64 batch, std::span<i32> out);
+  /// Modeled-backend walk over `view` into walk_.acc ([cols x lanes]),
+  /// tile-outer (one weight-stationary walk per PE tile over all the
+  /// view's lanes), with the full per-row bus/buffer/PE accounting and
+  /// the SIMT schedule.
+  void modeled_walk(Deployment& dep, const LaneView& view);
 
   Options options_;
   KernelArena arena_;     ///< raw-backend scratch, reset per dispatch

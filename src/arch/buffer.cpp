@@ -7,10 +7,9 @@ ActivationBuffer::ActivationBuffer(i64 capacity_bytes)
   MSH_REQUIRE(capacity_bytes_ > 0);
 }
 
-bool ActivationBuffer::load(std::span<const i8> activations) {
-  if (static_cast<i64>(activations.size()) > capacity_bytes_) return false;
-  data_.assign(activations.begin(), activations.end());
-  bytes_loaded_ += static_cast<i64>(activations.size());
+bool ActivationBuffer::load(i64 bytes) {
+  if (bytes > capacity_bytes_) return false;
+  bytes_loaded_ += bytes;
   return true;
 }
 

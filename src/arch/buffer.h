@@ -5,7 +5,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "common/types.h"
 
@@ -17,11 +16,13 @@ class ActivationBuffer {
 
   i64 capacity_bytes() const { return capacity_bytes_; }
 
-  /// Loads a dense INT8 activation vector; evicts the previous contents.
-  /// Returns false (and loads nothing) if it does not fit.
-  bool load(std::span<const i8> activations);
-
-  std::span<const i8> contents() const { return data_; }
+  /// Loads a dense INT8 activation vector of `bytes` bytes; evicts the
+  /// previous contents. Returns false (and loads nothing) if it does not
+  /// fit. Only the fill is accounted: no caller reads the contents back.
+  bool load(i64 bytes);
+  bool load(std::span<const i8> activations) {
+    return load(static_cast<i64>(activations.size()));
+  }
 
   /// Records a PE-side read of `bytes` from the buffer.
   void record_read(i64 bytes) { bytes_read_ += bytes; }
@@ -40,7 +41,6 @@ class ActivationBuffer {
 
  private:
   i64 capacity_bytes_;
-  std::vector<i8> data_;
   i64 bytes_loaded_ = 0;
   i64 bytes_read_ = 0;
   i64 bytes_written_ = 0;

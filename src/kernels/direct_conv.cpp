@@ -63,18 +63,4 @@ void ConvPlanes::row_offsets(std::span<i64> off) const {
   for (; r < rows; ++r) off[static_cast<size_t>(r)] = 0;
 }
 
-void gather_code_rows(const i16* planes, const ConvPlanes& g, i64 dense_rows,
-                      i8* rows, KernelArena& arena) {
-  std::span<i64> row_off = arena.alloc<i64>(dense_rows);
-  g.row_offsets(row_off);
-  const i64 spatial = g.out_h * g.out_w;
-  for (i64 p = 0; p < g.batch * spatial; ++p) {
-    const i64 q = g.position(p / spatial, p % spatial / g.out_w, p % g.out_w);
-    i8* row = rows + p * dense_rows;
-    for (i64 r = 0; r < dense_rows; ++r) {
-      row[r] = static_cast<i8>(planes[row_off[static_cast<size_t>(r)] + q]);
-    }
-  }
-}
-
 }  // namespace msh

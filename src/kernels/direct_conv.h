@@ -18,8 +18,9 @@
 // phase and the planes are the padded images themselves. Lanes whose q
 // lands in the padding ring (ox >= Wo, oy >= Ho) are computed and
 // discarded. Dense rows in the K tail (>= C * k * k, including
-// fault-flipped ones) read the zero plane: code 0, as in the gather the
-// modeled backend takes.
+// fault-flipped ones) read the zero plane: code 0. The modeled backend's
+// PE walks read the same planes through the same row offsets
+// (kernels/modeled.h, LaneView).
 #pragma once
 
 #include <span>
@@ -68,11 +69,5 @@ void quantize_conv_planes(const f32* x, const ConvPlanes& layout,
 /// Reads at most layout.size() plane elements.
 void direct_conv(const FlatCsc& w, const i16* planes, const ConvPlanes& layout,
                  i32* out, KernelArena& arena);
-
-/// The modeled backend's conv input: one INT8 row per valid output
-/// position (image, oy, ox order) in im2col's K order (channel, ky, kx),
-/// padding taps and the tail up to `dense_rows` code 0.
-void gather_code_rows(const i16* planes, const ConvPlanes& layout,
-                      i64 dense_rows, i8* rows, KernelArena& arena);
 
 }  // namespace msh

@@ -1,6 +1,7 @@
 #include "kernels/modeled.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "kernels/index_unit.h"
 #include "kernels/shift_acc.h"
@@ -11,22 +12,51 @@ namespace {
 
 constexpr i32 kInputBits = 8;
 
-/// Four i32 lanes (GCC/Clang vector extension): the 8 bit planes are two
-/// of them, planes 0-3 and 4-7, so the per-slot gating compiles to a few
-/// SSE2/NEON instructions on every baseline.
-using Lanes = i32 __attribute__((vector_size(16)));
-constexpr Lanes kLowBits = {1, 2, 4, 8};
-constexpr Lanes kHighBits = {16, 32, 64, 128};
+/// One block of kWalkLanes lanes as i16 (GCC/Clang vector extension):
+/// one tap's codes, or one bit plane's sums over the block, in a single
+/// SSE2/NEON register on every baseline.
+using Codes = i16 __attribute__((vector_size(2 * kWalkLanes)));
+/// Half a block widened to i32.
+using Wide = i32 __attribute__((vector_size(2 * kWalkLanes)));
+static_assert(sizeof(Codes) == kWalkLanes * sizeof(i16));
 
-/// The row stride of a walk's row-major [rows x stride] activations.
-i64 row_stride(std::span<const i8> activations, i64 rows,
-               i64 activation_len) {
-  MSH_REQUIRE(rows >= 1);
-  const i64 len = static_cast<i64>(activations.size());
-  MSH_REQUIRE(len % rows == 0);
-  const i64 stride = len / rows;
-  MSH_REQUIRE(stride >= activation_len);
-  return stride;
+/// Gated slots whose i16 plane sums are exact: |w| <= 128, and
+/// 256 x -128 = -32768 is the i16 minimum.
+constexpr i64 kPlaneSlots = 256;
+
+Codes load_block(const i16* p) {
+  Codes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Lanes 0-3 and 4-7 of a block, sign-extended to i32: each lane is
+/// paired with itself into one i32 (the same bits on either byte order),
+/// and the arithmetic shift keeps one copy.
+Wide low_half(Codes v) {
+  return reinterpret_cast<Wide>(
+             __builtin_shufflevector(v, v, 0, 0, 1, 1, 2, 2, 3, 3)) >>
+         16;
+}
+Wide high_half(Codes v) {
+  return reinterpret_cast<Wide>(
+             __builtin_shufflevector(v, v, 4, 4, 5, 5, 6, 6, 7, 7)) >>
+         16;
+}
+
+/// Adds a block's two i32 halves into its lanes' i64 accumulators.
+void add_block(i64* values, Wide low, Wide high) {
+  for (i32 j = 0; j < 4; ++j) {
+    values[j] += low[j];
+    values[j + 4] += high[j];
+  }
+}
+
+/// Checks a view against a tile expecting `activation_len` taps.
+void check_view(const LaneView& view, i64 activation_len) {
+  MSH_REQUIRE(view.lanes >= kWalkLanes && view.lanes % kWalkLanes == 0);
+  MSH_REQUIRE(view.rows >= 1 && view.rows <= view.lanes);
+  MSH_REQUIRE(static_cast<i64>(view.row_off.size()) >= activation_len);
 }
 
 /// Gives each distinct output id >= 0 in `ids` an output slot, in
@@ -53,14 +83,91 @@ i32 number_outputs(std::span<const i32> ids, ModeledScratch& scratch,
   return lo;
 }
 
+/// Sum over lanes q < lanes of popcount(tap[q] & mask[q]), the 8-bit
+/// codes' set bits; a null mask keeps every lane.
+i64 tap_popcount(const i16* tap, const i16* mask, i64 lanes) {
+  MSH_REQUIRE(lanes % kWalkLanes == 0);
+  // A lane's popcount is at most 8, so its i16 sum stays exact (at most
+  // 2^14) over 2048 blocks.
+  constexpr i64 kChunk = 2048 * kWalkLanes;
+  i64 bits = 0;
+  for (i64 c0 = 0; c0 < lanes; c0 += kChunk) {
+    Codes sum{};
+    for (i64 q = c0; q < std::min(lanes, c0 + kChunk); q += kWalkLanes) {
+      Codes v = load_block(tap + q) & 0xFF;
+      if (mask != nullptr) v &= load_block(mask + q);
+      v = v - ((v >> 1) & 0x55);
+      v = (v & 0x33) + ((v >> 2) & 0x33);
+      sum += (v + (v >> 4)) & 0x0F;
+    }
+    for (i64 j = 0; j < kWalkLanes; ++j) bits += sum[j];
+  }
+  return bits;
+}
+
+/// One row through a walk: the row is lane 0 of a kWalkLanes-lane view,
+/// and lane 0's results are kept, one value per output.
+template <typename Walk>
+TileMatvec walk_one_row(std::span<const i8> activations, Walk&& walk) {
+  const i64 taps = static_cast<i64>(activations.size());
+  std::vector<i16> codes(static_cast<size_t>(taps * kWalkLanes));
+  std::vector<i64> row_off(static_cast<size_t>(taps));
+  std::vector<i64> tap_bits(static_cast<size_t>(taps));
+  const LaneView view = lanes_from_rows(activations.data(), 1, taps, codes,
+                                        row_off, tap_bits);
+  ModeledScratch scratch;
+  TileMatvec out;
+  walk(view, scratch, out);
+  for (size_t k = 0; k < out.output_ids.size(); ++k)
+    out.values[k] = out.values[k * kWalkLanes];
+  out.values.resize(out.output_ids.size());
+  return out;
+}
+
 }  // namespace
 
-void modeled_sram_matmul(const SramPeTile& tile,
-                         std::span<const i8> activations, i64 rows,
+void count_tap_bits(const i16* base, std::span<const i64> row_off,
+                    std::span<const i16> lane_mask, std::span<i64> tap_bits) {
+  MSH_REQUIRE(tap_bits.size() == row_off.size());
+  for (size_t r = 0; r < row_off.size(); ++r) {
+    tap_bits[r] = tap_popcount(base + row_off[r], lane_mask.data(),
+                               static_cast<i64>(lane_mask.size()));
+  }
+}
+
+LaneView lanes_from_rows(const i8* rows, i64 count, i64 taps,
+                         std::span<i16> codes, std::span<i64> row_off,
+                         std::span<i64> tap_bits) {
+  MSH_REQUIRE(count >= 1 && taps >= 0);
+  const i64 lanes = walk_lanes(count);
+  MSH_REQUIRE(static_cast<i64>(codes.size()) == taps * lanes);
+  MSH_REQUIRE(static_cast<i64>(row_off.size()) == taps);
+  MSH_REQUIRE(static_cast<i64>(tap_bits.size()) == taps);
+  // A block of rows at a time, so the rows it reads stay in cache while
+  // every tap takes its lanes from them. The round-up lanes hold 0.
+  for (i64 b0 = 0; b0 < lanes; b0 += kWalkLanes) {
+    const i64 block = std::min(kWalkLanes, count - b0);
+    for (i64 r = 0; r < taps; ++r) {
+      i16* lane = codes.data() + r * lanes + b0;
+      for (i64 j = 0; j < block; ++j) lane[j] = rows[(b0 + j) * taps + r];
+      std::fill(lane + block, lane + kWalkLanes, i16{0});
+    }
+  }
+  for (i64 r = 0; r < taps; ++r) {
+    row_off[static_cast<size_t>(r)] = r * lanes;
+    tap_bits[static_cast<size_t>(r)] =
+        tap_popcount(codes.data() + r * lanes, nullptr, lanes);
+  }
+  return LaneView{codes.data(), row_off, lanes, count, tap_bits};
+}
+
+void modeled_sram_matmul(const SramPeTile& tile, const LaneView& view,
                          PeEventCounts& events, ModeledScratch& scratch,
                          TileMatvec& out) {
   MSH_REQUIRE(!tile.empty());
-  const i64 stride = row_stride(activations, rows, tile.activation_len);
+  check_view(view, tile.activation_len);
+  MSH_REQUIRE(view.tap_bits.size() == view.row_off.size());
+  const i64 taps = static_cast<i64>(view.row_off.size());
 
   // The adder tree and the comparator banks span the tile's rows.
   if (scratch.sram_tree.inputs() != tile.rows)
@@ -75,16 +182,19 @@ void modeled_sram_matmul(const SramPeTile& tile,
   // Step 2, once per call: for each segment that serves an output (only
   // those reach the shift accumulators) the comparators gate the slots
   // whose stored index matches each index phase; record every gated slot
-  // as (dense row, weight). The decode is rebuilt from the live cells on
+  // as (tap offset, weight). Every gated slot reads its tap's code over
+  // each valid lane, popcount bits each: u_r gated slots on dense row r
+  // read u_r x tap_bits[r]. The decode is rebuilt from the live cells on
   // every call and dropped when it returns.
   const i32 lo_id = number_outputs(tile.output_id, scratch, out);
   const size_t seg_len = static_cast<size_t>(seg_rows);
   scratch.match.resize(seg_len);
   const std::span<u8> match(scratch.match);
-  scratch.gated_rows.clear();
+  scratch.gated_taps.clear();
   scratch.gated_weights.clear();
   scratch.runs.clear();
   i64 active_groups = 0;
+  i64 bits_read = 0;
   IndexGenerator generator(m);
   for (i64 g = 0; g < tile.groups; ++g) {
     bool group_active = false;
@@ -103,7 +213,7 @@ void modeled_sram_matmul(const SramPeTile& tile,
       const i64 offset = tile.segment_offset[static_cast<size_t>(seg_idx)];
 
       GatedRun run;
-      run.begin = static_cast<i64>(scratch.gated_rows.size());
+      run.begin = static_cast<i64>(scratch.gated_taps.size());
       run.slot = scratch.id_slot[static_cast<size_t>(id - lo_id)];
       generator.reset();
       for (i32 phase = 0; phase < m; ++phase) {
@@ -115,9 +225,11 @@ void modeled_sram_matmul(const SramPeTile& tile,
         i32 in_group = 0;
         for (size_t r = 0; r < seg_len; ++r) {
           if (match[r]) {
-            MSH_ENSURE(dense_row < stride);
-            scratch.gated_rows.push_back(static_cast<i32>(dense_row));
+            MSH_ENSURE(dense_row < taps);
+            const size_t tap = static_cast<size_t>(dense_row);
+            scratch.gated_taps.push_back(view.row_off[tap]);
             scratch.gated_weights.push_back(weights[r]);
+            bits_read += view.tap_bits[tap];
           }
           if (++in_group == n) {
             in_group = 0;
@@ -126,7 +238,7 @@ void modeled_sram_matmul(const SramPeTile& tile,
         }
         generator.step();
       }
-      run.end = static_cast<i64>(scratch.gated_rows.size());
+      run.end = static_cast<i64>(scratch.gated_taps.size());
       scratch.runs.push_back(run);
     }
     active_groups += group_active;
@@ -138,6 +250,7 @@ void modeled_sram_matmul(const SramPeTile& tile,
   // (taps are free) and shift-accumulates every live segment; the tree
   // pipeline drains once per row; segments sharing an output merge in
   // the row-wise accumulator, and each output is written back.
+  const i64 rows = view.rows;
   const i64 planes = static_cast<i64>(m) * kInputBits;
   const i64 live_segments = static_cast<i64>(scratch.runs.size());
   const i64 outputs = static_cast<i64>(out.output_ids.size());
@@ -149,50 +262,57 @@ void modeled_sram_matmul(const SramPeTile& tile,
   events.sram_shift_acc_ops += rows * planes * live_segments;
   events.sram_row_acc_ops += rows * (live_segments - outputs);
   events.buffer_bits_written += rows * outputs * 32;
+  events.buffer_bits_read += bits_read;
 
-  // Per row, all 8 bit planes of a segment in one pass over its gated
-  // slots. Step 1: the 8T cells AND each input bit with all 8 weight
-  // bits, so a gated slot adds its full signed weight to every plane
-  // whose activation bit is set (branch-free: weight & -bit, lane by
-  // lane), and reads popcount(code) buffer bits. The plane sums are
-  // exact integer sums, equal to the adder tree's stage-by-stage
-  // reduction of each phase's gated slots added over the phases. Step 3:
-  // the shift accumulator weighs them (MSB plane negative).
-  out.values.assign(static_cast<size_t>(rows * outputs), 0);
-  const i32* gated_rows = scratch.gated_rows.data();
+  // Per block of lanes, all 8 bit planes of a segment in one pass over
+  // its gated slots. Step 1: the 8T cells AND each input bit with all 8
+  // weight bits, so a gated slot adds its full signed weight to every
+  // plane whose activation bit is set: lane by lane, w & -bit. The plane
+  // sums are exact integer sums, equal to the adder tree's stage-by-stage
+  // reduction of each phase's gated slots added over the phases; i16
+  // holds them exactly over kPlaneSlots slots, so a longer segment
+  // flushes every kPlaneSlots. Step 3: the shift accumulator weighs
+  // them (MSB plane negative), which is linear, so flushing partial plane
+  // sums through it and adding the results is exact.
+  const i64 lanes = view.lanes;
+  out.values.assign(static_cast<size_t>(outputs * lanes), 0);
+  const i64* gated_taps = scratch.gated_taps.data();
   const i8* gated_weights = scratch.gated_weights.data();
-  for (i64 b = 0; b < rows; ++b) {
-    const i8* act = activations.data() + b * stride;
-    i64* values = out.values.data() + b * outputs;
-    Lanes bits_read{};
+  for (i64 q0 = 0; q0 < lanes; q0 += kWalkLanes) {
+    const i16* block = view.base + q0;
     for (const GatedRun& run : scratch.runs) {
-      Lanes low{};
-      Lanes high{};
-      for (i64 p = run.begin; p < run.end; ++p) {
-        const Lanes code = Lanes{} + static_cast<u8>(act[gated_rows[p]]);
-        const Lanes weight = Lanes{} + gated_weights[p];
-        const Lanes low_set = (code & kLowBits) == kLowBits;  // -1 or 0
-        const Lanes high_set = (code & kHighBits) == kHighBits;
-        low += weight & low_set;
-        high += weight & high_set;
-        bits_read -= low_set + high_set;
+      i64* values = out.values.data() + run.slot * lanes + q0;
+      for (i64 p0 = run.begin; p0 < run.end; p0 += kPlaneSlots) {
+        Codes plane[kInputBits] = {};
+        for (i64 p = p0; p < std::min(run.end, p0 + kPlaneSlots); ++p) {
+          const Codes code = load_block(block + gated_taps[p]);
+          const Codes weight = Codes{} + gated_weights[p];
+          // Unrolled at -O2 too, so the planes stay in registers.
+#pragma GCC unroll 8
+          for (i32 k = 0; k < kInputBits; ++k) {
+            const i16 bit = static_cast<i16>(1 << k);
+            plane[k] += weight & ((code & bit) == bit);  // -1 or 0 mask
+          }
+        }
+        ShiftAccumulator<Wide> low(kInputBits);
+        ShiftAccumulator<Wide> high(kInputBits);
+#pragma GCC unroll 8
+        for (i32 k = 0; k < kInputBits; ++k) {
+          low.accumulate(low_half(plane[k]), k);
+          high.accumulate(high_half(plane[k]), k);
+        }
+        add_block(values, low.value(), high.value());
       }
-      ShiftAccumulator acc(kInputBits);
-      for (i32 bit = 0; bit < 4; ++bit) acc.accumulate(low[bit], bit);
-      for (i32 bit = 0; bit < 4; ++bit) acc.accumulate(high[bit], bit + 4);
-      values[run.slot] += acc.value();
     }
-    for (i32 lane = 0; lane < 4; ++lane)
-      events.buffer_bits_read += bits_read[lane];
   }
 }
 
-void modeled_mram_matmul(const MramPeTile& tile,
-                         std::span<const i8> activations, i64 rows,
+void modeled_mram_matmul(const MramPeTile& tile, const LaneView& view,
                          PeEventCounts& events, ModeledScratch& scratch,
                          TileMatvec& out, MramPipelineStats* pipeline) {
   MSH_REQUIRE(!tile.empty());
-  const i64 stride = row_stride(activations, rows, tile.activation_len);
+  check_view(view, tile.activation_len);
+  const i64 taps = static_cast<i64>(view.row_off.size());
 
   const i32 m = tile.cfg.m;
   const i32 n = tile.cfg.n;
@@ -202,25 +322,25 @@ void modeled_mram_matmul(const MramPeTile& tile,
   for (const auto& row : tile.rows) scratch.row_ids.push_back(row.output_id);
   const i32 lo_id = number_outputs(scratch.row_ids, scratch, out);
 
-  // S1/S2 decode, once per call: each used row's valid entries as (dense
-  // row, weight), the mux address of entry e being
+  // S1/S2 decode, once per call: each used row's valid entries as (tap
+  // offset, weight), the mux address of entry e being
   // ((packed_base + e) / N) * M + index, stepped by M every N entries.
-  scratch.gated_rows.clear();
+  scratch.gated_taps.clear();
   scratch.gated_weights.clear();
   scratch.runs.clear();
-  i64 widest = 0;
   for (const auto& row : tile.rows) {
     if (row.output_id < 0) continue;
     GatedRun run;
-    run.begin = static_cast<i64>(scratch.gated_rows.size());
+    run.begin = static_cast<i64>(scratch.gated_taps.size());
     run.slot = scratch.id_slot[static_cast<size_t>(row.output_id - lo_id)];
     i64 group_base = row.packed_base / n * m;
     i64 in_group = row.packed_base % n;
     for (const auto& entry : row.entries) {
       if (entry.valid) {
         const i64 dense_row = group_base + static_cast<i64>(entry.index);
-        MSH_ENSURE(dense_row < stride);
-        scratch.gated_rows.push_back(static_cast<i32>(dense_row));
+        MSH_ENSURE(dense_row < taps);
+        scratch.gated_taps.push_back(
+            view.row_off[static_cast<size_t>(dense_row)]);
         scratch.gated_weights.push_back(entry.weight);
       }
       if (++in_group == n) {
@@ -228,20 +348,19 @@ void modeled_mram_matmul(const MramPeTile& tile,
         group_base += m;
       }
     }
-    run.end = static_cast<i64>(scratch.gated_rows.size());
-    widest = std::max(widest, run.end - run.begin);
+    run.end = static_cast<i64>(scratch.gated_taps.size());
     scratch.runs.push_back(run);
   }
-  if (static_cast<i64>(scratch.partials.size()) < widest)
-    scratch.partials.resize(static_cast<size_t>(widest));
 
   // Per row: S1 senses each used row, S2 muxes 8 bits per valid entry
   // from the buffer, S3 shift-accumulates and reduces the row through
   // the tree; the pipeline retires one row per cycle after its fill.
+  // Every event is structural.
   MramPipelineStats stats;
   stats.rows = static_cast<i64>(scratch.runs.size());
+  const i64 rows = view.rows;
   const i64 outputs = static_cast<i64>(out.output_ids.size());
-  const i64 entries = static_cast<i64>(scratch.gated_rows.size());
+  const i64 entries = static_cast<i64>(scratch.gated_taps.size());
   events.mram_row_reads += rows * stats.rows;
   events.buffer_bits_read += rows * entries * 8;
   events.mram_shift_acc_ops += rows * stats.rows;
@@ -250,21 +369,25 @@ void modeled_mram_matmul(const MramPeTile& tile,
   events.buffer_bits_written += rows * outputs * 32;
   if (pipeline != nullptr) *pipeline = stats;
 
-  out.values.assign(static_cast<size_t>(rows * outputs), 0);
-  const std::span<i32> partials(scratch.partials);
-  for (i64 b = 0; b < rows; ++b) {
-    const i8* act = activations.data() + b * stride;
-    i64* values = out.values.data() + b * outputs;
+  // S3 per block of lanes: each valid entry's 8b x 8b products, exact in
+  // i16 (|x * w| <= 2^14 for any INT8 pair), widened into the row's i32
+  // sums, which the tree's exact reduction equals.
+  const i64 lanes = view.lanes;
+  out.values.assign(static_cast<size_t>(outputs * lanes), 0);
+  const i64* gated_taps = scratch.gated_taps.data();
+  const i8* gated_weights = scratch.gated_weights.data();
+  for (i64 q0 = 0; q0 < lanes; q0 += kWalkLanes) {
+    const i16* block = view.base + q0;
     for (const GatedRun& run : scratch.runs) {
-      // S3: parallel shift-and-accumulate forms the 8b x 8b products.
+      Wide low{};
+      Wide high{};
       for (i64 p = run.begin; p < run.end; ++p) {
-        partials[static_cast<size_t>(p - run.begin)] =
-            static_cast<i32>(scratch.gated_weights[static_cast<size_t>(p)]) *
-            static_cast<i32>(
-                act[scratch.gated_rows[static_cast<size_t>(p)]]);
+        const Codes product =
+            load_block(block + gated_taps[p]) * (Codes{} + gated_weights[p]);
+        low += low_half(product);
+        high += high_half(product);
       }
-      values[run.slot] += scratch.mram_tree.reduce(
-          partials.first(static_cast<size_t>(run.end - run.begin)));
+      add_block(out.values.data() + run.slot * lanes + q0, low, high);
     }
   }
 }
@@ -272,20 +395,22 @@ void modeled_mram_matmul(const MramPeTile& tile,
 TileMatvec modeled_sram_matvec(const SramPeTile& tile,
                                std::span<const i8> activations,
                                PeEventCounts& events) {
-  ModeledScratch scratch;
-  TileMatvec out;
-  modeled_sram_matmul(tile, activations, 1, events, scratch, out);
-  return out;
+  return walk_one_row(activations, [&](const LaneView& view,
+                                       ModeledScratch& scratch,
+                                       TileMatvec& out) {
+    modeled_sram_matmul(tile, view, events, scratch, out);
+  });
 }
 
 TileMatvec modeled_mram_matvec(const MramPeTile& tile,
                                std::span<const i8> activations,
                                PeEventCounts& events,
                                MramPipelineStats* pipeline) {
-  ModeledScratch scratch;
-  TileMatvec out;
-  modeled_mram_matmul(tile, activations, 1, events, scratch, out, pipeline);
-  return out;
+  return walk_one_row(activations, [&](const LaneView& view,
+                                       ModeledScratch& scratch,
+                                       TileMatvec& out) {
+    modeled_mram_matmul(tile, view, events, scratch, out, pipeline);
+  });
 }
 
 }  // namespace msh

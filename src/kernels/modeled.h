@@ -1,11 +1,11 @@
 // Modeled backend kernels: the side-effect-free functional walks of both
 // PE datapaths, lifted out of the PE classes so the PEs are thin wrappers
 // that attach event accounting to state (load/program/absorb). One call
-// walks one tile over every activation row of a dispatch, weight-
+// walks one tile over every activation lane of a dispatch, weight-
 // stationary like the paper's PEs: the tile's cells are decoded once and
-// the rows stream through them. It computes the tile's sparse matmul and
-// the exact event deltas the hardware walk would produce; callers own
-// where the events land.
+// the lanes stream through them, a block of kWalkLanes at a time. It
+// computes the tile's sparse matmul and the exact event deltas the
+// hardware walk would produce; callers own where the events land.
 //
 // These kernels are the arithmetic source of truth: the raw backend
 // (flat_csc.h) is verified bit-identical against them. They stay an
@@ -24,9 +24,53 @@
 
 namespace msh {
 
+/// Activation lanes a walk steps through together: LaneView::lanes is a
+/// multiple of it.
+inline constexpr i64 kWalkLanes = 8;
+
+/// Lanes a walk over `count` rows takes: count rounded up to kWalkLanes.
+inline i64 walk_lanes(i64 count) {
+  return (count + kWalkLanes - 1) / kWalkLanes * kWalkLanes;
+}
+
+/// A dispatch's activations as both walks read them, tap-major: tap r
+/// (dense row r) of lane q is the INT8 code base[row_off[r] + q], held as
+/// i16 — the operand direct_conv reads. A conv's lanes are its output
+/// positions over the code planes; a matmul's are its rows, transposed
+/// (lanes_from_rows).
+struct LaneView {
+  const i16* base = nullptr;
+  /// One offset per dense row; lanes [0, lanes) of each tap are readable.
+  std::span<const i64> row_off;
+  i64 lanes = 0;  ///< lanes walked, a multiple of kWalkLanes
+  /// Valid lanes: the activation rows the hardware streams, which every
+  /// per-row event counts. The other lanes (a conv's padding ring, a
+  /// matmul's round-up) are walked and their results are unspecified.
+  i64 rows = 0;
+  /// Per dense row, the buffer bits its code reads over the valid lanes
+  /// (count_tap_bits): the data term of the SRAM walk's
+  /// buffer_bits_read. The MRAM walk does not read it.
+  std::span<const i64> tap_bits;
+};
+
+/// tap_bits[r] = sum over lanes q < lane_mask.size() of the set bits of
+/// lane q's 8-bit code in tap r, masked by lane_mask[q]: 0xFF on a valid
+/// lane, 0 on any other. Its size is the view's lanes.
+void count_tap_bits(const i16* base, std::span<const i64> row_off,
+                    std::span<const i16> lane_mask, std::span<i64> tap_bits);
+
+/// Lays `count` row-major rows of `taps` INT8 codes out as a lane view
+/// over caller storage: codes [taps x walk_lanes(count)], lane b of tap r
+/// holding rows[b * taps + r] and the round-up lanes 0; row_off[r] =
+/// r * lanes; tap_bits from the rows. Spans are taps * lanes, taps and
+/// taps long.
+LaneView lanes_from_rows(const i8* rows, i64 count, i64 taps,
+                         std::span<i16> codes, std::span<i64> row_off,
+                         std::span<i64> tap_bits);
+
 /// Result of one tile walk: the logical output columns present in the
 /// tile, in ascending output_id order, and their accumulator values,
-/// row-major [rows x output_ids.size()] (one row for a matvec).
+/// slot-major [output_ids.size() x lanes].
 struct TileMatvec {
   std::vector<i32> output_ids;
   std::vector<i64> values;
@@ -63,43 +107,41 @@ struct GatedRun {
 /// when it returns.
 struct ModeledScratch {
   AdderTree sram_tree{128};  ///< rebuilt when the tile height changes
-  AdderTree mram_tree{64};
   std::vector<u8> match;  ///< one segment's comparator outputs, one phase
   std::vector<i32> row_ids;  ///< each MRAM physical row's output id
   std::vector<i64> id_slot;  ///< output slot by id - lowest id
   /// The call's decode: each gated SRAM slot (valid MRAM entry) as its
-  /// dense activation row and weight, run by run.
-  std::vector<i32> gated_rows;
+  /// tap's offset in the lane view and its weight, run by run.
+  std::vector<i64> gated_taps;
   std::vector<i8> gated_weights;
   std::vector<GatedRun> runs;
-  std::vector<i32> partials;  ///< one MRAM row's products, tree inputs
 };
 
-/// Bit-serial SRAM PE matmul (paper §3.1, Fig 3) over `rows` activation
-/// rows, `activations` row-major [rows x stride] with stride at least
-/// tile.activation_len. The comparators gate each live segment's slots
-/// against the M index phases once per call; per row, each gated slot
-/// adds its weight to the bit planes its activation code sets, and the 8
-/// plane sums go through the shift accumulator (MSB plane negative).
-/// Pure: all accounting lands in `events` (summed over the rows), the
-/// results in `out` (replaced).
-void modeled_sram_matmul(const SramPeTile& tile,
-                         std::span<const i8> activations, i64 rows,
+/// Bit-serial SRAM PE matmul (paper §3.1, Fig 3) over the lanes of
+/// `view` (row_off spanning at least tile.activation_len taps). The
+/// comparators gate each live segment's slots against the M index phases
+/// once per call; per block of lanes, each gated slot adds its weight to
+/// the bit planes its tap's codes set, and the 8 plane sums go through
+/// the shift accumulator (MSB plane negative). Pure: all accounting lands
+/// in `events` (summed over the view's rows), the results in `out`
+/// (replaced).
+void modeled_sram_matmul(const SramPeTile& tile, const LaneView& view,
                          PeEventCounts& events, ModeledScratch& scratch,
                          TileMatvec& out);
 
-/// Near-memory MRAM PE matmul (paper §3.2, Fig 5) over `rows` activation
-/// rows laid out as above: per row, one physical row per cycle through
-/// the 3-stage sense/mux/accumulate pipeline. Pure: all accounting lands
-/// in `events` (summed over the rows; `*pipeline`, when given, gets one
-/// row's pass), the results in `out` (replaced).
-void modeled_mram_matmul(const MramPeTile& tile,
-                         std::span<const i8> activations, i64 rows,
+/// Near-memory MRAM PE matmul (paper §3.2, Fig 5) over the lanes of
+/// `view`: per row, one physical row per cycle through the 3-stage
+/// sense/mux/accumulate pipeline. Pure: all accounting lands in `events`
+/// (summed over the view's rows; `*pipeline`, when given, gets one row's
+/// pass), the results in `out` (replaced).
+void modeled_mram_matmul(const MramPeTile& tile, const LaneView& view,
                          PeEventCounts& events, ModeledScratch& scratch,
                          TileMatvec& out,
                          MramPipelineStats* pipeline = nullptr);
 
-/// One-off single-row forms of the walks above, with call-local scratch.
+/// One-off single-row forms of the walks above, with call-local scratch:
+/// the row is lane 0 of a kWalkLanes-lane view, and `values` holds one
+/// value per output.
 TileMatvec modeled_sram_matvec(const SramPeTile& tile,
                                std::span<const i8> activations,
                                PeEventCounts& events);

@@ -8,25 +8,31 @@
 
 namespace msh {
 
+/// `Acc` holds the accumulator: i64 for one output, or a GCC/Clang
+/// vector of integer lanes, which the modeled SRAM walk uses to weigh a
+/// block of activation lanes' plane sums side by side.
+template <typename Acc = i64>
 class ShiftAccumulator {
  public:
-  explicit ShiftAccumulator(i32 input_bits = 8);
+  explicit ShiftAccumulator(i32 input_bits = 8) : input_bits_(input_bits) {
+    MSH_REQUIRE(input_bits_ >= 1 && input_bits_ <= 32);
+  }
 
   i32 input_bits() const { return input_bits_; }
 
-  void reset() { acc_ = 0; }
+  void reset() { acc_ = Acc{}; }
   /// Accumulates one bit-plane partial sum at significance `bit`.
-  void accumulate(i32 partial_sum, i32 bit) {
+  void accumulate(Acc partial_sum, i32 bit) {
     MSH_REQUIRE(bit >= 0 && bit < input_bits_);
-    const i64 shifted = static_cast<i64>(partial_sum) << bit;
+    const Acc shifted = partial_sum << bit;
     // Two's complement: the MSB bit plane carries negative weight.
     acc_ += (bit == input_bits_ - 1) ? -shifted : shifted;
   }
-  i64 value() const { return acc_; }
+  Acc value() const { return acc_; }
 
  private:
   i32 input_bits_;
-  i64 acc_ = 0;
+  Acc acc_{};
 };
 
 }  // namespace msh

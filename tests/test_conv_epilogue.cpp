@@ -14,6 +14,14 @@
 #include "workloads/dataset.h"
 
 namespace msh {
+
+/// Prints a backend as its name: gtest_discover_tests folds the printed
+/// parameter into each CTest name, and an enum class without a printer
+/// prints as raw object bytes.
+static void PrintTo(KernelBackend backend, std::ostream* os) {
+  *os << to_string(backend);
+}
+
 namespace {
 
 using ReluForm = ConvEpilogue::Relu;

@@ -1,13 +1,14 @@
 // Golden tests of the modeled PE walks (kernels/modeled.h) and the core's
 // modeled dispatch. The reference is the original, straightforward form
-// of both walks, kept below verbatim: one activation row per call, every
-// segment of every group scanned per phase x bit plane, a fresh
+// of both walks, kept below: one row-major activation row per call,
+// every segment of every group scanned per phase x bit plane, a fresh
 // adder-tree level vector per stage, a std::map row accumulator, and a
-// per-row SIMT schedule. The walks under test, which take a tile over
-// many rows in one call, must reproduce its results and every event
-// counter exactly, row by row: on random tiles, on blocks of distinct
-// rows, through HybridCore's matvec / matmul / conv_into, and after
-// cells are written between two dispatches.
+// per-row SIMT schedule; its tree and comparators span the tile's rows.
+// The walks under test, which take a tile over every lane of a
+// tap-major lane view in one call, must reproduce its results and every
+// event counter exactly, row by row: on random tiles, on blocks of
+// distinct rows, through HybridCore's matvec / matmul / conv_into, and
+// after cells are written between two dispatches.
 //
 // The binary also replaces the global operator new with a counting one,
 // which gives a wall-clock-free perf gate: a warmed modeled dispatch
@@ -139,8 +140,8 @@ TileMatvec sram_matvec(const SramPeTile& tile,
   MSH_REQUIRE(!tile.empty());
   MSH_REQUIRE(static_cast<i64>(activations.size()) >= tile.activation_len);
 
-  AdderTree tree(128);
-  ComparatorColumn comparators(128);
+  AdderTree tree(tile.rows);
+  ComparatorColumn comparators(tile.rows);
 
   const i64 rows = tile.rows;
   const i64 groups = tile.groups;
@@ -482,17 +483,67 @@ void expect_same(const TileMatvec& got, const TileMatvec& want) {
   EXPECT_EQ(got.values, want.values);
 }
 
+/// The walks under test over `batch` row-major rows, laid out as the
+/// core lays out a matmul (lanes_from_rows). Results come back row-major
+/// [batch x outputs], the reference's order. One scratch and one output
+/// object serve every call: nothing a walk leaves behind may leak into
+/// the next.
+class RowWalk {
+ public:
+  TileMatvec sram(const SramPeTile& tile, std::span<const i8> rows,
+                  i64 batch, PeEventCounts& events) {
+    modeled_sram_matmul(tile, view(rows, batch), events, scratch_, lanes_);
+    return row_major(batch);
+  }
+  TileMatvec mram(const MramPeTile& tile, std::span<const i8> rows,
+                  i64 batch, PeEventCounts& events,
+                  MramPipelineStats* stats = nullptr) {
+    modeled_mram_matmul(tile, view(rows, batch), events, scratch_, lanes_,
+                        stats);
+    return row_major(batch);
+  }
+
+ private:
+  LaneView view(std::span<const i8> rows, i64 batch) {
+    const i64 taps = static_cast<i64>(rows.size()) / batch;
+    EXPECT_EQ(taps * batch, static_cast<i64>(rows.size()));
+    lanes_count_ = walk_lanes(batch);
+    codes_.resize(static_cast<size_t>(taps * lanes_count_));
+    row_off_.resize(static_cast<size_t>(taps));
+    tap_bits_.resize(static_cast<size_t>(taps));
+    return lanes_from_rows(rows.data(), batch, taps, codes_, row_off_,
+                           tap_bits_);
+  }
+  TileMatvec row_major(i64 batch) const {
+    TileMatvec out;
+    out.output_ids = lanes_.output_ids;
+    const size_t outputs = out.output_ids.size();
+    EXPECT_EQ(lanes_.values.size(),
+              outputs * static_cast<size_t>(lanes_count_));
+    for (i64 b = 0; b < batch; ++b)
+      for (size_t k = 0; k < outputs; ++k)
+        out.values.push_back(
+            lanes_.values[k * static_cast<size_t>(lanes_count_) +
+                          static_cast<size_t>(b)]);
+    return out;
+  }
+
+  ModeledScratch scratch_;
+  TileMatvec lanes_;
+  i64 lanes_count_ = 0;
+  std::vector<i16> codes_;
+  std::vector<i64> row_off_;
+  std::vector<i64> tap_bits_;
+};
+
 // ---------------------------------------------------------------------
 // Tile level.
 // ---------------------------------------------------------------------
 
 TEST(ModeledWalkGolden, SramTilesMatchReferenceWalk) {
   Rng rng(1701);
-  // One scratch and one output object across every tile (and the MRAM
-  // tiles in between): nothing a walk leaves behind may leak into the
-  // next call.
-  ModeledScratch scratch;
-  TileMatvec out;
+  // One walker across every tile, and the MRAM tiles in between.
+  RowWalk walk;
   for (const NmConfig cfg : kPatterns) {
     for (const i64 segment_rows : {16, 32, 64, 128}) {
       for (int trial = 0; trial < 4; ++trial) {
@@ -507,8 +558,7 @@ TEST(ModeledWalkGolden, SramTilesMatchReferenceWalk) {
         PeEventCounts want_events;
         const TileMatvec want = ref::sram_matvec(tile, act, want_events);
         PeEventCounts got_events;
-        modeled_sram_matmul(tile, act, 1, got_events, scratch, out);
-        expect_same(out, want);
+        expect_same(walk.sram(tile, act, 1, got_events), want);
         expect_events_equal(got_events, want_events);
 
         PeEventCounts fresh_events;
@@ -519,7 +569,7 @@ TEST(ModeledWalkGolden, SramTilesMatchReferenceWalk) {
         const std::vector<i8> between_act =
             random_codes(between.activation_len, rng);
         PeEventCounts ignored;
-        modeled_mram_matmul(between, between_act, 1, ignored, scratch, out);
+        walk.mram(between, between_act, 1, ignored);
       }
     }
   }
@@ -527,8 +577,7 @@ TEST(ModeledWalkGolden, SramTilesMatchReferenceWalk) {
 
 TEST(ModeledWalkGolden, MramTilesMatchReferenceWalk) {
   Rng rng(1702);
-  ModeledScratch scratch;
-  TileMatvec out;
+  RowWalk walk;
   for (const NmConfig cfg : kPatterns) {
     for (int trial = 0; trial < 12; ++trial) {
       SCOPED_TRACE(testing::Message()
@@ -542,8 +591,7 @@ TEST(ModeledWalkGolden, MramTilesMatchReferenceWalk) {
           ref::mram_matvec(tile, act, want_events, &want_stats);
       PeEventCounts got_events;
       MramPipelineStats got_stats;
-      modeled_mram_matmul(tile, act, 1, got_events, scratch, out, &got_stats);
-      expect_same(out, want);
+      expect_same(walk.mram(tile, act, 1, got_events, &got_stats), want);
       expect_events_equal(got_events, want_events);
       EXPECT_EQ(got_stats.rows, want_stats.rows);
       EXPECT_EQ(got_stats.total_cycles(), want_stats.total_cycles());
@@ -552,21 +600,20 @@ TEST(ModeledWalkGolden, MramTilesMatchReferenceWalk) {
       const std::vector<i8> between_act =
           random_codes(between.activation_len, rng);
       PeEventCounts ignored;
-      modeled_sram_matmul(between, between_act, 1, ignored, scratch, out);
+      walk.sram(between, between_act, 1, ignored);
     }
   }
 }
 
 TEST(ModeledWalkGolden, TileMatmulMatchesReferenceRowByRow) {
-  // One call walks a tile over every row of a block: its per-row results
+  // One call walks a tile over every lane of a block: its per-row results
   // and its events, summed over the rows, equal the reference walked row
   // by row. The rows are longer than the tile's activation_len, as a
-  // core's dense rows may be.
+  // core's dense rows may be; 9 and 33 rows leave round-up lanes.
   Rng rng(1704);
-  ModeledScratch scratch;
-  TileMatvec out;
+  RowWalk walk;
   for (const NmConfig cfg : kPatterns) {
-    for (const i64 batch : {1, 7, 32}) {
+    for (const i64 batch : {1, 7, 9, 33}) {
       const SramPeTile sram = random_sram_tile(cfg, 32, rng);
       const MramPeTile mram = random_mram_tile(cfg, rng);
       for (const bool is_sram : {true, false}) {
@@ -595,13 +642,12 @@ TEST(ModeledWalkGolden, TileMatmulMatchesReferenceRowByRow) {
         PeEventCounts got_events;
         MramPipelineStats got_stats;
         if (is_sram) {
-          modeled_sram_matmul(sram, acts, batch, got_events, scratch, out);
+          expect_same(walk.sram(sram, acts, batch, got_events), want);
         } else {
-          modeled_mram_matmul(mram, acts, batch, got_events, scratch, out,
-                              &got_stats);
+          expect_same(walk.mram(mram, acts, batch, got_events, &got_stats),
+                      want);
           EXPECT_EQ(got_stats.total_cycles(), want_stats.total_cycles());
         }
-        expect_same(out, want);
         expect_events_equal(got_events, want_events);
       }
     }
@@ -630,6 +676,55 @@ TEST(ModeledWalkGolden, EveryRowUnusedStillCountsStructure) {
   expect_same(modeled_mram_matvec(mram, mram_act, got_mram),
               ref::mram_matvec(mram, mram_act, want_mram));
   expect_events_equal(got_mram, want_mram);
+}
+
+TEST(ModeledWalkGolden, SramSegmentPastPlaneBoundStaysExact) {
+  // Two 512-slot segments whose slots are all valid and carry every
+  // index: each gates all 512 slots over its phases, one run of 512, past
+  // the 256 slots whose plane sums i16 holds. Every weight is -128 and
+  // every code -128 or -1, so bit plane 7 sums to 512 x -128 = -65536 on
+  // a lane whose codes are all negative: a plane that never flushed
+  // would wrap.
+  SramPeTile tile;
+  tile.cfg = NmConfig{4, 4};
+  tile.rows = 512;
+  tile.groups = 2;
+  tile.segment_rows = 512;
+  tile.allocate();
+  tile.activation_len = 512;
+  for (size_t i = 0; i < tile.weights.size(); ++i) {
+    tile.weights[i] = -128;
+    tile.indices[i] = static_cast<u8>(i < 512 ? i % 4 : 3 - i % 4);
+    tile.valid[i] = 1;
+  }
+  tile.output_id = {0, 1};
+
+  // Nine rows, so the second block of lanes is mostly round-up: all
+  // -128, all -1, then mixes.
+  constexpr i64 kBatch = 9;
+  std::vector<i8> rows;
+  for (i64 b = 0; b < kBatch; ++b)
+    for (i64 r = 0; r < tile.activation_len; ++r)
+      rows.push_back(b == 0 ? -128 : b == 1 ? -1 : (r % b ? -1 : -128));
+
+  PeEventCounts want_events;
+  TileMatvec want;
+  for (i64 b = 0; b < kBatch; ++b) {
+    const TileMatvec y = ref::sram_matvec(
+        tile,
+        std::span<const i8>(rows).subspan(
+            static_cast<size_t>(b * tile.activation_len),
+            static_cast<size_t>(tile.activation_len)),
+        want_events);
+    want.output_ids = y.output_ids;
+    want.values.insert(want.values.end(), y.values.begin(), y.values.end());
+  }
+  // Row 0: 512 slots of -128 x -128 per output.
+  ASSERT_EQ(want.values[0], 512 * 128 * 128);
+  RowWalk walk;
+  PeEventCounts got_events;
+  expect_same(walk.sram(tile, rows, kBatch, got_events), want);
+  expect_events_equal(got_events, want_events);
 }
 
 // ---------------------------------------------------------------------
@@ -767,7 +862,7 @@ TEST(ModeledWalkGolden, CoreBatchesOfDistinctRowsMatchReference) {
   // differs, so a row's results or events standing in for another's
   // would show.
   for (const CoreCase& tc : kCoreCases) {
-    for (const i64 batch : {1, 7, 32}) {
+    for (const i64 batch : {1, 7, 9, 33}) {
       SCOPED_TRACE(testing::Message() << tc.name << " batch=" << batch);
       const QuantizedNmMatrix w =
           random_matrix(tc.k, tc.cols, tc.cfg, 41 + tc.k);
@@ -784,21 +879,56 @@ TEST(ModeledWalkGolden, CoreBatchesOfDistinctRowsMatchReference) {
   }
 }
 
-/// conv_into on `d` against the reference's batched walk over the same
-/// gathered im2col code rows, then the core's accounting.
+/// A conv's input: random integer images and their code planes.
+struct ConvInput {
+  std::vector<f32> x;  ///< [batch, C, H, W]
+  std::vector<i16> planes;
+};
+
+/// The conv's im2col code rows, built from the images themselves: one
+/// row per valid output position (image, oy, ox order) in the dense-row
+/// order (channel, ky, kx), padding taps and the K tail up to
+/// `dense_rows` code 0.
+std::vector<i8> im2col_rows(const ConvPlanes& g, const ConvInput& in,
+                            i64 dense_rows) {
+  std::vector<i8> rows;
+  for (i64 n = 0; n < g.batch; ++n) {
+    for (i64 oy = 0; oy < g.out_h; ++oy) {
+      for (i64 ox = 0; ox < g.out_w; ++ox) {
+        std::vector<i8> row(static_cast<size_t>(dense_rows), 0);
+        for (i64 c = 0; c < g.channels; ++c) {
+          for (i64 ky = 0; ky < g.kernel; ++ky) {
+            for (i64 kx = 0; kx < g.kernel; ++kx) {
+              const i64 iy = oy * g.stride - g.padding + ky;
+              const i64 ix = ox * g.stride - g.padding + kx;
+              if (iy < 0 || iy >= g.height || ix < 0 || ix >= g.width)
+                continue;
+              row[static_cast<size_t>((c * g.kernel + ky) * g.kernel + kx)] =
+                  static_cast<i8>(in.x[static_cast<size_t>(
+                      ((n * g.channels + c) * g.height + iy) * g.width +
+                      ix)]);
+            }
+          }
+        }
+        rows.insert(rows.end(), row.begin(), row.end());
+      }
+    }
+  }
+  return rows;
+}
+
+/// conv_into on `d` against the reference's batched walk over the conv's
+/// im2col code rows, then the core's accounting.
 void expect_conv_matches_reference(Deployed& d, const QuantizedNmMatrix& w,
                                    const ConvPlanes& layout,
-                                   const std::vector<i16>& planes) {
+                                   const ConvInput& in) {
   std::vector<i32> out(static_cast<size_t>(w.cols() * layout.positions));
-  d.core.conv_into(d.handle, planes, layout, out);
+  d.core.conv_into(d.handle, in.planes, layout, out);
 
   const i64 spatial = layout.out_h * layout.out_w;
   const i64 rows = layout.batch * spatial;
-  std::vector<i8> codes(static_cast<size_t>(rows * w.dense_rows()));
-  KernelArena arena;
-  gather_code_rows(planes.data(), layout, w.dense_rows(), codes.data(),
-                   arena);
-  const std::vector<i32> want = d.want.matmul(codes, rows);
+  const std::vector<i32> want =
+      d.want.matmul(im2col_rows(layout, in, w.dense_rows()), rows);
   for (i64 p = 0; p < rows; ++p) {
     const i64 q = layout.position(p / spatial, p % spatial / layout.out_w,
                                   p % layout.out_w);
@@ -811,21 +941,22 @@ void expect_conv_matches_reference(Deployed& d, const QuantizedNmMatrix& w,
   d.expect_accounting();
 }
 
-/// Code planes of `images` random 5 x 9 x 7 images (3x3, stride 2, pad
-/// 1) with -128, 127 and 0 pinned in the first, and from two images on a
-/// last image of zeros.
-std::vector<i16> conv_planes(const ConvPlanes& layout, Rng& rng) {
+/// Random integer images for `layout`, their codes the values
+/// themselves, with -128, 127 and 0 pinned in the first, and from two
+/// images on a last image of zeros.
+ConvInput conv_input(const ConvPlanes& layout, Rng& rng) {
   const QuantParams params{1.0f, -128, 127};
-  const i64 per_image = layout.channels * 9 * 7;
-  std::vector<f32> x(static_cast<size_t>(layout.batch * per_image));
-  for (auto& v : x) v = static_cast<f32>(rng.uniform_int(-128, 127));
-  x[0] = -128.0f;
-  x[1] = 127.0f;
-  x[2] = 0.0f;
-  if (layout.batch >= 2) std::fill(x.end() - per_image, x.end(), 0.0f);
-  std::vector<i16> planes(static_cast<size_t>(layout.size()));
-  quantize_conv_planes(x.data(), layout, params, planes.data());
-  return planes;
+  const i64 per_image = layout.channels * layout.height * layout.width;
+  ConvInput in;
+  in.x.resize(static_cast<size_t>(layout.batch * per_image));
+  for (auto& v : in.x) v = static_cast<f32>(rng.uniform_int(-128, 127));
+  in.x[0] = -128.0f;
+  in.x[1] = 127.0f;
+  in.x[2] = 0.0f;
+  if (layout.batch >= 2) std::fill(in.x.end() - per_image, in.x.end(), 0.0f);
+  in.planes.resize(static_cast<size_t>(layout.size()));
+  quantize_conv_planes(in.x.data(), layout, params, in.planes.data());
+  return in;
 }
 
 TEST(ModeledWalkGolden, CoreConvMatchesReference) {
@@ -833,12 +964,12 @@ TEST(ModeledWalkGolden, CoreConvMatchesReference) {
   // up to the pattern's group, so the tail rows read code 0.
   const ConvPlanes layout = ConvPlanes::make(2, 5, 9, 7, 3, 2, 1);
   Rng rng(91);
-  const std::vector<i16> planes = conv_planes(layout, rng);
+  const ConvInput in = conv_input(layout, rng);
   for (const bool sram : {true, false}) {
     SCOPED_TRACE(sram ? "sram" : "mram");
     const QuantizedNmMatrix w = random_matrix(48, 7, kSparse1of4, 13);
     Deployed d(w, sram);
-    expect_conv_matches_reference(d, w, layout, planes);
+    expect_conv_matches_reference(d, w, layout, in);
   }
 }
 
@@ -848,13 +979,56 @@ TEST(ModeledWalkGolden, CoreConvBatchesMatchReference) {
   for (const i64 images : {1, 7, 32}) {
     const ConvPlanes layout = ConvPlanes::make(images, 5, 9, 7, 3, 2, 1);
     Rng rng(static_cast<u64>(92 + images));
-    const std::vector<i16> planes = conv_planes(layout, rng);
+    const ConvInput in = conv_input(layout, rng);
     for (const bool sram : {true, false}) {
       SCOPED_TRACE(testing::Message()
                    << (sram ? "sram" : "mram") << " images=" << images);
       const QuantizedNmMatrix w = random_matrix(48, 7, NmConfig{2, 4}, 14);
       Deployed d(w, sram);
-      expect_conv_matches_reference(d, w, layout, planes);
+      expect_conv_matches_reference(d, w, layout, in);
+    }
+  }
+}
+
+TEST(ModeledWalkGolden, CorePaddedConvRingLanesStayOutOfBufferReads) {
+  // Stride 1 pad 1 (planes one column wider than the output) and stride
+  // 2 pad 1 on an even width (a phase plane one column wider): every
+  // plane row has a ring lane past out_w, and its taps read real image
+  // codes. The walk computes those lanes and drops them; the reference
+  // never sees them, so a ring lane counted as a row or in
+  // buffer_bits_read shows in the accounting.
+  struct Geometry {
+    i64 height, width, stride;
+  };
+  for (const Geometry geo : {Geometry{6, 5, 1}, Geometry{8, 8, 2}}) {
+    SCOPED_TRACE(testing::Message() << geo.height << "x" << geo.width
+                                    << " stride " << geo.stride);
+    const ConvPlanes layout =
+        ConvPlanes::make(3, 5, geo.height, geo.width, 3, geo.stride, 1);
+    ASSERT_GT(layout.plane_w, layout.out_w);
+    Rng rng(static_cast<u64>(95 + geo.stride));
+    const ConvInput in = conv_input(layout, rng);
+    const QuantizedNmMatrix w = random_matrix(48, 7, kSparse1of4, 15);
+
+    // Some ring lane reads a nonzero code through some tap.
+    std::vector<i64> row_off(static_cast<size_t>(w.dense_rows()));
+    layout.row_offsets(row_off);
+    i64 ring_codes = 0;
+    for (i64 q = 0; q < layout.positions; ++q) {
+      const i64 in_image = q % (layout.plane_h * layout.plane_w);
+      const bool valid = q / (layout.plane_h * layout.plane_w) < layout.batch &&
+                         in_image / layout.plane_w < layout.out_h &&
+                         in_image % layout.plane_w < layout.out_w;
+      if (valid) continue;
+      for (const i64 off : row_off)
+        ring_codes += in.planes[static_cast<size_t>(off + q)] != 0;
+    }
+    ASSERT_GT(ring_codes, 0);
+
+    for (const bool sram : {true, false}) {
+      SCOPED_TRACE(sram ? "sram" : "mram");
+      Deployed d(w, sram);
+      expect_conv_matches_reference(d, w, layout, in);
     }
   }
 }

@@ -43,6 +43,13 @@ struct PeCase {
   i64 k, c;
 };
 
+/// Prints a case as its pattern and shape ("1:4 k=64 c=8"):
+/// gtest_discover_tests folds the printed parameter into each CTest
+/// name, and a struct without a printer prints as raw object bytes.
+void PrintTo(const PeCase& pc, std::ostream* os) {
+  *os << pc.n << ":" << pc.m << " k=" << pc.k << " c=" << pc.c;
+}
+
 class MramPeSweep : public ::testing::TestWithParam<PeCase> {};
 
 TEST_P(MramPeSweep, BitExactAgainstReference) {
