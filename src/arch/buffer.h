@@ -26,11 +26,9 @@ class ActivationBuffer {
 
   /// Records a PE-side read of `bytes` from the buffer.
   void record_read(i64 bytes) { bytes_read_ += bytes; }
-  void record_write(i64 bytes) { bytes_written_ += bytes; }
 
-  i64 bytes_loaded() const { return bytes_loaded_; }   ///< bus-side fills
-  i64 bytes_read() const { return bytes_read_; }       ///< PE-side reads
-  i64 bytes_written() const { return bytes_written_; } ///< result deposits
+  i64 bytes_loaded() const { return bytes_loaded_; }  ///< bus-side fills
+  i64 bytes_read() const { return bytes_read_; }      ///< PE-side reads
 
   /// Reuse factor achieved by row-stationary buffering.
   f64 reuse() const {
@@ -43,7 +41,6 @@ class ActivationBuffer {
   i64 capacity_bytes_;
   i64 bytes_loaded_ = 0;
   i64 bytes_read_ = 0;
-  i64 bytes_written_ = 0;
 };
 
 }  // namespace msh

@@ -58,13 +58,11 @@ i64 DeploymentImage::payload_bytes() const {
   return bytes;
 }
 
-std::string DeploymentImage::serialize(u32 version) const {
-  MSH_REQUIRE(version >= kOldestReadableVersion &&
-              version <= kCurrentVersion);
+std::string DeploymentImage::serialize() const {
   std::ostringstream buf(std::ios::binary);
   buf.write(kMagic, 4);
-  write_pod(buf, version);
-  if (version >= 3) write_pod(buf, generation_);
+  write_pod(buf, kVersion);
+  write_pod(buf, generation_);
   write_pod(buf, static_cast<u64>(entries_.size()));
   for (const auto& [name, matrix] : entries_) {
     write_pod(buf, static_cast<u64>(name.size()));
@@ -85,10 +83,8 @@ std::string DeploymentImage::serialize(u32 version) const {
               static_cast<std::streamsize>(valid.size()));
   }
   std::string body = buf.str();
-  if (version >= 2) {
-    const u32 crc = crc32(body.data(), body.size());
-    body.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  }
+  const u32 crc = crc32(body.data(), body.size());
+  body.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
   return body;
 }
 
@@ -103,17 +99,17 @@ DeploymentImage DeploymentImage::deserialize(const std::string& blob,
     throw SimulationError("DeploymentImage: bad magic in " + context);
   u32 version = 0;
   std::memcpy(&version, blob.data() + 4, sizeof(version));
-  if (version < kOldestReadableVersion || version > kCurrentVersion)
+  if (version != kVersion)
     throw SimulationError("DeploymentImage: unsupported version " +
                           std::to_string(version) + " in " + context);
 
   // Structural parse first, with a bounded cursor over everything except
-  // the (v2+) CRC footer; only a file that parses clean with exactly zero
+  // the CRC footer; only a file that parses clean with exactly zero
   // leftover bytes reaches the CRC check. This is what keeps the three
   // corruption classes distinct: truncation trips the cursor, surplus
   // bytes trip the trailing-garbage check, and bit-rot in a structurally
   // intact file trips the CRC.
-  const size_t footer = version >= 2 ? sizeof(u32) : 0;
+  const size_t footer = sizeof(u32);
   if (blob.size() < 4 + sizeof(u32) + footer) {
     throw SimulationError("DeploymentImage: truncated footer in " + context +
                           " (short read)");
@@ -124,7 +120,7 @@ DeploymentImage DeploymentImage::deserialize(const std::string& blob,
   cur.pod<u32>("version");
 
   DeploymentImage image;
-  if (version >= 3) image.generation_ = cur.pod<u64>("generation");
+  image.generation_ = cur.pod<u64>("generation");
   const u64 count = cur.pod<u64>("entry count");
   for (u64 e = 0; e < count; ++e) {
     const u64 name_len = cur.pod<u64>("entry name length");
@@ -161,29 +157,26 @@ DeploymentImage DeploymentImage::deserialize(const std::string& blob,
                  " byte(s) past the last entry): refusing a tampered image");
   }
 
-  if (version >= 2) {
-    u32 stored = 0;
-    std::memcpy(&stored, blob.data() + blob.size() - sizeof(stored),
-                sizeof(stored));
-    const u32 computed =
-        crc32(blob.data(), blob.size() - sizeof(stored));
-    if (stored != computed) {
-      throw SimulationError(
-          "DeploymentImage: CRC mismatch in " + context + " (stored " +
-          hex32(stored) + ", computed " + hex32(computed) +
-          "): refusing to deploy a corrupt image");
-    }
+  u32 stored = 0;
+  std::memcpy(&stored, blob.data() + blob.size() - sizeof(stored),
+              sizeof(stored));
+  const u32 computed = crc32(blob.data(), blob.size() - sizeof(stored));
+  if (stored != computed) {
+    throw SimulationError(
+        "DeploymentImage: CRC mismatch in " + context + " (stored " +
+        hex32(stored) + ", computed " + hex32(computed) +
+        "): refusing to deploy a corrupt image");
   }
   log_debug("DeploymentImage: parsed v", version, " image from ", context,
             " (", image.size(), " entries, generation ", image.generation_,
-            version >= 2 ? ", CRC ok)" : ", no CRC footer)");
+            ", CRC ok)");
   return image;
 }
 
-void DeploymentImage::save(const std::string& path, u32 version) const {
+void DeploymentImage::save(const std::string& path) const {
   // Serialize to memory first: the CRC footer covers the whole body, and
   // the temp-file + rename publish below needs a single complete write.
-  const std::string body = serialize(version);
+  const std::string body = serialize();
 
   // Atomic publish: write a sibling temp file, then rename over the
   // target. A crash mid-save leaves the old image intact; readers never

@@ -1,19 +1,18 @@
 // Deployment image serialization: the compressed, quantized weight
 // matrices a device ships in flash and programs into its PE arrays at
-// boot. A simple, versioned little-endian binary container of named
+// boot. A simple little-endian binary container of named
 // QuantizedNmMatrix entries.
 //
-// Format (version 3; versions 1 and 2 are still readable and writable
-// for compatibility tooling/tests):
+// Format (version 3, the only one read or written):
 //   "MSHI" | u32 version |
-//   u64 generation (v3+ only: durable-state snapshot counter) |
+//   u64 generation (durable-state snapshot counter) |
 //   u64 entry_count |
 //   per entry: u64 name_len | name bytes |
 //              i32 n | i32 m | i64 dense_rows | i64 cols | f32 scale |
 //              values  (packed_rows * cols x i8)
 //              indices (packed_rows * cols x u8)
 //              valid   (packed_rows * cols x u8, 0/1)
-//   u32 crc32 (v2+ only: IEEE, over every preceding byte)
+//   u32 crc32 (IEEE, over every preceding byte)
 //
 // save() is atomic: the image is serialized to a sibling temp file and
 // renamed over the target, so a crash mid-save never clobbers a good
@@ -34,8 +33,7 @@ namespace msh {
 
 class DeploymentImage {
  public:
-  static constexpr u32 kCurrentVersion = 3;
-  static constexpr u32 kOldestReadableVersion = 1;
+  static constexpr u32 kVersion = 3;
 
   /// Adds (or replaces) a named matrix.
   void add(const std::string& name, QuantizedNmMatrix matrix);
@@ -48,17 +46,15 @@ class DeploymentImage {
   /// Total payload bytes the stored slots occupy (value+index+valid).
   i64 payload_bytes() const;
 
-  /// Durable-state snapshot counter carried in the v3 header (0 for
-  /// freshly exported or pre-v3 images). Monotonically assigned by the
+  /// Durable-state snapshot counter carried in the header (0 for
+  /// freshly exported images). Monotonically assigned by the
   /// recovery layer's DurableState; lets a loader rank snapshot files
   /// and a resumed learner report how far behind its checkpoint is.
   u64 generation() const { return generation_; }
   void set_generation(u64 generation) { generation_ = generation; }
 
-  /// Serializes the container to bytes (what save() writes). `version`
-  /// may be an older format for compatibility tests; pre-v3 formats
-  /// silently drop the generation field.
-  std::string serialize(u32 version = kCurrentVersion) const;
+  /// Serializes the container to bytes (what save() writes).
+  std::string serialize() const;
 
   /// Parses bytes produced by serialize(). `context` names the source in
   /// error messages (a path, or "<memory>"). Throws SimulationError with
@@ -69,7 +65,7 @@ class DeploymentImage {
   /// Writes/reads the container. Throws SimulationError on I/O or format
   /// problems (bad magic, unsupported version, truncation, trailing
   /// garbage, CRC mismatch).
-  void save(const std::string& path, u32 version = kCurrentVersion) const;
+  void save(const std::string& path) const;
   static DeploymentImage load(const std::string& path);
 
  private:

@@ -92,13 +92,6 @@ std::unique_ptr<PimRepNetExecutor> PimRepNetExecutor::clone_with_wear(
       new PimRepNetExecutor(model_, options, input_amax_, source_image_));
 }
 
-std::unique_ptr<PimRepNetExecutor> PimRepNetExecutor::clone_with_image(
-    std::shared_ptr<const DeploymentImage> image) const {
-  MSH_REQUIRE(image != nullptr);
-  return std::unique_ptr<PimRepNetExecutor>(
-      new PimRepNetExecutor(model_, options_, input_amax_, std::move(image)));
-}
-
 std::unique_ptr<PimRepNetExecutor> PimRepNetExecutor::deploy_from_image(
     RepNetModel& model, PimExecutorOptions options,
     std::unordered_map<const void*, f32> amax,
@@ -561,7 +554,6 @@ std::vector<PimRepNetExecutor::ScrubReport> PimRepNetExecutor::scrub(
 
     reports.push_back(report);
   }
-  last_scrub_reports_ = reports;
   return reports;
 }
 

@@ -160,21 +160,17 @@ class PimRepNetExecutor {
   /// are re-fetched from the executor's golden copy (the host-DRAM
   /// model image every deployment was programmed from). `silent` counts
   /// corruption the code missed or miscorrected, measured against that
-  /// same golden copy. Reports are also retained in
-  /// last_scrub_reports(). With a wear tracker, MRAM repair writes go
+  /// same golden copy. With a wear tracker, MRAM repair writes go
   /// through it word by word (`wear_path` attributes them) — only the
   /// corrected words cost pulses, never the whole span.
   std::vector<ScrubReport> scrub(bool repair_detected_from_golden = false,
                                  WearPath wear_path = WearPath::kScrub);
-  const std::vector<ScrubReport>& last_scrub_reports() const {
-    return last_scrub_reports_;
-  }
 
   /// Builds a fresh executor replica (own HybridCore, freshly encoded
   /// protection) reusing this executor's calibration. Read-only on the
   /// shared model, so safe while other replicas are forwarding
   /// concurrently — the serving runtime's redeploy-after-failure path.
-  /// A replica deployed from an image (see clone_with_image) redeploys
+  /// A replica deployed from an image (see deploy_from_image) redeploys
   /// from that same image: heal-after-swap restores the swapped weights,
   /// not the original model's.
   std::unique_ptr<PimRepNetExecutor> clone() const;
@@ -198,16 +194,12 @@ class PimRepNetExecutor {
     return options_.wear;
   }
 
-  /// Like clone(), but programs the PE arrays from `image`'s quantized
-  /// codes instead of re-quantizing the model — the model-swap path.
-  /// Every deployed layer must have a matching entry (by layer name);
-  /// missing or ill-fitting entries throw SimulationError. The image
-  /// pointer is retained as this replica's deployment provenance.
-  std::unique_ptr<PimRepNetExecutor> clone_with_image(
-      std::shared_ptr<const DeploymentImage> image) const;
-
-  /// Standalone image deployment: same as clone_with_image but without an
-  /// existing executor to copy options/calibration from.
+  /// Deploys `model` with `options` and calibration `amax`, programming
+  /// the PE arrays from `image`'s quantized codes instead of
+  /// re-quantizing the model — the model-swap path. Every deployed layer
+  /// must have a matching entry (by layer name); missing or ill-fitting
+  /// entries throw SimulationError. The image pointer is retained as the
+  /// executor's deployment provenance.
   static std::unique_ptr<PimRepNetExecutor> deploy_from_image(
       RepNetModel& model, PimExecutorOptions options,
       std::unordered_map<const void*, f32> amax,
@@ -290,7 +282,6 @@ class PimRepNetExecutor {
   std::unordered_map<const Conv2d*, std::unique_ptr<PimConv>> convs_;
   std::unique_ptr<PimLinear> classifier_;
   std::vector<ArrayProtection> protections_;  ///< indexed by core handle
-  std::vector<ScrubReport> last_scrub_reports_;
   /// (stable name, deployed layer), in deploy-walk order.
   std::vector<std::pair<std::string, const PimMatmulLayer*>> named_layers_;
   /// Stable layer name per core handle — the wear tracker's array keys.

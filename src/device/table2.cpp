@@ -22,16 +22,6 @@ Area SramPeSpec::dense_area() const {
          global_buffer.area + global_relu.area;
 }
 
-Power SramPeSpec::dense_power() const {
-  return decoder.power + bit_cell.power + shift_acc.power + adder.power +
-         global_relu.power;
-}
-
-Power SramPeSpec::dense_leakage() const {
-  return decoder.leakage() + bit_cell.leakage() + shift_acc.leakage() +
-         adder.leakage() + global_relu.leakage();
-}
-
 Area MramPeSpec::total_area() const {
   return memory_array.area + parallel_shift_acc.area +
          col_decoder_driver.area + row_decoder_driver.area + adder_tree.area;

@@ -49,8 +49,6 @@ struct SramPeSpec {
   /// Components present in a *dense* digital SRAM CIM macro (no sparse
   /// index handling) — used to model the ISSCC'21 baseline.
   Area dense_area() const;
-  Power dense_power() const;
-  Power dense_leakage() const;
 };
 
 /// MRAM sparse PE (one 1024x512 sub-array with near-memory periphery;

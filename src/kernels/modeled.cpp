@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "kernels/adder_tree.h"
 #include "kernels/index_unit.h"
 #include "kernels/shift_acc.h"
 
@@ -170,8 +171,7 @@ void modeled_sram_matmul(const SramPeTile& tile, const LaneView& view,
   const i64 taps = static_cast<i64>(view.row_off.size());
 
   // The adder tree and the comparator banks span the tile's rows.
-  if (scratch.sram_tree.inputs() != tile.rows)
-    scratch.sram_tree = AdderTree(tile.rows);
+  const AdderTree tree(tile.rows);
   const ComparatorColumn comparators(tile.rows);
 
   const i64 seg_rows = tile.segment_rows;
@@ -257,7 +257,7 @@ void modeled_sram_matmul(const SramPeTile& tile, const LaneView& view,
   events.sram_index_compares += rows * m * tile.groups;
   events.sram_array_cycles += rows * planes;
   events.sram_decoder_cycles += rows * planes;
-  events.cycles += rows * (planes + scratch.sram_tree.depth());
+  events.cycles += rows * (planes + tree.depth());
   events.sram_adder_tree_ops += rows * planes * active_groups;
   events.sram_shift_acc_ops += rows * planes * live_segments;
   events.sram_row_acc_ops += rows * (live_segments - outputs);

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "kernels/adder_tree.h"
 #include "pim/events.h"   // header-only event counter format
 #include "pim/pe_tile.h"  // header-only tile formats
 
@@ -106,7 +105,6 @@ struct GatedRun {
 /// state: each call rebuilds its decode from the live tile and drops it
 /// when it returns.
 struct ModeledScratch {
-  AdderTree sram_tree{128};  ///< rebuilt when the tile height changes
   std::vector<u8> match;  ///< one segment's comparator outputs, one phase
   std::vector<i32> row_ids;  ///< each MRAM physical row's output id
   std::vector<i64> id_slot;  ///< output slot by id - lowest id

@@ -10,10 +10,4 @@ Tensor kaiming_normal(Shape shape, i64 fan_in, Rng& rng) {
   return Tensor::randn(std::move(shape), rng, 0.0f, stddev);
 }
 
-Tensor xavier_uniform(Shape shape, i64 fan_in, i64 fan_out, Rng& rng) {
-  MSH_REQUIRE(fan_in > 0 && fan_out > 0);
-  const f32 a = std::sqrt(6.0f / static_cast<f32>(fan_in + fan_out));
-  return Tensor::uniform(std::move(shape), rng, -a, a);
-}
-
 }  // namespace msh

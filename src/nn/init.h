@@ -9,7 +9,4 @@ namespace msh {
 /// Kaiming-He normal init for ReLU networks: N(0, sqrt(2 / fan_in)).
 Tensor kaiming_normal(Shape shape, i64 fan_in, Rng& rng);
 
-/// Xavier-Glorot uniform init: U(-a, a), a = sqrt(6 / (fan_in + fan_out)).
-Tensor xavier_uniform(Shape shape, i64 fan_in, i64 fan_out, Rng& rng);
-
 }  // namespace msh

@@ -46,14 +46,8 @@ void MramSparsePe::program(MramPeTile tile) {
 }
 
 MramPeOutput MramSparsePe::matvec(std::span<const i8> activations) {
-  return matvec_compute(activations, events_, &last_pipeline_);
-}
-
-MramPeOutput MramSparsePe::matvec_compute(std::span<const i8> activations,
-                                          PeEventCounts& events,
-                                          MramPipelineStats* pipeline) const {
   MSH_REQUIRE(loaded());
-  return modeled_mram_matvec(tile_, activations, events, pipeline);
+  return modeled_mram_matvec(tile_, activations, events_, &last_pipeline_);
 }
 
 }  // namespace msh

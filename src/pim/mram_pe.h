@@ -42,17 +42,9 @@ class MramSparsePe {
   /// w.r.t. the quantized reference.
   MramPeOutput matvec(std::span<const i8> activations);
 
-  /// Read-only matvec: identical arithmetic and event accounting, but
-  /// events land in `events` (and pipeline stats in `*pipeline`, when
-  /// given) instead of the member counters. Safe to call concurrently on
-  /// the same PE with per-caller counters — the intra-batch parallel
-  /// path, where each lane acts as a clone of this tile's periphery.
-  MramPeOutput matvec_compute(std::span<const i8> activations,
-                              PeEventCounts& events,
-                              MramPipelineStats* pipeline = nullptr) const;
-
-  /// Merges a lane's event counter back into this PE's counters (the
-  /// deterministic post-join step of the parallel path).
+  /// Merges the events of a walk over this PE's tile into its counters:
+  /// the core's dispatch runs modeled_mram_matmul on tile() and lands the
+  /// events here.
   void absorb_events(const PeEventCounts& events) { events_ += events; }
 
   /// Pipeline stats of the last matvec.

@@ -25,33 +25,8 @@ void SramSparsePe::load(SramPeTile tile) {
 }
 
 SramPeOutput SramSparsePe::matvec(std::span<const i8> activations) {
-  return matvec_compute(activations, events_);
-}
-
-SramPeOutput SramSparsePe::matvec_compute(std::span<const i8> activations,
-                                          PeEventCounts& events) const {
   MSH_REQUIRE(loaded());
-  return modeled_sram_matvec(tile_, activations, events);
-}
-
-void SramSparsePe::rewrite_group(i64 group, std::span<const i8> new_weights,
-                                 std::span<const u8> new_indices,
-                                 std::span<const u8> new_valid) {
-  MSH_REQUIRE(loaded());
-  MSH_REQUIRE(group >= 0 && group < tile_.groups);
-  MSH_REQUIRE(static_cast<i64>(new_weights.size()) == tile_.rows);
-  MSH_REQUIRE(new_indices.size() == new_weights.size());
-  MSH_REQUIRE(new_valid.size() == new_weights.size());
-  const i64 pair_bits = 8 + tile_.cfg.index_bits();
-  for (i64 r = 0; r < tile_.rows; ++r) {
-    const size_t s = static_cast<size_t>(tile_.slot(group, r));
-    tile_.weights[s] = new_weights[static_cast<size_t>(r)];
-    tile_.indices[s] = new_indices[static_cast<size_t>(r)];
-    tile_.valid[s] = new_valid[static_cast<size_t>(r)];
-    if (tile_.valid[s]) events_.sram_weight_bits_written += pair_bits;
-  }
-  events_.sram_write_row_ops += tile_.rows;
-  events_.cycles += tile_.rows;
+  return modeled_sram_matvec(tile_, activations, events_);
 }
 
 }  // namespace msh

@@ -44,23 +44,10 @@ class SramSparsePe {
   /// the quantized_matmul_raw reference.
   SramPeOutput matvec(std::span<const i8> activations);
 
-  /// Read-only matvec: identical arithmetic and event accounting, but the
-  /// events land in `events` instead of this PE's counters and no member
-  /// state is touched. Several threads may call this concurrently on the
-  /// same PE (each with its own counter) — the intra-batch parallel path,
-  /// where each lane acts as a clone of this tile's datapath.
-  SramPeOutput matvec_compute(std::span<const i8> activations,
-                              PeEventCounts& events) const;
-
-  /// Merges a lane's event counter back into this PE's counters (the
-  /// deterministic post-join step of the parallel path).
+  /// Merges the events of a walk over this PE's tile into its counters:
+  /// the core's dispatch runs modeled_sram_matmul on tile() and lands the
+  /// events here.
   void absorb_events(const PeEventCounts& events) { events_ += events; }
-
-  /// In-place weight update of one group column (continual learning
-  /// write path); counts write events only.
-  void rewrite_group(i64 group, std::span<const i8> new_weights,
-                     std::span<const u8> new_indices,
-                     std::span<const u8> new_valid);
 
   const PeEventCounts& events() const { return events_; }
   void reset_events() { events_ = {}; }

@@ -31,9 +31,4 @@ bool OutageInjector::poll(f64 elapsed_us) {
   return true;
 }
 
-const OutageEvent& OutageInjector::last_fired() const {
-  MSH_REQUIRE(next_ > 0 && "no event has fired yet");
-  return schedule_[static_cast<size_t>(next_ - 1)];
-}
-
 }  // namespace msh

@@ -28,10 +28,6 @@ class OutageInjector {
   /// recovery).
   bool poll(f64 elapsed_us);
 
-  /// The event poll() just fired (valid when the last poll returned
-  /// true).
-  const OutageEvent& last_fired() const;
-
   i64 fired() const { return next_; }
   i64 remaining() const {
     return static_cast<i64>(schedule_.size()) - next_;

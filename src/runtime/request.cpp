@@ -1,7 +1,5 @@
 #include "runtime/request.h"
 
-#include "common/stopwatch.h"
-
 namespace msh {
 
 const char* to_string(RequestStatus status) {
@@ -47,13 +45,6 @@ InferenceResponse ResponseFuture::get() const {
   std::unique_lock<std::mutex> lock(state_->mutex);
   state_->cv.wait(lock, [&] { return state_->done; });
   return state_->response;
-}
-
-bool ResponseFuture::wait_for_us(f64 timeout_us) const {
-  MSH_REQUIRE(state_ != nullptr);
-  std::unique_lock<std::mutex> lock(state_->mutex);
-  return state_->cv.wait_for(lock, microseconds_ceil(timeout_us),
-                             [&] { return state_->done; });
 }
 
 namespace detail {

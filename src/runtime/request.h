@@ -95,9 +95,6 @@ class ResponseFuture {
   /// called repeatedly).
   InferenceResponse get() const;
 
-  /// Blocks up to `timeout_us`; true if the response became ready.
-  bool wait_for_us(f64 timeout_us) const;
-
  private:
   friend class ServingEngine;
   explicit ResponseFuture(std::shared_ptr<detail::ResponseState> state)

@@ -163,34 +163,28 @@ TEST(DeploymentImage, FooterCorruptionRejectedByCrc) {
   std::remove(path.c_str());
 }
 
-TEST(DeploymentImage, Version1ImageWithoutFooterStillLoads) {
-  DeploymentImage image;
-  image.add("layer", random_matrix(128, 8, kSparse1of4, 11));
-  const std::string path = temp_path("v1");
-  // Write in the v1 wire format (no CRC footer, no generation field) —
-  // images flashed before the integrity footer must stay deployable.
-  image.save(path, /*version=*/1);
-
-  const DeploymentImage loaded = DeploymentImage::load(path);
-  ASSERT_TRUE(loaded.contains("layer"));
-  EXPECT_EQ(loaded.get("layer").to_dense_int8(),
-            image.get("layer").to_dense_int8());
-  std::remove(path.c_str());
-}
-
-TEST(DeploymentImage, Version2ImageWithoutGenerationStillLoads) {
-  DeploymentImage image;
-  image.add("layer", random_matrix(128, 8, kSparse1of4, 17));
-  image.set_generation(9);  // v2 cannot carry it; must round-trip as 0
-  const std::string path = temp_path("v2");
-  image.save(path, /*version=*/2);
-
-  const DeploymentImage loaded = DeploymentImage::load(path);
-  ASSERT_TRUE(loaded.contains("layer"));
-  EXPECT_EQ(loaded.generation(), 0u);
-  EXPECT_EQ(loaded.get("layer").to_dense_int8(),
-            image.get("layer").to_dense_int8());
-  std::remove(path.c_str());
+TEST(DeploymentImage, UnsupportedVersionRejected) {
+  // Well-formed empty images in each other version's layout: v1 had no
+  // generation field and no CRC footer, v2 no generation field. Only
+  // version 3 is read, so none of them deploys.
+  for (const u32 version : {0u, 1u, 2u, 4u}) {
+    std::string blob = "MSHI";
+    auto put = [&blob](const auto& value) {
+      blob.append(reinterpret_cast<const char*>(&value), sizeof(value));
+    };
+    put(version);
+    if (version >= 3) put(u64{0});  // generation
+    put(u64{0});                    // entry count
+    if (version >= 2) put(crc32(blob.data(), blob.size()));
+    try {
+      DeploymentImage::deserialize(blob, "crafted");
+      FAIL() << "version " << version << " accepted";
+    } catch (const SimulationError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << "version " << version << ": " << e.what();
+    }
+  }
 }
 
 TEST(DeploymentImage, Version3CarriesGeneration) {
@@ -207,19 +201,17 @@ TEST(DeploymentImage, Version3CarriesGeneration) {
 TEST(DeploymentImage, TrailingGarbageRejectedDistinctly) {
   DeploymentImage image;
   image.add("layer", random_matrix(64, 4, kSparse1of4, 19));
-  for (const u32 version : {1u, 2u, 3u}) {
-    std::string blob = image.serialize(version);
-    blob.append("XY");  // two stray bytes past the last entry
-    try {
-      DeploymentImage::deserialize(blob, "garbage test");
-      FAIL() << "trailing garbage accepted at version " << version;
-    } catch (const SimulationError& e) {
-      // Must be attributed as trailing garbage, not aliased to a CRC
-      // failure (v1 has no CRC to alias to).
-      EXPECT_NE(std::string(e.what()).find("trailing garbage"),
-                std::string::npos)
-          << "version " << version << ": " << e.what();
-    }
+  std::string blob = image.serialize();
+  blob.append("XY");  // two stray bytes past the last entry
+  try {
+    DeploymentImage::deserialize(blob, "garbage test");
+    FAIL() << "trailing garbage accepted";
+  } catch (const SimulationError& e) {
+    // Must be attributed as trailing garbage, not aliased to a CRC
+    // failure.
+    EXPECT_NE(std::string(e.what()).find("trailing garbage"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -801,7 +801,6 @@ struct Deployed {
               want.bus.busy_cycles());
     EXPECT_EQ(core.buffer().bytes_loaded(), want.buffer.bytes_loaded());
     EXPECT_EQ(core.buffer().bytes_read(), want.buffer.bytes_read());
-    EXPECT_EQ(core.buffer().bytes_written(), want.buffer.bytes_written());
     EXPECT_EQ(core.shared_accumulator_ops(), want.shared_acc_ops);
     EXPECT_EQ(core.last_makespan(), want.last_makespan);
     EXPECT_EQ(core.last_utilization(), want.last_utilization);

@@ -74,6 +74,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PeCase{2, 8, 256, 8},     // N=2
                       PeCase{1, 16, 2048, 4},   // max index range
                       PeCase{4, 16, 512, 6},    // dense-ish
+                      PeCase{4, 4, 256, 8},     // dense M:M fallback packing
                       PeCase{1, 4, 86016, 3})); // spans >1 sub-array tile
 
 TEST(MramPe, PipelineCycleFormula) {

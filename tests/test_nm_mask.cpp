@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sparse/nm_mask.h"
 
 namespace msh {
@@ -62,6 +64,14 @@ struct NmCase {
   i32 m;
   GroupAxis axis;
 };
+
+/// Prints a case as its pattern and axis ("1:4 rows"):
+/// gtest_discover_tests folds the printed parameter into each CTest
+/// name, and a struct without a printer prints as raw object bytes.
+void PrintTo(const NmCase& c, std::ostream* os) {
+  *os << c.n << ":" << c.m
+      << (c.axis == GroupAxis::kRows ? " rows" : " cols");
+}
 
 class NmSweep : public ::testing::TestWithParam<NmCase> {};
 

@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sparse/nm_packed.h"
 #include "sparse/sparse_ops.h"
 #include "tensor/ops.h"
 
 namespace msh {
+
+/// Prints a config as its pattern ("1:4"): gtest_discover_tests folds the
+/// printed parameter into each CTest name, and a struct without a
+/// printer prints as raw object bytes. Declared in NmConfig's namespace,
+/// where gtest's lookup finds it.
+void PrintTo(const NmConfig& cfg, std::ostream* os) {
+  *os << cfg.n << ":" << cfg.m;
+}
+
 namespace {
 
 Tensor masked_random(Shape shape, NmConfig cfg, Rng& rng) {

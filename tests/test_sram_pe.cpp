@@ -83,7 +83,8 @@ INSTANTIATE_TEST_SUITE_P(
                       PeCase{4, 8, 64, 20},    // dense-ish pattern
                       PeCase{1, 4, 1024, 8},   // vertical spill (256 > 128)
                       PeCase{1, 8, 2048, 4},   // deep spill
-                      PeCase{3, 8, 64, 8}));   // non-power-of-two N
+                      PeCase{3, 8, 64, 8},     // non-power-of-two N
+                      PeCase{4, 4, 128, 8}));  // dense M:M fallback packing
 
 TEST(SramPe, ExtremeActivationValues) {
   const NmConfig cfg{1, 4};
@@ -163,27 +164,6 @@ TEST(SramPe, WriteEventsCountPairBits) {
   i64 valid = 0;
   for (u8 v : tiles[0].valid) valid += v;
   EXPECT_EQ(pe.events().sram_weight_bits_written, valid * 10);
-}
-
-TEST(SramPe, RewriteGroupUpdatesWeights) {
-  const QuantizedNmMatrix w = random_matrix(512, 8, kSparse1of4, 15);
-  auto tiles = map_to_sram_pes(w);
-  SramSparsePe pe;
-  pe.load(tiles[0]);
-  const i64 bits_before = pe.events().sram_weight_bits_written;
-
-  std::vector<i8> new_w(128, 1);
-  std::vector<u8> new_i(128, 0);
-  std::vector<u8> new_v(128, 1);
-  pe.rewrite_group(0, new_w, new_i, new_v);
-  EXPECT_GT(pe.events().sram_weight_bits_written, bits_before);
-
-  const auto act = random_activations(512, 16);
-  const SramPeOutput y = pe.matvec(act);
-  // Group 0's column now computes sum over groups of act[g*4 + 0].
-  i64 expect = 0;
-  for (i64 g = 0; g < 128; ++g) expect += act[static_cast<size_t>(g * 4)];
-  EXPECT_EQ(y.values[0], expect);
 }
 
 TEST(SramPe, RequiresLoadBeforeMatvec) {
