@@ -192,16 +192,10 @@ void HybridCore::conv_into(i64 handle, std::span<const i16> planes,
   LaneView view{planes.data(), row_off, layout.positions,
                 layout.batch * layout.out_h * layout.out_w, {}};
   if (dep.is_sram) {
-    std::span<i16> lane_mask = arena_.alloc<i16>(layout.positions);
-    std::fill(lane_mask.begin(), lane_mask.end(), i16{0});
-    for (i64 image = 0; image < layout.batch; ++image) {
-      for (i64 oy = 0; oy < layout.out_h; ++oy) {
-        i16* row = lane_mask.data() + layout.position(image, oy, 0);
-        std::fill(row, row + layout.out_w, i16{0xFF});
-      }
-    }
     std::span<i64> tap_bits = arena_.alloc<i64>(dep.dense_rows);
-    count_tap_bits(planes.data(), row_off, lane_mask, tap_bits);
+    count_tap_bits(planes.data(), layout, row_off,
+                   arena_.alloc<i16>(layout.plane_len),
+                   arena_.alloc<i16>(layout.positions), tap_bits);
     view.tap_bits = tap_bits;
   }
   modeled_walk(dep, view);

@@ -567,9 +567,27 @@ Tensor PimRepNetExecutor::apply_conv(Conv2d& conv, const Tensor& x,
     epilogue.apply(y);
     return y;
   }
+  return deployed(conv).forward(x, epilogue);
+}
+
+Tensor PimRepNetExecutor::apply_chain(Conv2d& first, const Tensor& x,
+                                      const ConvEpilogue& first_epilogue,
+                                      Conv2d& second,
+                                      const ConvEpilogue& second_epilogue,
+                                      Mode mode) {
+  if (mode == Mode::kCalibrate) {
+    // Records the second conv's input range from the f32 intermediate.
+    return apply_conv(second, apply_conv(first, x, mode, first_epilogue),
+                      mode, second_epilogue);
+  }
+  return deployed(first).forward_chained(x, first_epilogue, deployed(second),
+                                         second_epilogue);
+}
+
+PimConv& PimRepNetExecutor::deployed(const Conv2d& conv) {
   const auto it = convs_.find(&conv);
   MSH_ENSURE(it != convs_.end());
-  return it->second->forward(x, epilogue);
+  return *it->second;
 }
 
 Tensor PimRepNetExecutor::apply_sequential(Sequential& seq, const Tensor& x,
@@ -594,23 +612,24 @@ Tensor PimRepNetExecutor::apply_sequential(Sequential& seq, const Tensor& x,
     }
     y = apply_conv(*conv, *in, mode, epilogue);
   }
-  return in == &x ? x : y;
+  if (in == &x) return x;
+  return y;
 }
 
 Tensor PimRepNetExecutor::apply_residual(ResidualBlock& block,
                                          const Tensor& x, Mode mode) {
   using Relu = ConvEpilogue::Relu;
-  const Tensor main = apply_conv(block.conv1(), x, mode,
-                                 {.bn = &block.bn1(), .relu = Relu::kMax});
+  // The shortcut first, so conv1's output can go straight to conv2.
   const Tensor projected =
       block.has_projection()
           ? apply_conv(block.projection(), x, mode,
                        {.bn = &block.projection_bn()})
           : Tensor();
   const Tensor& shortcut = block.has_projection() ? projected : x;
-  return apply_conv(
-      block.conv2(), main, mode,
-      {.bn = &block.bn2(), .residual = &shortcut, .relu = Relu::kMax});
+  return apply_chain(
+      block.conv1(), x, {.bn = &block.bn1(), .relu = Relu::kMax},
+      block.conv2(),
+      {.bn = &block.bn2(), .residual = &shortcut, .relu = Relu::kMax}, mode);
 }
 
 Tensor PimRepNetExecutor::apply_rep(RepModule& rep, const Tensor& x,
@@ -619,10 +638,9 @@ Tensor PimRepNetExecutor::apply_rep(RepModule& rep, const Tensor& x,
       rep.has_pool()
           ? avg_pool_eval(x, rep.pool().kernel(), rep.pool().stride())
           : Tensor();
-  const Tensor mid =
-      apply_conv(rep.reduce(), rep.has_pool() ? pooled : x, mode,
-                 {.relu = ConvEpilogue::Relu::kMax});
-  return apply_conv(rep.expand(), mid, mode);
+  return apply_chain(rep.reduce(), rep.has_pool() ? pooled : x,
+                     {.relu = ConvEpilogue::Relu::kMax}, rep.expand(), {},
+                     mode);
 }
 
 Tensor PimRepNetExecutor::apply_classifier(const Tensor& x, Mode mode) {

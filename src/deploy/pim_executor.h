@@ -246,6 +246,13 @@ class PimRepNetExecutor {
   Tensor walk(const Tensor& images, Mode mode);
   Tensor apply_conv(Conv2d& conv, const Tensor& x, Mode mode,
                     const ConvEpilogue& epilogue = {});
+  /// apply_conv(second, apply_conv(first, x, ..), ..) for a conv whose
+  /// output feeds only `second`. In hardware mode the pair runs as one
+  /// PimConv::forward_chained: the intermediate stays in code planes.
+  Tensor apply_chain(Conv2d& first, const Tensor& x,
+                     const ConvEpilogue& first_epilogue, Conv2d& second,
+                     const ConvEpilogue& second_epilogue, Mode mode);
+  PimConv& deployed(const Conv2d& conv);
   Tensor apply_sequential(Sequential& seq, const Tensor& x, Mode mode);
   Tensor apply_residual(ResidualBlock& block, const Tensor& x, Mode mode);
   Tensor apply_rep(RepModule& rep, const Tensor& x, Mode mode);

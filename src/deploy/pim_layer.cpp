@@ -142,30 +142,63 @@ PimConv::PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
   if (conv.has_bias()) bias_ = conv.bias().value;
 }
 
-Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
-  MSH_REQUIRE(x.shape().rank() == 4);
-  MSH_REQUIRE(x.shape()[1] == geom_.in_channels);
-  const ConvPlanes layout = ConvPlanes::make(
-      x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3], geom_.kernel,
-      geom_.stride, geom_.padding);
-  const i64 out_ch = geom_.out_channels;
-  KernelArena& scratch = core_.io_scratch();
-  scratch.reset();
+ConvPlanes PimConv::input_layout(const Shape& x) const {
+  MSH_REQUIRE(x.rank() == 4);
+  MSH_REQUIRE(x[1] == geom_.in_channels);
+  return ConvPlanes::make(x[0], x[1], x[2], x[3], geom_.kernel, geom_.stride,
+                          geom_.padding);
+}
 
+std::span<i16> PimConv::quantize_input(const Tensor& x,
+                                       const ConvPlanes& layout) {
   // Quantize once, straight into the zero-padded code planes both
   // backends read: an input value inside k*k receptive fields still
   // becomes its code a single time.
-  const std::span<i16> planes = scratch.alloc<i16>(layout.size());
+  const std::span<i16> planes = core_.io_scratch().alloc<i16>(layout.size());
   quantize_conv_planes(x.data(), layout, matmul_.activation_params(),
                        planes.data());
-  const std::span<i32> acc = scratch.alloc<i32>(out_ch * layout.positions);
-  core_.conv_into(matmul_.handle(), planes, layout, acc);
+  return planes;
+}
 
-  Tensor y(Shape{layout.batch, out_ch, layout.out_h, layout.out_w});
-  epilogue.dequantize_apply(acc.data(), layout,
-                            matmul_.activation_scale() * matmul_.weight_scale(),
-                            bias_.empty() ? nullptr : bias_.data(), y,
+std::span<i32> PimConv::accumulate(std::span<const i16> planes,
+                                   const ConvPlanes& layout) {
+  const std::span<i32> acc = core_.io_scratch().alloc<i32>(
+      geom_.out_channels * layout.positions);
+  core_.conv_into(matmul_.handle(), planes, layout, acc);
+  return acc;
+}
+
+Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
+  const ConvPlanes layout = input_layout(x.shape());
+  KernelArena& scratch = core_.io_scratch();
+  scratch.reset();
+  const std::span<i32> acc = accumulate(quantize_input(x, layout), layout);
+  Tensor y(Shape{layout.batch, geom_.out_channels, layout.out_h, layout.out_w});
+  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(), y,
                             scratch);
+  return y;
+}
+
+Tensor PimConv::forward_chained(const Tensor& x, const ConvEpilogue& epilogue,
+                                PimConv& next,
+                                const ConvEpilogue& next_epilogue) {
+  MSH_REQUIRE(&next.core_ == &core_ && next.geom_.stride == 1);
+  const ConvPlanes layout = input_layout(x.shape());
+  const ConvPlanes next_layout = next.input_layout(
+      Shape{layout.batch, geom_.out_channels, layout.out_h, layout.out_w});
+  // Both convs' buffers share one reset of the core's I/O scratch.
+  KernelArena& scratch = core_.io_scratch();
+  scratch.reset();
+  const std::span<i32> acc = accumulate(quantize_input(x, layout), layout);
+  const std::span<i16> next_planes = scratch.alloc<i16>(next_layout.size());
+  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(),
+                            next_layout, next.matmul_.activation_params(),
+                            next_planes, scratch);
+  const std::span<i32> next_acc = next.accumulate(next_planes, next_layout);
+  Tensor y(Shape{layout.batch, next.geom_.out_channels, next_layout.out_h,
+                 next_layout.out_w});
+  next_epilogue.dequantize_apply(next_acc.data(), next_layout,
+                                 next.output_scale(), next.bias(), y, scratch);
   return y;
 }
 
@@ -173,69 +206,29 @@ namespace {
 
 /// One channel's eval-mode BN constants, as BatchNorm2d::forward computes
 /// them.
-struct BnChannel {
-  f32 g, beta, mean, inv_std;
-};
-
-BnChannel bn_channel(const BatchNorm2d& bn, i64 ch) {
+BnConstants bn_channel(const BatchNorm2d& bn, i64 ch) {
   return {bn.gamma()[ch], bn.beta()[ch], bn.running_mean()[ch],
           1.0f / std::sqrt(bn.running_var()[ch] + bn.eps())};
 }
 
-/// ConvEpilogue::dequantize_apply's operands.
-struct FusedPlanes {
-  const i32* acc;
-  const ConvPlanes* layout;
-  i64 channels;
-  f32 scale;
-  const f32* bias;
-  const BnChannel* bn;  ///< [channels], when BN runs
-  const f32* residual;
-  f32* y;
-};
-
-template <bool kBn, bool kResidual, ConvEpilogue::Relu kRelu>
-void dequantize_apply_planes(const FusedPlanes& f) {
-  const ConvPlanes& g = *f.layout;
-  const i64 wo = g.out_w, spatial = g.out_h * wo;
-  for (i64 p = 0; p < g.batch * f.channels; ++p) {
-    const i64 img = p / f.channels, oc = p % f.channels;
-    const f32 b = f.bias != nullptr ? f.bias[oc] : 0.0f;
-    BnChannel bn{};
-    if constexpr (kBn) bn = f.bn[oc];
-    for (i64 oy = 0; oy < g.out_h; ++oy) {
-      const i32* src = f.acc + oc * g.positions + g.position(img, oy, 0);
-      const i64 at = p * spatial + oy * wo;
-      f32* dst = f.y + at;
-      for (i64 ox = 0; ox < wo; ++ox) {
-        f32 v = f.scale * static_cast<f32>(src[ox]) + b;
-        if constexpr (kBn) v = bn.g * (v - bn.mean) * bn.inv_std + bn.beta;
-        if constexpr (kResidual) v += f.residual[at + ox];
-        if constexpr (kRelu == ConvEpilogue::Relu::kPositive) {
-          v = v > 0.0f ? v : 0.0f;
-        } else if constexpr (kRelu == ConvEpilogue::Relu::kMax) {
-          v = std::max(v, 0.0f);
-        }
-        dst[ox] = v;
-      }
-    }
-  }
-}
-
-template <bool kBn, bool kResidual>
-void dequantize_apply_planes(const FusedPlanes& f, ConvEpilogue::Relu relu) {
-  using Relu = ConvEpilogue::Relu;
-  switch (relu) {
-    case Relu::kNone:
-      return dequantize_apply_planes<kBn, kResidual, Relu::kNone>(f);
-    case Relu::kPositive:
-      return dequantize_apply_planes<kBn, kResidual, Relu::kPositive>(f);
-    case Relu::kMax:
-      return dequantize_apply_planes<kBn, kResidual, Relu::kMax>(f);
-  }
-}
-
 }  // namespace
+
+EpilogueSteps ConvEpilogue::steps(i64 channels, const f32* bias,
+                                  KernelArena& scratch) const {
+  MSH_REQUIRE(bn == nullptr || bn->channels() == channels);
+  EpilogueSteps s{.bias = bias,
+                  .residual = residual != nullptr ? residual->data() : nullptr,
+                  .relu = relu};
+  if (bn != nullptr) {
+    const std::span<BnConstants> constants =
+        scratch.alloc<BnConstants>(channels);
+    for (i64 c = 0; c < channels; ++c) {
+      constants[static_cast<size_t>(c)] = bn_channel(*bn, c);
+    }
+    s.bn = constants.data();
+  }
+  return s;
+}
 
 void ConvEpilogue::dequantize_apply(const i32* acc, const ConvPlanes& layout,
                                     f32 scale, const f32* bias, Tensor& y,
@@ -244,39 +237,34 @@ void ConvEpilogue::dequantize_apply(const i32* acc, const ConvPlanes& layout,
   const i64 channels = y.shape()[1];
   MSH_REQUIRE(y.shape()[0] == layout.batch && y.shape()[2] == layout.out_h &&
               y.shape()[3] == layout.out_w);
-  MSH_REQUIRE(bn == nullptr || bn->channels() == channels);
   MSH_REQUIRE(residual == nullptr || residual->shape() == y.shape());
-  std::span<BnChannel> constants;
-  if (bn != nullptr) {
-    constants = scratch.alloc<BnChannel>(channels);
-    for (i64 c = 0; c < channels; ++c) {
-      constants[static_cast<size_t>(c)] = bn_channel(*bn, c);
-    }
-  }
-  const FusedPlanes f{.acc = acc,
-                      .layout = &layout,
-                      .channels = channels,
-                      .scale = scale,
-                      .bias = bias,
-                      .bn = constants.data(),
-                      .residual = residual != nullptr ? residual->data()
-                                                      : nullptr,
-                      .y = y.data()};
-  if (bn != nullptr && residual != nullptr) {
-    dequantize_apply_planes<true, true>(f, relu);
-  } else if (bn != nullptr) {
-    dequantize_apply_planes<true, false>(f, relu);
-  } else if (residual != nullptr) {
-    dequantize_apply_planes<false, true>(f, relu);
-  } else {
-    dequantize_apply_planes<false, false>(f, relu);
-  }
+  EpilogueOutputs out;
+  out.y = y.data();
+  conv_epilogue(acc, layout, channels, scale, steps(channels, bias, scratch),
+                out);
+}
+
+void ConvEpilogue::dequantize_apply(const i32* acc, const ConvPlanes& layout,
+                                    f32 scale, const f32* bias,
+                                    const ConvPlanes& next,
+                                    const QuantParams& next_params,
+                                    std::span<i16> planes,
+                                    KernelArena& scratch) const {
+  MSH_REQUIRE(static_cast<i64>(planes.size()) == next.size());
+  const i64 channels = next.channels;
+  MSH_REQUIRE(residual == nullptr ||
+              residual->shape() ==
+                  Shape({layout.batch, channels, layout.out_h, layout.out_w}));
+  conv_epilogue(acc, layout, channels, scale, steps(channels, bias, scratch),
+                {.planes = planes.data(),
+                 .next = &next,
+                 .next_params = next_params});
 }
 
 void ConvEpilogue::apply_plane(f32* v, i64 plane, i64 channels,
                                i64 spatial) const {
   if (bn != nullptr) {
-    const BnChannel c = bn_channel(*bn, plane % channels);
+    const BnConstants c = bn_channel(*bn, plane % channels);
     for (i64 s = 0; s < spatial; ++s) {
       v[s] = c.g * (v[s] - c.mean) * c.inv_std + c.beta;
     }

@@ -91,10 +91,10 @@ class PimMatmulLayer {
 ///   residual v + r, as `y += r`;
 ///   ReLU     kPositive: v > 0 ? v : 0 (nn::Relu; -0.0 and NaN become +0)
 ///            kMax:      std::max(v, 0.0f) (keeps -0.0 and NaN).
-/// No step may contract into an FMA; msh_nn and msh_deploy both build
-/// with -ffp-contract=off.
+/// No step may contract into an FMA; msh_nn, msh_kernels and msh_deploy
+/// build with -ffp-contract=off.
 struct ConvEpilogue {
-  enum class Relu { kNone, kPositive, kMax };
+  using Relu = EpilogueRelu;
 
   const BatchNorm2d* bn = nullptr;
   /// Shaped like the conv output; added after BN.
@@ -108,17 +108,29 @@ struct ConvEpilogue {
   /// Finishes every plane of `y` in place — the software conv's pass.
   void apply(Tensor& y) const;
 
-  /// The hardware conv's pass: writes y [N, C, Ho, Wo] (layout's batch
-  /// and output size, C = y.shape()[1]) from accumulators in the direct
-  /// conv layout, acc[c * layout.positions + layout.position(n, oy, ox)]
-  /// (kernels/direct_conv.h), one element at a time: scale * acc +
-  /// bias[c] (0.0f when `bias` is null), then BN, residual and ReLU. The
-  /// FP32 operations and their order are those of dequantizing every
-  /// plane and then calling apply_plane on it, so the bytes are too. BN's
-  /// per-channel constants are computed once, into `scratch`, and the
-  /// loop is specialized on the steps present.
+  /// The kernel form of these steps for a conv with `channels` outputs
+  /// and `bias` (null: 0.0f): BN's per-channel constants are computed
+  /// once, into `scratch`.
+  EpilogueSteps steps(i64 channels, const f32* bias,
+                      KernelArena& scratch) const;
+
+  /// The hardware conv's pass (kernels/direct_conv.h, conv_epilogue):
+  /// writes y [N, C, Ho, Wo] (layout's batch and output size, C =
+  /// y.shape()[1]) from accumulators in the direct conv layout, one
+  /// element at a time: scale * acc + bias[c] (0.0f when `bias` is null),
+  /// then BN, residual and ReLU. The FP32 operations and their order are
+  /// those of dequantizing every plane and then calling apply_plane on
+  /// it, so the bytes are too.
   void dequantize_apply(const i32* acc, const ConvPlanes& layout, f32 scale,
                         const f32* bias, Tensor& y,
+                        KernelArena& scratch) const;
+  /// The same pass for a conv whose output only feeds the conv laid out
+  /// as `next`: each finished value goes straight into that conv's code
+  /// planes as next_params.quantize of it, with no f32 tensor between.
+  /// The codes equal quantize_conv_planes of the f32 output.
+  void dequantize_apply(const i32* acc, const ConvPlanes& layout, f32 scale,
+                        const f32* bias, const ConvPlanes& next,
+                        const QuantParams& next_params, std::span<i16> planes,
                         KernelArena& scratch) const;
 };
 
@@ -136,19 +148,39 @@ class PimConv {
   /// Each input value is quantized once (quantize_conv_planes) into the
   /// planes of kernels/direct_conv.h; padding taps and the K tail read
   /// code 0, which is quantize(0.0f). The raw backend convolves straight
-  /// from the planes; the modeled one gathers im2col code rows from them
-  /// for its PE walk — identical accumulators either way. The output is
-  /// scale * acc + bias per element (bias 0.0f when the conv has none):
-  /// the same two FP32 roundings, in the same order, as dequantizing
-  /// im2col rows and adding bias after. Every buffer but the returned
-  /// tensor lives in the core's scratch arenas. Each element is finished
-  /// by `epilogue` in the same pass (ConvEpilogue::dequantize_apply; the
-  /// default leaves the plain conv output).
+  /// from the planes; the modeled one walks its PEs over the same planes
+  /// — identical accumulators either way. The output is scale * acc +
+  /// bias per element (bias 0.0f when the conv has none): the same two
+  /// FP32 roundings, in the same order, as dequantizing im2col rows and
+  /// adding bias after. Every buffer but the returned tensor lives in
+  /// the core's scratch arenas. Each element is finished by `epilogue` in
+  /// the same pass (ConvEpilogue::dequantize_apply; the default leaves
+  /// the plain conv output).
   Tensor forward(const Tensor& x, const ConvEpilogue& epilogue = {});
+
+  /// next.forward(forward(x, epilogue), next_epilogue), for a conv whose
+  /// output feeds only `next` (a stride-1 conv on the same core), with no
+  /// f32 tensor in between: this conv's epilogue quantizes each finished
+  /// value with next's input scale straight into next's code planes.
+  /// Bit-identical to the two calls.
+  Tensor forward_chained(const Tensor& x, const ConvEpilogue& epilogue,
+                         PimConv& next, const ConvEpilogue& next_epilogue);
 
   const PimMatmulLayer& matmul_layer() const { return matmul_; }
 
  private:
+  /// The planes layout of input shape [B, C, H, W].
+  ConvPlanes input_layout(const Shape& x) const;
+  /// Quantizes x into planes from the core's I/O scratch.
+  std::span<i16> quantize_input(const Tensor& x, const ConvPlanes& layout);
+  /// The conv over input planes, accumulators in the core's I/O scratch.
+  std::span<i32> accumulate(std::span<const i16> planes,
+                            const ConvPlanes& layout);
+  f32 output_scale() const {
+    return matmul_.activation_scale() * matmul_.weight_scale();
+  }
+  const f32* bias() const { return bias_.empty() ? nullptr : bias_.data(); }
+
   HybridCore& core_;
   Conv2dGeometry geom_;
   PimMatmulLayer matmul_;

@@ -70,4 +70,51 @@ void quantize_conv_planes(const f32* x, const ConvPlanes& layout,
 void direct_conv(const FlatCsc& w, const i16* planes, const ConvPlanes& layout,
                  i32* out, KernelArena& arena);
 
+/// The ReLU a conv epilogue ends with. kPositive is nn::Relu's
+/// v > 0 ? v : 0 (-0.0 and NaN become +0.0); kMax is std::max(v, 0.0f)
+/// (keeps -0.0 and NaN).
+enum class EpilogueRelu { kNone, kPositive, kMax };
+
+/// One channel's eval-mode BatchNorm constants, inv_std = 1 / sqrt(var +
+/// eps), as BatchNorm2d::forward computes them.
+struct BnConstants {
+  f32 g, beta, mean, inv_std;
+};
+
+/// The per-element steps of a conv epilogue, each optional but the
+/// bias-add: v = scale * acc + bias[c] (0.0f when bias is null), then BN
+/// g * (v - mean) * inv_std + beta, then v + residual, then the ReLU.
+struct EpilogueSteps {
+  const f32* bias = nullptr;        ///< [channels], or null
+  const BnConstants* bn = nullptr;  ///< [channels], or null
+  const f32* residual = nullptr;    ///< shaped like the f32 output, or null
+  EpilogueRelu relu = EpilogueRelu::kNone;
+};
+
+/// Where a conv epilogue writes its finished values: as f32 NCHW, or as
+/// the code planes of the next conv's input. Exactly one is set.
+struct EpilogueOutputs {
+  f32* y = nullptr;  ///< [batch, channels, out_h, out_w], or null
+  /// The next conv's input planes (next->size() elements), or null. The
+  /// next conv reads this conv's output: stride 1, next->batch and
+  /// next->channels equal to this conv's, its height and width this
+  /// conv's out_h and out_w.
+  i16* planes = nullptr;
+  const ConvPlanes* next = nullptr;
+  QuantParams next_params;  ///< the next conv's input quantization
+};
+
+/// Finishes a conv's accumulators acc[c * layout.positions +
+/// layout.position(n, oy, ox)] through `steps`, one IEEE operation per
+/// step in the order EpilogueSteps gives, and writes each finished value
+/// to out.y or, as next_params.quantize of it, into out.planes at its
+/// input position of the next conv; every other plane element is 0.
+/// Bit-identical to dequantizing, applying the steps and quantizing one
+/// element at a time, on every ISA copy. When the two layouts share
+/// plane_h and plane_w, lane q lands at q + p * (plane_w + 1), p the
+/// next conv's padding, so each channel goes out as one contiguous run.
+void conv_epilogue(const i32* acc, const ConvPlanes& layout, i64 channels,
+                   f32 scale, const EpilogueSteps& steps,
+                   const EpilogueOutputs& out);
+
 }  // namespace msh

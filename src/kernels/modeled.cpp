@@ -1,6 +1,7 @@
 #include "kernels/modeled.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "kernels/adder_tree.h"
@@ -84,26 +85,37 @@ i32 number_outputs(std::span<const i32> ids, ModeledScratch& scratch,
   return lo;
 }
 
-/// Sum over lanes q < lanes of popcount(tap[q] & mask[q]), the 8-bit
-/// codes' set bits; a null mask keeps every lane.
-i64 tap_popcount(const i16* tap, const i16* mask, i64 lanes) {
+/// Each lane's 8-bit code popcount.
+Codes code_bits(Codes v) {
+  v &= 0xFF;
+  v = v - ((v >> 1) & 0x55);
+  v = (v & 0x33) + ((v >> 2) & 0x33);
+  return (v + (v >> 4)) & 0x0F;
+}
+
+/// Sum of every lane of block(q) over the blocks q < lanes, each lane of
+/// a block at most 8: an i16 lane sum stays exact (at most 2^14) over
+/// 2048 blocks.
+template <typename Block>
+i64 sum_blocks(i64 lanes, Block block) {
   MSH_REQUIRE(lanes % kWalkLanes == 0);
-  // A lane's popcount is at most 8, so its i16 sum stays exact (at most
-  // 2^14) over 2048 blocks.
   constexpr i64 kChunk = 2048 * kWalkLanes;
-  i64 bits = 0;
+  i64 total = 0;
   for (i64 c0 = 0; c0 < lanes; c0 += kChunk) {
     Codes sum{};
     for (i64 q = c0; q < std::min(lanes, c0 + kChunk); q += kWalkLanes) {
-      Codes v = load_block(tap + q) & 0xFF;
-      if (mask != nullptr) v &= load_block(mask + q);
-      v = v - ((v >> 1) & 0x55);
-      v = (v & 0x33) + ((v >> 2) & 0x33);
-      sum += (v + (v >> 4)) & 0x0F;
+      sum += block(q);
     }
-    for (i64 j = 0; j < kWalkLanes; ++j) bits += sum[j];
+    for (i64 j = 0; j < kWalkLanes; ++j) total += sum[j];
   }
-  return bits;
+  return total;
+}
+
+/// Sum over lanes q < lanes of popcount(tap[q] & 0xFF), the 8-bit
+/// codes' set bits.
+i64 tap_popcount(const i16* tap, i64 lanes) {
+  return sum_blocks(lanes,
+                    [&](i64 q) { return code_bits(load_block(tap + q)); });
 }
 
 /// One row through a walk: the row is lane 0 of a kWalkLanes-lane view,
@@ -127,12 +139,39 @@ TileMatvec walk_one_row(std::span<const i8> activations, Walk&& walk) {
 
 }  // namespace
 
-void count_tap_bits(const i16* base, std::span<const i64> row_off,
-                    std::span<const i16> lane_mask, std::span<i64> tap_bits) {
+void count_tap_bits(const i16* planes, const ConvPlanes& g,
+                    std::span<const i64> row_off, std::span<i16> plane_bits,
+                    std::span<i16> lane_mask, std::span<i64> tap_bits) {
   MSH_REQUIRE(tap_bits.size() == row_off.size());
-  for (size_t r = 0; r < row_off.size(); ++r) {
-    tap_bits[r] = tap_popcount(base + row_off[r], lane_mask.data(),
-                               static_cast<i64>(lane_mask.size()));
+  MSH_REQUIRE(static_cast<i64>(plane_bits.size()) == g.plane_len);
+  MSH_REQUIRE(static_cast<i64>(lane_mask.size()) == g.positions);
+  std::fill(lane_mask.begin(), lane_mask.end(), i16{0});
+  for (i64 n = 0; n < g.batch; ++n) {
+    for (i64 oy = 0; oy < g.out_h; ++oy) {
+      i16* row = lane_mask.data() + g.position(n, oy, 0);
+      std::fill(row, row + g.out_w, i16{-1});
+    }
+  }
+  std::fill(tap_bits.begin(), tap_bits.end(), 0);
+  i16* bits = plane_bits.data();
+  const i64 blocks_end = g.plane_len / kWalkLanes * kWalkLanes;
+  for (i64 p = 1; p < 1 + g.channels * g.phases * g.phases; ++p) {
+    const i16* plane = planes + p * g.plane_len;
+    for (i64 i = 0; i < blocks_end; i += kWalkLanes) {
+      const Codes v = code_bits(load_block(plane + i));
+      std::memcpy(bits + i, &v, sizeof v);
+    }
+    for (i64 i = blocks_end; i < g.plane_len; ++i) {
+      bits[i] = static_cast<i16>(std::popcount(static_cast<u8>(plane[i])));
+    }
+    for (size_t r = 0; r < row_off.size(); ++r) {
+      if (row_off[r] / g.plane_len != p) continue;
+      // Tap r reads lane q at plane index q + shift.
+      const i16* tap = bits + (row_off[r] - p * g.plane_len);
+      tap_bits[r] = sum_blocks(g.positions, [&](i64 q) {
+        return load_block(tap + q) & load_block(lane_mask.data() + q);
+      });
+    }
   }
 }
 
@@ -157,7 +196,7 @@ LaneView lanes_from_rows(const i8* rows, i64 count, i64 taps,
   for (i64 r = 0; r < taps; ++r) {
     row_off[static_cast<size_t>(r)] = r * lanes;
     tap_bits[static_cast<size_t>(r)] =
-        tap_popcount(codes.data() + r * lanes, nullptr, lanes);
+        tap_popcount(codes.data() + r * lanes, lanes);
   }
   return LaneView{codes.data(), row_off, lanes, count, tap_bits};
 }

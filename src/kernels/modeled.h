@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "kernels/direct_conv.h"
 #include "pim/events.h"   // header-only event counter format
 #include "pim/pe_tile.h"  // header-only tile formats
 
@@ -52,11 +53,18 @@ struct LaneView {
   std::span<const i64> tap_bits;
 };
 
-/// tap_bits[r] = sum over lanes q < lane_mask.size() of the set bits of
-/// lane q's 8-bit code in tap r, masked by lane_mask[q]: 0xFF on a valid
-/// lane, 0 on any other. Its size is the view's lanes.
-void count_tap_bits(const i16* base, std::span<const i64> row_off,
-                    std::span<const i16> lane_mask, std::span<i64> tap_bits);
+/// A conv's tap_bits: tap_bits[r] = the set bits of the 8-bit codes that
+/// tap r (plane offset row_off[r], ConvPlanes::row_offsets) reads over
+/// the valid lanes layout.position(n, oy, ox), oy < out_h, ox < out_w;
+/// the padding ring's lanes are not counted. The k * k taps of a conv
+/// read each plane at fixed shifts, so each plane is popcounted once,
+/// into `plane_bits` (layout.plane_len elements), and each tap sums its
+/// shifted slice of it under the valid-lane mask it builds in
+/// `lane_mask` (layout.positions elements). Rows in the zero plane (the
+/// K tail) count 0.
+void count_tap_bits(const i16* planes, const ConvPlanes& layout,
+                    std::span<const i64> row_off, std::span<i16> plane_bits,
+                    std::span<i16> lane_mask, std::span<i64> tap_bits);
 
 /// Lays `count` row-major rows of `taps` INT8 codes out as a lane view
 /// over caller storage: codes [taps x walk_lanes(count)], lane b of tap r

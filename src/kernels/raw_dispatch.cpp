@@ -41,6 +41,12 @@ void direct_conv(const FlatCsc& w, const i16* planes,
   raw_kernels().direct_conv(w, planes, layout, out, arena);
 }
 
+void conv_epilogue(const i32* acc, const ConvPlanes& layout, i64 channels,
+                   f32 scale, const EpilogueSteps& steps,
+                   const EpilogueOutputs& out) {
+  raw_kernels().conv_epilogue(acc, layout, channels, scale, steps, out);
+}
+
 void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
                     std::span<i32> out, KernelArena& arena, std::nullptr_t) {
   raw_kernels().raw_csc_matmul(w, acts, batch, out, arena);

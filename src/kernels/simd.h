@@ -296,6 +296,63 @@ inline void widen_transpose(const i8* x, i64 rows, i64 cols, i16* xt) {
   }
 }
 
+/// even[i] = x[2i] and odd[i] = x[2i + 1], for the n codes of x (odd
+/// gets n / 2 of them, even the rest): the column phases of a stride-2
+/// row, or of a whole image of even width. Pure data movement; the SSE2
+/// body shifts each i32 pair apart and packs, which is exact for any
+/// i16.
+inline void deinterleave(const i16* x, i64 n, i16* even, i16* odd) {
+  i64 j = 0;
+#if defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
+  for (; j + 16 <= n; j += 16) {
+    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + j));
+    const __m128i b =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + j + 8));
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(even + j / 2),
+        _mm_packs_epi32(_mm_srai_epi32(_mm_slli_epi32(a, 16), 16),
+                        _mm_srai_epi32(_mm_slli_epi32(b, 16), 16)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(odd + j / 2),
+                     _mm_packs_epi32(_mm_srai_epi32(a, 16),
+                                     _mm_srai_epi32(b, 16)));
+  }
+#endif
+  for (; j + 1 < n; j += 2) {
+    even[j / 2] = x[j];
+    odd[j / 2] = x[j + 1];
+  }
+  if (j < n) even[j / 2] = x[j];
+}
+
+/// dst[i] = src[i] for i in [0, n), for the short runs of a code plane
+/// row: 8-code vector moves with an overlapping last one (two 4-code
+/// moves below 8 codes), so no call and nothing outside [0, n) of dst
+/// is written.
+inline void copy_codes(i16* dst, const i16* src, i64 n) {
+  i64 j = 0;
+#if defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
+  auto move8 = [&](i64 at) {
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + at));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + at), v);
+  };
+  if (n >= 8) {
+    for (; j + 8 <= n; j += 8) move8(j);
+    if (j < n) move8(n - 8);
+    return;
+  }
+  if (n >= 4) {
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst),
+                     _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src)));
+    _mm_storel_epi64(
+        reinterpret_cast<__m128i*>(dst + n - 4),
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + n - 4)));
+    return;
+  }
+#endif
+  for (; j < n; ++j) dst[j] = src[j];
+}
+
 /// codes[i] = params.quantize(x[i]) for i in [0, n), as INT8 codes or
 /// as the same codes widened to i16 (the conv code planes). Each vector
 /// body reproduces the scalar reference exactly:

@@ -1,17 +1,59 @@
 // The conv output epilogue (BN, residual plane, ReLU folded into the conv
 // output pass) against the unfused layers it replaces: every comparison
 // is byte equality, so it also tells -0.0 from +0.0 and NaN payloads.
+//
+// The binary also replaces the global operator new with one that counts
+// bytes, so a warmed forward's heap traffic is a wall-clock-free check.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <limits>
+#include <new>
 #include <string>
 
 #include "deploy/pim_executor.h"
 #include "kernels/quant_kernels.h"
 #include "workloads/dataset.h"
+
+namespace {
+std::atomic<long> g_allocations{0};
+std::atomic<long> g_allocated_bytes{0};
+}  // namespace
+
+// Out of line, so the compiler never pairs an inlined free() with the
+// allocation of a new-expression it knows as the builtin operator new.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<long>(size),
+                              std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  operator delete(p);
+}
 
 namespace msh {
 
@@ -442,6 +484,84 @@ TEST_F(ExecutorEpilogueTest, EachSiteKeepsItsReluForm) {
   expect_bytes_equal(logits, unfused.forward(images));
 }
 
+TEST_F(ExecutorEpilogueTest, RepEdgeCodesSaturateAndMapNaNToQmin) {
+  // Rep reduce -> expand is a chained edge: reduce's epilogue writes
+  // expand's input codes with no f32 tensor between. After calibration,
+  // one reduce channel's bias becomes NaN (kept by the max-ReLU, so its
+  // code is qmin) and another's 1e6 (far past the calibrated range, so
+  // its code saturates at qmax). The clone deploys the poisoned biases
+  // on the calibrated scales; the unfused walk quantizes the same values
+  // through quantize_conv_planes.
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  for (const KernelBackend backend :
+       {KernelBackend::kRaw, KernelBackend::kModeled}) {
+    SCOPED_TRACE(to_string(backend));
+    std::vector<Tensor> saved;
+    for (i64 m = 0; m < model_->num_rep_modules(); ++m)
+      saved.push_back(model_->rep_module(m).reduce().bias().value);
+    PimExecutorOptions options;
+    options.backend = backend;
+    PimRepNetExecutor calibrated(*model_, data_.train, options);
+    for (i64 m = 0; m < model_->num_rep_modules(); ++m) {
+      Tensor& bias = model_->rep_module(m).reduce().bias().value;
+      bias[0] = nan;
+      bias[1] = 1e6f;
+    }
+    const auto executor = calibrated.clone();
+    UnfusedDeployment unfused(*model_, calibrated, backend, options.nm);
+    const Tensor images = data_.test.batch_images(0, 7);
+    const Tensor logits = executor->forward(images);
+    for (i64 i = 0; i < logits.numel(); ++i)
+      ASSERT_TRUE(std::isfinite(logits[i]));
+    expect_bytes_equal(logits, unfused.forward(images));
+    for (i64 m = 0; m < model_->num_rep_modules(); ++m)
+      model_->rep_module(m).reduce().bias().value =
+          saved[static_cast<size_t>(m)];
+  }
+}
+
+TEST(RawForwardAllocations, WarmedForwardAllocatesLessThanUnchainedWalk) {
+  // The benchmark fixture's geometry (12 x 12 images, stem 8, stages 8
+  // and 16). A warmed raw forward allocates only the tensors the walk
+  // returns between sites: no f32 tensor for a chained edge's
+  // intermediate (block conv1 -> conv2, Rep reduce -> expand) and no
+  // copy of the stem output. The same forward with every conv unchained
+  // and the stem output copied made 28 allocations, of 39,664 bytes at
+  // batch 1 and 1,256,352 at batch 32; this one makes 22, of 22,352 and
+  // 703,360 bytes.
+  SyntheticSpec spec;
+  spec.name = "allocations";
+  spec.classes = 4;
+  spec.train_per_class = 16;
+  spec.test_per_class = 16;
+  spec.image_size = 12;
+  spec.seed = 5;
+  const TrainTestSplit data = make_synthetic_dataset(spec);
+  BackboneConfig cfg;
+  cfg.stem_channels = 8;
+  cfg.stage_channels = {8, 16};
+  cfg.blocks_per_stage = {1, 1};
+  cfg.stage_strides = {1, 2};
+  Rng rng(13);
+  RepNetModel model(
+      cfg, RepNetConfig{.bottleneck_divisor = 8, .min_bottleneck = 8}, 4,
+      rng);
+  PimRepNetExecutor executor(model, data.train);
+  for (const auto& [batch, unchained_bytes] :
+       {std::pair<i64, long>{1, 39664}, {32, 1256352}}) {
+    SCOPED_TRACE("b" + std::to_string(batch));
+    const Tensor images = data.test.batch_images(0, batch);
+    for (int i = 0; i < 3; ++i) executor.forward(images);
+    const long bytes = g_allocated_bytes.load();
+    const long count = g_allocations.load();
+    const Tensor logits = executor.forward(images);
+    const long forward_bytes = g_allocated_bytes.load() - bytes;
+    const long forward_count = g_allocations.load() - count;
+    EXPECT_LT(forward_bytes, unchained_bytes);
+    EXPECT_LT(forward_count, 28);
+  }
+}
+
 class ExecutorEpilogueWalkTest
     : public ExecutorEpilogueTest,
       public ::testing::WithParamInterface<KernelBackend> {};
@@ -459,10 +579,9 @@ TEST_P(ExecutorEpilogueWalkTest, FusedHardwareWalkMatchesUnfusedComposition) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ExecutorEpilogueWalkTest,
-    ::testing::Values(KernelBackend::kRaw, KernelBackend::kModeled),
-    [](const auto& info) { return std::string(to_string(info.param)); });
+INSTANTIATE_TEST_SUITE_P(Backends, ExecutorEpilogueWalkTest,
+                         ::testing::Values(KernelBackend::kRaw,
+                                           KernelBackend::kModeled));
 
 }  // namespace
 }  // namespace msh

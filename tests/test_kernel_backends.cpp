@@ -580,11 +580,8 @@ class RawKernelIsaTest : public ::testing::TestWithParam<IsaCopy> {
   const RawKernels& copy() const { return *GetParam().kernels; }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Isa, RawKernelIsaTest, ::testing::ValuesIn(compiled_copies()),
-    [](const ::testing::TestParamInfo<IsaCopy>& info) {
-      return std::string(info.param.kernels->isa);
-    });
+INSTANTIATE_TEST_SUITE_P(Isa, RawKernelIsaTest,
+                         ::testing::ValuesIn(compiled_copies()));
 
 TEST_P(RawKernelIsaTest, PairMacMatchesScalarReference) {
   expect_pair_mac_matches_reference(copy().pair_mac, copy().isa);
@@ -797,6 +794,18 @@ TEST_P(RawKernelIsaTest, ConvPlanesAndDirectConvMatchScalarReference) {
   shapes.push_back({3, 1, 1, 2, 3, 40, 41, 2});
   shapes.push_back({3, 2, 1, 2, 3, 33, 35, 1});
   shapes.push_back({5, 3, 2, 1, 4, 3, 1100, 1});
+  // Stride 2 over even widths at batch 32, where each image's columns
+  // are split into phases in one pass: the fixture's stage-1 conv and
+  // projection, no padding, a kernel wider than the stride, runs of 2,
+  // 3 and 12 codes (below, at and past the 4-code vector move), and an
+  // image past the quantize buffer.
+  shapes.push_back({3, 2, 1, 8, 16, 12, 12, 32});
+  shapes.push_back({1, 2, 0, 8, 16, 12, 12, 32});
+  shapes.push_back({3, 2, 0, 3, 5, 9, 10, 32});
+  shapes.push_back({5, 2, 2, 2, 3, 7, 24, 32});
+  shapes.push_back({2, 2, 1, 3, 4, 5, 4, 32});
+  shapes.push_back({3, 2, 1, 2, 3, 6, 6, 32});
+  shapes.push_back({3, 2, 1, 1, 2, 40, 30, 32});
   const QuantParams params = params_for(0.04f, 8);
   Rng rng(31);
   for (const ConvShape& c : shapes) {
@@ -827,6 +836,137 @@ TEST_P(RawKernelIsaTest, ConvPlanesAndDirectConvMatchScalarReference) {
     std::vector<i32> out(want.size(), 12345);
     copy().direct_conv(w.view(), planes.data(), g, out.data(), arena);
     ASSERT_EQ(out, want);
+  }
+}
+
+TEST_P(RawKernelIsaTest, ConvEpilogueMatchesScalarComposition) {
+  // Each copy's conv_epilogue against its scalar composition: every row
+  // through dequantize_outputs (bias 0.0f when absent), then apply_plane,
+  // and for the planes output QuantParams::quantize of those values laid
+  // out as quantize_conv_planes lays out an input. All 12 BN x residual x
+  // ReLU forms, byte for byte. Scale -1 turns a zero accumulator into
+  // -0.0 and 1e30 sends large ones to +-inf; biases, BN channels and the
+  // residual carry -0.0, NaN and +-inf; the next conv's scale makes many
+  // codes saturate at +-127. Output rows of 1 to 13 lanes cover the
+  // vector groups, the repeated last group and the scalar tail. A next
+  // conv with the producer's plane geometry takes each channel as one
+  // run; the others go row by row.
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  constexpr f32 kEps = 1e-5f;
+  constexpr i64 kChannels = 4;
+  // Channel 0 keeps -0.0 through BN, channel 1 (negative variance) is
+  // all NaN, channel 2 has an infinite gamma, channel 3 is an ordinary
+  // affine.
+  BatchNorm2d bn(kChannels, 0.1f, kEps);
+  bn.set_running_stats(
+      Tensor::from_data(Shape{kChannels}, {0.0f, 0.0f, 0.25f, -0.5f}),
+      Tensor::from_data(Shape{kChannels}, {1.0f - kEps, -1.0f, 0.5f, 2.0f}));
+  bn.params()[0]->value =
+      Tensor::from_data(Shape{kChannels}, {1.0f, 1.0f, inf, 1.5f});
+  bn.params()[1]->value =
+      Tensor::from_data(Shape{kChannels}, {-0.0f, 0.0f, -0.1f, 0.2f});
+  const std::vector<f32> bias = {-0.0f, nan, inf, 0.5f};
+  Rng rng(43);
+  struct Geometry {
+    i64 batch, height, width, kernel, padding;
+  };
+  for (const Geometry geo :
+       {Geometry{3, 4, 5, 3, 1}, Geometry{2, 3, 1, 1, 0},
+        Geometry{1, 2, 3, 3, 1}, Geometry{2, 5, 7, 1, 0},
+        Geometry{7, 6, 6, 3, 1}, Geometry{2, 3, 12, 3, 1},
+        Geometry{2, 2, 13, 1, 0}, Geometry{32, 4, 8, 3, 1}}) {
+    const ConvPlanes layout =
+        ConvPlanes::make(geo.batch, 2, geo.height, geo.width, geo.kernel, 1,
+                         geo.padding);
+    const Shape out_shape{layout.batch, kChannels, layout.out_h,
+                          layout.out_w};
+    std::vector<i32> acc(static_cast<size_t>(kChannels * layout.positions));
+    for (size_t i = 0; i < acc.size(); ++i) {
+      acc[i] = static_cast<i32>(rng.uniform_int(-300, 300));
+      if (i % 7 == 0) acc[i] = 0;
+      if (i % 11 == 0) acc[i] = i % 2 == 0 ? 1 << 30 : -(1 << 30);
+    }
+    Tensor residual = Tensor::randn(out_shape, rng);
+    for (i64 i = 0; i < residual.numel(); i += 5) {
+      const f32 specials[] = {-0.0f, nan, inf, -inf, 0.0f};
+      residual[i] = specials[(i / 5) % 5];
+    }
+    for (const f32 scale : {-1.0f, 0.03f, 1e30f}) {
+      for (const bool with_bias : {false, true}) {
+        Tensor plain(out_shape);
+        const i64 wo = layout.out_w, spatial = layout.out_h * wo;
+        for (i64 p = 0; p < layout.batch * kChannels; ++p) {
+          const i64 img = p / kChannels, oc = p % kChannels;
+          const std::vector<f32> row_bias(
+              static_cast<size_t>(wo),
+              with_bias ? bias[static_cast<size_t>(oc)] : 0.0f);
+          for (i64 oy = 0; oy < layout.out_h; ++oy) {
+            dequantize_outputs(acc.data() + oc * layout.positions +
+                                   layout.position(img, oy, 0),
+                               1, wo, scale, row_bias.data(),
+                               plain.data() + p * spatial + oy * wo);
+          }
+        }
+        for (const bool with_bn : {false, true}) {
+          for (const bool with_residual : {false, true}) {
+            for (const EpilogueRelu relu :
+                 {EpilogueRelu::kNone, EpilogueRelu::kPositive,
+                  EpilogueRelu::kMax}) {
+              SCOPED_TRACE(testing::Message()
+                           << "b" << geo.batch << " " << geo.height << "x"
+                           << geo.width << " k" << geo.kernel << " scale "
+                           << scale << (with_bias ? " bias" : "")
+                           << (with_bn ? " bn" : "")
+                           << (with_residual ? " residual" : "") << " relu "
+                           << static_cast<int>(relu) << " on "
+                           << copy().isa);
+              const ConvEpilogue epilogue{
+                  .bn = with_bn ? &bn : nullptr,
+                  .residual = with_residual ? &residual : nullptr,
+                  .relu = relu};
+              Tensor want = plain;
+              epilogue.apply(want);
+              KernelArena scratch;
+              const EpilogueSteps steps = epilogue.steps(
+                  kChannels, with_bias ? bias.data() : nullptr, scratch);
+
+              Tensor got(out_shape, 123.0f);
+              EpilogueOutputs to_y;
+              to_y.y = got.data();
+              copy().conv_epilogue(acc.data(), layout, kChannels, scale,
+                                   steps, to_y);
+              for (i64 i = 0; i < got.numel(); ++i) {
+                ASSERT_EQ(std::bit_cast<u32>(got[i]),
+                          std::bit_cast<u32>(want[i]))
+                    << "element " << i << ": " << got[i] << " vs "
+                    << want[i];
+              }
+
+              const std::vector<f32> values(want.data(),
+                                            want.data() + want.numel());
+              for (const auto& [kernel, padding] :
+                   {std::pair<i64, i64>{3, 1}, {1, 0}, {5, 2}}) {
+                const ConvPlanes next = ConvPlanes::make(
+                    layout.batch, kChannels, layout.out_h, layout.out_w,
+                    kernel, 1, padding);
+                const QuantParams params = params_for(0.02f, 8);
+                std::vector<i16> planes(static_cast<size_t>(next.size()),
+                                        777);
+                EpilogueOutputs to_planes;
+                to_planes.planes = planes.data();
+                to_planes.next = &next;
+                to_planes.next_params = params;
+                copy().conv_epilogue(acc.data(), layout, kChannels, scale,
+                                     steps, to_planes);
+                ASSERT_EQ(planes, reference_planes(values, next, params))
+                    << "next conv k" << kernel << " p" << padding;
+              }
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <map>
 #include <new>
@@ -1028,6 +1029,60 @@ TEST(ModeledWalkGolden, CorePaddedConvRingLanesStayOutOfBufferReads) {
       SCOPED_TRACE(sram ? "sram" : "mram");
       Deployed d(w, sram);
       expect_conv_matches_reference(d, w, layout, in);
+    }
+  }
+}
+
+TEST(ModeledWalk, TapBitsFromPlanePopcountsMatchDirectCount) {
+  // count_tap_bits against popcounting every tap's codes over the valid
+  // lanes, the count the SRAM walk's buffer reads model. Every plane
+  // code but the zero plane's is random, padding and ring included, so a
+  // ring lane or pad code the count took in would show; the K tail
+  // (rows past C * k * k) reads the zero plane and counts 0.
+  Rng rng(97);
+  for (const i64 kernel : {1, 3}) {
+    for (const i64 stride : {1, 2}) {
+      for (const i64 padding : {0, 1}) {
+        for (const i64 batch : {1, 7, 32}) {
+          const i64 channels = rng.uniform_int(1, 4);
+          const i64 height = rng.uniform_int(kernel + 1, 9);
+          const i64 width = rng.uniform_int(kernel + 1, 9);
+          SCOPED_TRACE(testing::Message()
+                       << "k" << kernel << " s" << stride << " p" << padding
+                       << " b" << batch << " " << channels << "x" << height
+                       << "x" << width);
+          const ConvPlanes g = ConvPlanes::make(batch, channels, height, width,
+                                                kernel, stride, padding);
+          std::vector<i16> planes(static_cast<size_t>(g.size()), 0);
+          for (size_t i = static_cast<size_t>(g.plane_len); i < planes.size();
+               ++i) {
+            planes[i] = static_cast<i16>(rng.uniform_int(-128, 127));
+          }
+          const i64 dense_rows = (g.k() + 3) / 4 * 4 + 4;
+          std::vector<i64> row_off(static_cast<size_t>(dense_rows));
+          g.row_offsets(row_off);
+          std::vector<i64> want(row_off.size(), 0);
+          for (size_t r = 0; r < row_off.size(); ++r) {
+            for (i64 n = 0; n < batch; ++n) {
+              for (i64 oy = 0; oy < g.out_h; ++oy) {
+                for (i64 ox = 0; ox < g.out_w; ++ox) {
+                  const i16 code = planes[static_cast<size_t>(
+                      row_off[r] + g.position(n, oy, ox))];
+                  want[r] += std::popcount(static_cast<u32>(code & 0xFF));
+                }
+              }
+            }
+          }
+          std::vector<i16> plane_bits(static_cast<size_t>(g.plane_len));
+          std::vector<i16> lane_mask(static_cast<size_t>(g.positions));
+          std::vector<i64> got(row_off.size(), -1);
+          count_tap_bits(planes.data(), g, row_off, plane_bits, lane_mask,
+                         got);
+          EXPECT_EQ(got, want);
+          for (i64 r = g.k(); r < dense_rows; ++r)
+            EXPECT_EQ(got[static_cast<size_t>(r)], 0);
+        }
+      }
     }
   }
 }
