@@ -78,7 +78,8 @@ class HybridCore {
 
   /// A conv through the deployment, whose dense rows are the (channel,
   /// ky, kx) taps of `layout`'s kernel: `planes` holds the input's code
-  /// planes (quantize_conv_planes), and out[c * layout.positions + q]
+  /// planes (quantize_conv_planes, or a sibling conv's planes read
+  /// through ConvPlanes::sibling_view), and out[c * layout.positions + q]
   /// receives output channel c's INT32 accumulator at position q =
   /// layout.position(image, oy, ox); other lanes are unspecified. Raw:
   /// direct_conv straight from the planes, with no heap allocation unless
@@ -96,10 +97,18 @@ class HybridCore {
   /// conv_into(). Same single-thread contract as the core.
   KernelArena& io_scratch() { return io_arena_; }
 
-  /// Heap bytes held by the core's kernel and I/O arenas: constant once
-  /// a repeated workload has reached its high-water mark.
+  /// Scratch for code planes that outlive one dispatch: an activation
+  /// quantized once and read by every conv it feeds (pim_layer.h,
+  /// ActivationCodes). Whoever runs the whole forward resets it at the
+  /// start of each; layer dispatches never do. Same single-thread
+  /// contract as the core.
+  KernelArena& activation_scratch() { return activation_arena_; }
+
+  /// Heap bytes held by the core's kernel, I/O and activation arenas:
+  /// constant once a repeated workload has reached its high-water mark.
   size_t scratch_bytes_reserved() const {
-    return arena_.bytes_reserved() + io_arena_.bytes_reserved();
+    return arena_.bytes_reserved() + io_arena_.bytes_reserved() +
+           activation_arena_.bytes_reserved();
   }
 
   /// Pointer view over one deployment's PE-resident compressed codes —
@@ -202,6 +211,7 @@ class HybridCore {
   Options options_;
   KernelArena arena_;     ///< raw-backend scratch, reset per dispatch
   KernelArena io_arena_;  ///< layer-wrapper scratch (io_scratch())
+  KernelArena activation_arena_;  ///< forward scratch (activation_scratch())
   Bus bus_;
   ActivationBuffer buffer_;
   std::vector<Deployment> deployments_;

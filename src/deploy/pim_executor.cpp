@@ -10,9 +10,9 @@ namespace msh {
 namespace {
 
 // Side-effect-free average pool, the same FP32 sums as nn::AvgPool2d.
-// That layer caches its input shape for backward even in eval mode, and
-// hardware-mode inference must not write to the shared model, so both
-// walk modes pool here instead.
+// That layer caches its input shape for backward even in eval mode, so
+// calibration pools here instead; hardware mode pools straight into the
+// next conv's code planes with the same sums (avg_pool_planes).
 Tensor avg_pool_eval(const Tensor& x, i64 kernel, i64 stride) {
   const i64 n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
             w = x.shape()[3];
@@ -559,7 +559,8 @@ std::vector<PimRepNetExecutor::ScrubReport> PimRepNetExecutor::scrub(
 
 Tensor PimRepNetExecutor::apply_conv(Conv2d& conv, const Tensor& x,
                                      Mode mode,
-                                     const ConvEpilogue& epilogue) {
+                                     const ConvEpilogue& epilogue,
+                                     const ActivationCodes* codes) {
   if (mode == Mode::kCalibrate) {
     auto [it, inserted] = input_amax_.emplace(&conv, x.abs_max());
     if (!inserted) it->second = std::max(it->second, x.abs_max());
@@ -567,10 +568,11 @@ Tensor PimRepNetExecutor::apply_conv(Conv2d& conv, const Tensor& x,
     epilogue.apply(y);
     return y;
   }
-  return deployed(conv).forward(x, epilogue);
+  return deployed(conv).forward({x, codes}, epilogue);
 }
 
 Tensor PimRepNetExecutor::apply_chain(Conv2d& first, const Tensor& x,
+                                      const ActivationCodes* codes,
                                       const ConvEpilogue& first_epilogue,
                                       Conv2d& second,
                                       const ConvEpilogue& second_epilogue,
@@ -580,8 +582,8 @@ Tensor PimRepNetExecutor::apply_chain(Conv2d& first, const Tensor& x,
     return apply_conv(second, apply_conv(first, x, mode, first_epilogue),
                       mode, second_epilogue);
   }
-  return deployed(first).forward_chained(x, first_epilogue, deployed(second),
-                                         second_epilogue);
+  return deployed(first).forward_chained({x, codes}, first_epilogue,
+                                         deployed(second), second_epilogue);
 }
 
 PimConv& PimRepNetExecutor::deployed(const Conv2d& conv) {
@@ -590,8 +592,9 @@ PimConv& PimRepNetExecutor::deployed(const Conv2d& conv) {
   return *it->second;
 }
 
-Tensor PimRepNetExecutor::apply_sequential(Sequential& seq, const Tensor& x,
-                                           Mode mode) {
+Tensor PimRepNetExecutor::apply_sequential(
+    Sequential& seq, const Tensor& x, Mode mode, Conv2d* next,
+    std::optional<ActivationCodes>* next_codes) {
   Tensor y;
   const Tensor* in = &x;
   for (i64 i = 0; i < seq.size(); ++i, in = &y) {
@@ -610,37 +613,61 @@ Tensor PimRepNetExecutor::apply_sequential(Sequential& seq, const Tensor& x,
       epilogue.relu = ConvEpilogue::Relu::kPositive;
       ++i;
     }
-    y = apply_conv(*conv, *in, mode, epilogue);
+    if (mode == Mode::kHardware && next != nullptr && i + 1 == seq.size() &&
+        next->geometry().stride == 1) {
+      y = deployed(*conv).forward(*in, epilogue, deployed(*next),
+                                  next_codes->emplace());
+    } else {
+      y = apply_conv(*conv, *in, mode, epilogue);
+    }
   }
   if (in == &x) return x;
   return y;
 }
 
-Tensor PimRepNetExecutor::apply_residual(ResidualBlock& block,
-                                         const Tensor& x, Mode mode) {
+Tensor PimRepNetExecutor::apply_residual(
+    ResidualBlock& block, const Tensor& x,
+    std::optional<ActivationCodes>* codes, Mode mode) {
   using Relu = ConvEpilogue::Relu;
+  // conv1's planes of x, made once for every conv that reads x.
+  std::optional<ActivationCodes> own;
+  std::optional<ActivationCodes>& shared = codes != nullptr ? *codes : own;
+  if (mode == Mode::kHardware && !shared &&
+      (codes != nullptr || block.has_projection())) {
+    shared = deployed(block.conv1()).quantize(x);
+  }
+  const ActivationCodes* in = shared ? &*shared : nullptr;
   // The shortcut first, so conv1's output can go straight to conv2.
   const Tensor projected =
       block.has_projection()
           ? apply_conv(block.projection(), x, mode,
-                       {.bn = &block.projection_bn()})
+                       {.bn = &block.projection_bn()}, in)
           : Tensor();
   const Tensor& shortcut = block.has_projection() ? projected : x;
   return apply_chain(
-      block.conv1(), x, {.bn = &block.bn1(), .relu = Relu::kMax},
+      block.conv1(), x, in, {.bn = &block.bn1(), .relu = Relu::kMax},
       block.conv2(),
       {.bn = &block.bn2(), .residual = &shortcut, .relu = Relu::kMax}, mode);
 }
 
 Tensor PimRepNetExecutor::apply_rep(RepModule& rep, const Tensor& x,
+                                    const std::optional<ActivationCodes>& codes,
                                     Mode mode) {
-  const Tensor pooled =
-      rep.has_pool()
-          ? avg_pool_eval(x, rep.pool().kernel(), rep.pool().stride())
-          : Tensor();
-  return apply_chain(rep.reduce(), rep.has_pool() ? pooled : x,
-                     {.relu = ConvEpilogue::Relu::kMax}, rep.expand(), {},
-                     mode);
+  const ConvEpilogue reduce_epilogue{.relu = ConvEpilogue::Relu::kMax};
+  if (!rep.has_pool()) {
+    return apply_chain(rep.reduce(), x, codes ? &*codes : nullptr,
+                       reduce_epilogue, rep.expand(), {}, mode);
+  }
+  const i64 kernel = rep.pool().kernel(), stride = rep.pool().stride();
+  if (mode == Mode::kCalibrate) {
+    // Records reduce's input range from the f32 pooled tensor.
+    return apply_chain(rep.reduce(), avg_pool_eval(x, kernel, stride),
+                       nullptr, reduce_epilogue, rep.expand(), {}, mode);
+  }
+  // The pool writes reduce's input codes straight from x.
+  PimConv& reduce = deployed(rep.reduce());
+  return reduce.forward_chained(reduce.quantize_pooled(x, kernel, stride),
+                                reduce_epilogue, deployed(rep.expand()), {});
 }
 
 Tensor PimRepNetExecutor::apply_classifier(const Tensor& x, Mode mode) {
@@ -655,26 +682,40 @@ Tensor PimRepNetExecutor::apply_classifier(const Tensor& x, Mode mode) {
 
 Tensor PimRepNetExecutor::walk(const Tensor& images, Mode mode) {
   Backbone& backbone = model_.backbone();
-  Tensor a = apply_sequential(backbone.stem(), images, mode);
+  MSH_ENSURE(backbone.num_stages() > 0);
+  auto block = [&](i64 s, i64 b) -> ResidualBlock& {
+    auto* found = dynamic_cast<ResidualBlock*>(&backbone.stage(s).layer(b));
+    MSH_ENSURE(found != nullptr);
+    return *found;
+  };
+  if (mode == Mode::kHardware) core_.activation_scratch().reset();
+  // A stage input is quantized once for every conv that reads it: the
+  // stem's epilogue writes stage 0's codes for its first conv, in the
+  // same pass as the f32 output; apply_residual makes the others'.
+  std::optional<ActivationCodes> codes;
+  MSH_ENSURE(backbone.stage(0).size() > 0);
+  Tensor a = apply_sequential(backbone.stem(), images, mode,
+                              &block(0, 0).conv1(), &codes);
   Tensor r;
   for (i64 s = 0; s < backbone.num_stages(); ++s) {
     Tensor u = std::move(a);
-    if (!r.empty()) u += r;  // activation connector
-    Sequential& stage = backbone.stage(s);
-    MSH_ENSURE(stage.size() > 0);
-    for (i64 b = 0; b < stage.size(); ++b) {
-      auto* block = dynamic_cast<ResidualBlock*>(&stage.layer(b));
-      MSH_ENSURE(block != nullptr);
-      a = apply_residual(*block, b == 0 ? u : a, mode);
+    if (!r.empty()) {  // activation connector: values the codes lack
+      u += r;
+      codes.reset();
     }
-    r = apply_rep(model_.rep_module(s), u, mode);
+    MSH_ENSURE(backbone.stage(s).size() > 0);
+    for (i64 b = 0; b < backbone.stage(s).size(); ++b) {
+      a = b == 0 ? apply_residual(block(s, b), u, &codes, mode)
+                 : apply_residual(block(s, b), a, nullptr, mode);
+    }
+    r = apply_rep(model_.rep_module(s), u, codes, mode);
   }
   a += r;  // merge
 
   // Global average pool + flatten, digitally.
   const i64 n = a.shape()[0], c = a.shape()[1],
             spatial = a.shape()[2] * a.shape()[3];
-  Tensor features(Shape{n, c});
+  Tensor features = Tensor::uninitialized(Shape{n, c});
   const f32* plane = a.data();
   for (i64 i = 0; i < n * c; ++i, plane += spatial) {
     f64 acc = 0.0;

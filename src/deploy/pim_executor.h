@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -242,20 +243,38 @@ class PimRepNetExecutor {
   /// through the deployed PIM layers. Either way each conv site's output
   /// is finished by its ConvEpilogue (BN, residual, ReLU), so both modes
   /// compute the same periphery with the same code.
+  ///
+  /// In hardware mode an activation that several convs read is quantized
+  /// once (ActivationCodes, in the core's activation scratch, reset per
+  /// forward): every conv whose quantization and geometry fit reads those
+  /// codes (ConvInput), the others quantize x themselves. `codes` below
+  /// is always empty in calibration mode.
   enum class Mode { kCalibrate, kHardware };
   Tensor walk(const Tensor& images, Mode mode);
   Tensor apply_conv(Conv2d& conv, const Tensor& x, Mode mode,
-                    const ConvEpilogue& epilogue = {});
+                    const ConvEpilogue& epilogue = {},
+                    const ActivationCodes* codes = nullptr);
   /// apply_conv(second, apply_conv(first, x, ..), ..) for a conv whose
   /// output feeds only `second`. In hardware mode the pair runs as one
   /// PimConv::forward_chained: the intermediate stays in code planes.
   Tensor apply_chain(Conv2d& first, const Tensor& x,
+                     const ActivationCodes* codes,
                      const ConvEpilogue& first_epilogue, Conv2d& second,
                      const ConvEpilogue& second_epilogue, Mode mode);
   PimConv& deployed(const Conv2d& conv);
-  Tensor apply_sequential(Sequential& seq, const Tensor& x, Mode mode);
-  Tensor apply_residual(ResidualBlock& block, const Tensor& x, Mode mode);
-  Tensor apply_rep(RepModule& rep, const Tensor& x, Mode mode);
+  /// With `next` (in hardware mode, a stride-1 conv that reads the
+  /// output), a final conv also writes the output's codes for `next` into
+  /// `next_codes`, in the same epilogue pass as the f32 output.
+  Tensor apply_sequential(Sequential& seq, const Tensor& x, Mode mode,
+                          Conv2d* next = nullptr,
+                          std::optional<ActivationCodes>* next_codes = nullptr);
+  /// `codes`, when given, holds x's codes for a later consumer too (the
+  /// stage's Rep module): conv1 makes them if they are empty. Without it,
+  /// conv1 makes x's codes only for a projection to share.
+  Tensor apply_residual(ResidualBlock& block, const Tensor& x,
+                        std::optional<ActivationCodes>* codes, Mode mode);
+  Tensor apply_rep(RepModule& rep, const Tensor& x,
+                   const std::optional<ActivationCodes>& codes, Mode mode);
   Tensor apply_classifier(const Tensor& x, Mode mode);
 
   void calibrate(const Dataset& calibration);

@@ -142,22 +142,71 @@ PimConv::PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
   if (conv.has_bias()) bias_ = conv.bias().value;
 }
 
-ConvPlanes PimConv::input_layout(const Shape& x) const {
-  MSH_REQUIRE(x.rank() == 4);
-  MSH_REQUIRE(x[1] == geom_.in_channels);
-  return ConvPlanes::make(x[0], x[1], x[2], x[3], geom_.kernel, geom_.stride,
-                          geom_.padding);
+ConvPlanes PimConv::input_layout(i64 batch, i64 channels, i64 height,
+                                 i64 width) const {
+  MSH_REQUIRE(channels == geom_.in_channels);
+  return ConvPlanes::make(batch, channels, height, width, geom_.kernel,
+                          geom_.stride, geom_.padding);
 }
 
-std::span<i16> PimConv::quantize_input(const Tensor& x,
-                                       const ConvPlanes& layout) {
+ActivationCodes PimConv::activation_codes(i64 batch, i64 height,
+                                          i64 width) {
+  ActivationCodes codes{
+      .layout = input_layout(batch, geom_.in_channels, height, width),
+      .params = matmul_.activation_params(),
+      .planes = {}};
+  codes.planes = core_.activation_scratch().alloc<i16>(codes.layout.size());
+  return codes;
+}
+
+ActivationCodes PimConv::quantize(const Tensor& x) {
+  const Shape& s = x.shape();
+  MSH_REQUIRE(s.rank() == 4 && s[1] == geom_.in_channels);
+  ActivationCodes codes = activation_codes(s[0], s[2], s[3]);
+  quantize_conv_planes(x.data(), codes.layout, codes.params,
+                       codes.planes.data());
+  return codes;
+}
+
+ActivationCodes PimConv::quantize_pooled(const Tensor& x, i64 kernel,
+                                         i64 stride) {
+  const Shape& s = x.shape();
+  MSH_REQUIRE(s.rank() == 4 && s[1] == geom_.in_channels);
+  MSH_REQUIRE(kernel > 0 && stride > 0 && s[2] >= kernel && s[3] >= kernel);
+  ActivationCodes codes = activation_codes(
+      s[0], (s[2] - kernel) / stride + 1, (s[3] - kernel) / stride + 1);
+  avg_pool_planes(x.data(), s[2], s[3], kernel, stride, codes.layout,
+                  codes.params, codes.planes.data());
+  return codes;
+}
+
+std::pair<ConvPlanes, std::span<const i16>> PimConv::input_planes(
+    const ConvInput& in) {
+  const ActivationCodes* codes = in.codes;
+  const Tensor* x = in.values;
+  MSH_REQUIRE(x != nullptr || codes != nullptr);
+  if (x != nullptr) MSH_REQUIRE(x->shape().rank() == 4);
+  const ConvPlanes own =
+      x != nullptr ? input_layout(x->shape()[0], x->shape()[1],
+                                  x->shape()[2], x->shape()[3])
+                   : input_layout(codes->layout.batch, codes->layout.channels,
+                                  codes->layout.height, codes->layout.width);
+  // Codes made for this conv, or for a sibling reading the same values,
+  // serve when they were quantized the way this conv quantizes.
+  if (codes != nullptr && codes->params == matmul_.activation_params()) {
+    if (codes->layout == own) return {own, codes->planes};
+    if (const auto view = ConvPlanes::sibling_view(codes->layout, own)) {
+      return {*view, codes->planes};
+    }
+  }
+  MSH_REQUIRE(x != nullptr);
   // Quantize once, straight into the zero-padded code planes both
   // backends read: an input value inside k*k receptive fields still
   // becomes its code a single time.
-  const std::span<i16> planes = core_.io_scratch().alloc<i16>(layout.size());
-  quantize_conv_planes(x.data(), layout, matmul_.activation_params(),
+  const std::span<i16> planes = core_.io_scratch().alloc<i16>(own.size());
+  quantize_conv_planes(x->data(), own, matmul_.activation_params(),
                        planes.data());
-  return planes;
+  return {own, planes};
 }
 
 std::span<i32> PimConv::accumulate(std::span<const i16> planes,
@@ -168,37 +217,58 @@ std::span<i32> PimConv::accumulate(std::span<const i16> planes,
   return acc;
 }
 
-Tensor PimConv::forward(const Tensor& x, const ConvEpilogue& epilogue) {
-  const ConvPlanes layout = input_layout(x.shape());
+Tensor PimConv::output(const ConvPlanes& layout) const {
+  return Tensor::uninitialized(
+      Shape{layout.batch, geom_.out_channels, layout.out_h, layout.out_w});
+}
+
+Tensor PimConv::forward(const ConvInput& in, const ConvEpilogue& epilogue) {
   KernelArena& scratch = core_.io_scratch();
   scratch.reset();
-  const std::span<i32> acc = accumulate(quantize_input(x, layout), layout);
-  Tensor y(Shape{layout.batch, geom_.out_channels, layout.out_h, layout.out_w});
-  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(), y,
-                            scratch);
+  const auto [layout, planes] = input_planes(in);
+  const std::span<i32> acc = accumulate(planes, layout);
+  Tensor y = output(layout);
+  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(), &y,
+                            nullptr, scratch);
   return y;
 }
 
-Tensor PimConv::forward_chained(const Tensor& x, const ConvEpilogue& epilogue,
-                                PimConv& next,
+Tensor PimConv::forward(const ConvInput& in, const ConvEpilogue& epilogue,
+                        PimConv& next, ActivationCodes& next_codes) {
+  MSH_REQUIRE(&next.core_ == &core_);
+  KernelArena& scratch = core_.io_scratch();
+  scratch.reset();
+  const auto [layout, planes] = input_planes(in);
+  const std::span<i32> acc = accumulate(planes, layout);
+  next_codes = next.activation_codes(layout.batch, layout.out_h, layout.out_w);
+  Tensor y = output(layout);
+  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(), &y,
+                            &next_codes, scratch);
+  return y;
+}
+
+Tensor PimConv::forward_chained(const ConvInput& in,
+                                const ConvEpilogue& epilogue, PimConv& next,
                                 const ConvEpilogue& next_epilogue) {
   MSH_REQUIRE(&next.core_ == &core_ && next.geom_.stride == 1);
-  const ConvPlanes layout = input_layout(x.shape());
-  const ConvPlanes next_layout = next.input_layout(
-      Shape{layout.batch, geom_.out_channels, layout.out_h, layout.out_w});
   // Both convs' buffers share one reset of the core's I/O scratch.
   KernelArena& scratch = core_.io_scratch();
   scratch.reset();
-  const std::span<i32> acc = accumulate(quantize_input(x, layout), layout);
-  const std::span<i16> next_planes = scratch.alloc<i16>(next_layout.size());
+  const auto [layout, planes] = input_planes(in);
+  const std::span<i32> acc = accumulate(planes, layout);
+  ActivationCodes mid{
+      .layout = next.input_layout(layout.batch, geom_.out_channels,
+                                  layout.out_h, layout.out_w),
+      .params = next.matmul_.activation_params(),
+      .planes = {}};
+  mid.planes = scratch.alloc<i16>(mid.layout.size());
   epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(),
-                            next_layout, next.matmul_.activation_params(),
-                            next_planes, scratch);
-  const std::span<i32> next_acc = next.accumulate(next_planes, next_layout);
-  Tensor y(Shape{layout.batch, next.geom_.out_channels, next_layout.out_h,
-                 next_layout.out_w});
-  next_epilogue.dequantize_apply(next_acc.data(), next_layout,
-                                 next.output_scale(), next.bias(), y, scratch);
+                            nullptr, &mid, scratch);
+  const std::span<i32> next_acc = next.accumulate(mid.planes, mid.layout);
+  Tensor y = next.output(mid.layout);
+  next_epilogue.dequantize_apply(next_acc.data(), mid.layout,
+                                 next.output_scale(), next.bias(), &y,
+                                 nullptr, scratch);
   return y;
 }
 
@@ -231,34 +301,34 @@ EpilogueSteps ConvEpilogue::steps(i64 channels, const f32* bias,
 }
 
 void ConvEpilogue::dequantize_apply(const i32* acc, const ConvPlanes& layout,
-                                    f32 scale, const f32* bias, Tensor& y,
+                                    f32 scale, const f32* bias, Tensor* y,
+                                    const ActivationCodes* next,
                                     KernelArena& scratch) const {
-  MSH_REQUIRE(y.shape().rank() == 4);
-  const i64 channels = y.shape()[1];
-  MSH_REQUIRE(y.shape()[0] == layout.batch && y.shape()[2] == layout.out_h &&
-              y.shape()[3] == layout.out_w);
-  MSH_REQUIRE(residual == nullptr || residual->shape() == y.shape());
+  MSH_REQUIRE(y != nullptr || next != nullptr);
   EpilogueOutputs out;
-  out.y = y.data();
+  i64 channels = 0;
+  if (y != nullptr) {
+    const Shape& s = y->shape();
+    MSH_REQUIRE(s.rank() == 4 && s[0] == layout.batch &&
+                s[2] == layout.out_h && s[3] == layout.out_w);
+    channels = s[1];
+    out.y = y->data();
+  }
+  if (next != nullptr) {
+    MSH_REQUIRE(static_cast<i64>(next->planes.size()) == next->layout.size());
+    MSH_REQUIRE(y == nullptr || next->layout.channels == channels);
+    channels = next->layout.channels;
+    out.planes = next->planes.data();
+    out.next = &next->layout;
+    out.next_params = next->params;
+  }
+  if (residual != nullptr) {
+    const Shape& r = residual->shape();
+    MSH_REQUIRE(r.rank() == 4 && r[0] == layout.batch && r[1] == channels &&
+                r[2] == layout.out_h && r[3] == layout.out_w);
+  }
   conv_epilogue(acc, layout, channels, scale, steps(channels, bias, scratch),
                 out);
-}
-
-void ConvEpilogue::dequantize_apply(const i32* acc, const ConvPlanes& layout,
-                                    f32 scale, const f32* bias,
-                                    const ConvPlanes& next,
-                                    const QuantParams& next_params,
-                                    std::span<i16> planes,
-                                    KernelArena& scratch) const {
-  MSH_REQUIRE(static_cast<i64>(planes.size()) == next.size());
-  const i64 channels = next.channels;
-  MSH_REQUIRE(residual == nullptr ||
-              residual->shape() ==
-                  Shape({layout.batch, channels, layout.out_h, layout.out_w}));
-  conv_epilogue(acc, layout, channels, scale, steps(channels, bias, scratch),
-                {.planes = planes.data(),
-                 .next = &next,
-                 .next_params = next_params});
 }
 
 void ConvEpilogue::apply_plane(f32* v, i64 plane, i64 channels,

@@ -4,6 +4,8 @@
 // INT8 activations (symmetric, calibration-scaled).
 #pragma once
 
+#include <utility>
+
 #include "arch/accelerator.h"
 #include "mapping/model_mapper.h"
 #include "nn/batchnorm.h"
@@ -80,6 +82,17 @@ class PimMatmulLayer {
   QuantizedNmMatrix deployed_;
 };
 
+/// An activation as INT8 codes, in the zero-padded code planes of the
+/// conv it was quantized for (`layout`, kernels/direct_conv.h) with that
+/// conv's input quantization `params`. Held in the core's activation
+/// scratch, the planes outlive a dispatch, so every conv that reads the
+/// activation can take them instead of quantizing it again (ConvInput).
+struct ActivationCodes {
+  ConvPlanes layout;
+  QuantParams params;
+  std::span<i16> planes;
+};
+
 /// The digital periphery a conv site applies to its own output, in
 /// inference mode: per (image, channel) plane, eval-mode BatchNorm, then
 /// the residual plane, then ReLU — each step optional. Every step is the
@@ -114,24 +127,42 @@ struct ConvEpilogue {
   EpilogueSteps steps(i64 channels, const f32* bias,
                       KernelArena& scratch) const;
 
-  /// The hardware conv's pass (kernels/direct_conv.h, conv_epilogue):
-  /// writes y [N, C, Ho, Wo] (layout's batch and output size, C =
-  /// y.shape()[1]) from accumulators in the direct conv layout, one
-  /// element at a time: scale * acc + bias[c] (0.0f when `bias` is null),
-  /// then BN, residual and ReLU. The FP32 operations and their order are
-  /// those of dequantizing every plane and then calling apply_plane on
-  /// it, so the bytes are too.
+  /// The hardware conv's pass (kernels/direct_conv.h, conv_epilogue)
+  /// from accumulators in the direct conv layout, one element at a time:
+  /// scale * acc + bias[c] (0.0f when `bias` is null), then BN, residual
+  /// and ReLU. The FP32 operations and their order are those of
+  /// dequantizing every plane and then calling apply_plane on it, so the
+  /// bytes are too. Each finished value goes to y [N, C, Ho, Wo]
+  /// (layout's batch and output size) when `y` is given, and as
+  /// next->params.quantize of it into next's planes when `next` is (a
+  /// stride-1 conv that reads this output: codes equal to
+  /// quantize_conv_planes of the f32 output); at least one is given.
+  void dequantize_apply(const i32* acc, const ConvPlanes& layout, f32 scale,
+                        const f32* bias, Tensor* y,
+                        const ActivationCodes* next,
+                        KernelArena& scratch) const;
+  /// dequantize_apply into y alone.
   void dequantize_apply(const i32* acc, const ConvPlanes& layout, f32 scale,
                         const f32* bias, Tensor& y,
-                        KernelArena& scratch) const;
-  /// The same pass for a conv whose output only feeds the conv laid out
-  /// as `next`: each finished value goes straight into that conv's code
-  /// planes as next_params.quantize of it, with no f32 tensor between.
-  /// The codes equal quantize_conv_planes of the f32 output.
-  void dequantize_apply(const i32* acc, const ConvPlanes& layout, f32 scale,
-                        const f32* bias, const ConvPlanes& next,
-                        const QuantParams& next_params, std::span<i16> planes,
-                        KernelArena& scratch) const;
+                        KernelArena& scratch) const {
+    dequantize_apply(acc, layout, scale, bias, &y, nullptr, scratch);
+  }
+};
+
+/// A conv's input on the hardware: its f32 values, codes already made
+/// of them, or both. A conv reads the codes when they serve as its own:
+/// the same QuantParams, laid out for it or for a k x k sibling whose
+/// planes a 1x1, padding-0 conv can read (ConvPlanes::sibling_view).
+/// Otherwise it quantizes the values, which must then be given.
+struct ConvInput {
+  // Implicit: a conv called with a tensor or codes takes them as input.
+  ConvInput(const Tensor& x) : values(&x) {}
+  ConvInput(const ActivationCodes& c) : codes(&c) {}
+  ConvInput(const Tensor& x, const ActivationCodes* c)
+      : values(&x), codes(c) {}
+
+  const Tensor* values = nullptr;  ///< [B, C, H, W], or null
+  const ActivationCodes* codes = nullptr;
 };
 
 /// A conv layer on the hardware: the input is quantized straight into
@@ -146,33 +177,60 @@ class PimConv {
   /// x: [B, C, H, W] float activations -> [B, out, Ho, Wo].
   ///
   /// Each input value is quantized once (quantize_conv_planes) into the
-  /// planes of kernels/direct_conv.h; padding taps and the K tail read
-  /// code 0, which is quantize(0.0f). The raw backend convolves straight
-  /// from the planes; the modeled one walks its PEs over the same planes
-  /// — identical accumulators either way. The output is scale * acc +
-  /// bias per element (bias 0.0f when the conv has none): the same two
-  /// FP32 roundings, in the same order, as dequantizing im2col rows and
-  /// adding bias after. Every buffer but the returned tensor lives in
-  /// the core's scratch arenas. Each element is finished by `epilogue` in
-  /// the same pass (ConvEpilogue::dequantize_apply; the default leaves
-  /// the plain conv output).
-  Tensor forward(const Tensor& x, const ConvEpilogue& epilogue = {});
+  /// planes of kernels/direct_conv.h, unless `in` carries codes this
+  /// conv can read (ConvInput); padding taps and the K tail read code 0,
+  /// which is quantize(0.0f). The raw backend convolves straight from
+  /// the planes; the modeled one walks its PEs over the same planes —
+  /// identical accumulators either way. The output is scale * acc + bias
+  /// per element (bias 0.0f when the conv has none): the same two FP32
+  /// roundings, in the same order, as dequantizing im2col rows and adding
+  /// bias after. Every buffer but the returned tensor lives in the core's
+  /// scratch arenas. Each element is finished by `epilogue` in the same
+  /// pass (ConvEpilogue::dequantize_apply; the default leaves the plain
+  /// conv output).
+  Tensor forward(const ConvInput& in, const ConvEpilogue& epilogue = {});
 
-  /// next.forward(forward(x, epilogue), next_epilogue), for a conv whose
+  /// forward(in, epilogue) that also writes the output's codes for
+  /// `next` (a stride-1 conv reading it, on the same core) in the same
+  /// epilogue pass, into the core's activation scratch: `next_codes`
+  /// receives them, equal to next.quantize(output).
+  Tensor forward(const ConvInput& in, const ConvEpilogue& epilogue,
+                 PimConv& next, ActivationCodes& next_codes);
+
+  /// next.forward(forward(in, epilogue), next_epilogue), for a conv whose
   /// output feeds only `next` (a stride-1 conv on the same core), with no
   /// f32 tensor in between: this conv's epilogue quantizes each finished
   /// value with next's input scale straight into next's code planes.
   /// Bit-identical to the two calls.
-  Tensor forward_chained(const Tensor& x, const ConvEpilogue& epilogue,
+  Tensor forward_chained(const ConvInput& in, const ConvEpilogue& epilogue,
                          PimConv& next, const ConvEpilogue& next_epilogue);
+
+  /// x quantized into this conv's input planes in the core's activation
+  /// scratch, where the conv and its siblings can read them until the
+  /// scratch is reset.
+  ActivationCodes quantize(const Tensor& x);
+
+  /// The kernel x kernel, stride `stride` average pool of x, quantized
+  /// into this conv's input planes in the core's activation scratch
+  /// (avg_pool_planes): the codes quantize(pooled x) makes, with no f32
+  /// pooled tensor.
+  ActivationCodes quantize_pooled(const Tensor& x, i64 kernel, i64 stride);
 
   const PimMatmulLayer& matmul_layer() const { return matmul_; }
 
  private:
-  /// The planes layout of input shape [B, C, H, W].
-  ConvPlanes input_layout(const Shape& x) const;
-  /// Quantizes x into planes from the core's I/O scratch.
-  std::span<i16> quantize_input(const Tensor& x, const ConvPlanes& layout);
+  /// The planes layout of an input [batch, channels, height, width].
+  ConvPlanes input_layout(i64 batch, i64 channels, i64 height,
+                          i64 width) const;
+  /// Input planes for [batch, C, height, width] in the core's activation
+  /// scratch, not yet written.
+  ActivationCodes activation_codes(i64 batch, i64 height, i64 width);
+  /// An unwritten output tensor for input layout `layout`.
+  Tensor output(const ConvPlanes& layout) const;
+  /// The layout and planes this conv reads `in` through: its codes when
+  /// they serve, else its values quantized into the core's I/O scratch.
+  std::pair<ConvPlanes, std::span<const i16>> input_planes(
+      const ConvInput& in);
   /// The conv over input planes, accumulators in the core's I/O scratch.
   std::span<i32> accumulate(std::span<const i16> planes,
                             const ConvPlanes& layout);

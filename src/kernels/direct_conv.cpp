@@ -33,7 +33,34 @@ ConvPlanes ConvPlanes::make(i64 batch, i64 channels, i64 height, i64 width,
   // The largest tap shift, taken by the last tile's last lane.
   const i64 shift = (kernel - 1) / stride * (g.plane_w + 1);
   g.plane_len = std::max(batch * g.plane_h * g.plane_w, g.positions + shift);
+  g.channel_planes = g.phases * g.phases;
   return g;
+}
+
+std::optional<ConvPlanes> ConvPlanes::sibling_view(const ConvPlanes& host,
+                                                   const ConvPlanes& own) {
+  const i64 s = own.stride, p = host.padding;
+  // Padded input (s * oy + p, s * ox + p) is phase (p % s, p % s), plane
+  // row oy + p / s, column ox + p / s.
+  const i64 phase = p % s;
+  const i64 shift = p / s * (host.plane_w + 1);
+  const bool fits =
+      own.kernel == 1 && own.padding == 0 && host.stride == s &&
+      host.channel_planes == host.phases * host.phases &&
+      host.tap_offset == 0 && own.batch == host.batch &&
+      own.channels == host.channels && own.height == host.height &&
+      own.width == host.width && own.out_h == host.out_h &&
+      own.out_w == host.out_w && phase < host.phases &&
+      host.positions + shift <= host.plane_len;
+  if (!fits) return std::nullopt;
+  ConvPlanes view = own;
+  view.plane_h = host.plane_h;
+  view.plane_w = host.plane_w;
+  view.positions = host.positions;
+  view.plane_len = host.plane_len;
+  view.channel_planes = host.channel_planes;
+  view.tap_offset = (phase * host.phases + phase) * host.plane_len + shift;
+  return view;
 }
 
 void ConvPlanes::row_offsets(std::span<i64> off) const {
@@ -45,7 +72,8 @@ void ConvPlanes::row_offsets(std::span<i64> off) const {
   i64 r = 0;
   for (i64 c = 0; c < channels && r < rows; ++c) {
     for (i64 ky = 0, ry = 0, sy = 0; ky < kernel && r < rows; ++ky) {
-      const i64 base = (1 + (c * phases + ry) * phases) * plane_len;
+      const i64 base =
+          (1 + c * channel_planes + ry * phases) * plane_len + tap_offset;
       for (i64 kx = 0, rx = 0, sx = 0; kx < kernel && r < rows; ++kx) {
         off[static_cast<size_t>(r++)] =
             base + rx * plane_len + sy * plane_w + sx;

@@ -21,8 +21,15 @@
 // fault-flipped ones) read the zero plane: code 0. The modeled backend's
 // PE walks read the same planes through the same row offsets
 // (kernels/modeled.h, LaneView).
+//
+// A 1x1, padding-0 conv that reads the same input as a k x k sibling
+// with its stride and output grid can read the sibling's planes instead
+// of its own (ConvPlanes::sibling_view): its one tap per channel is the
+// sibling's plane and shift holding input (s * oy, s * ox), and its
+// lanes follow the sibling's plane grid.
 #pragma once
 
+#include <optional>
 #include <span>
 
 #include "kernels/arena.h"
@@ -42,14 +49,30 @@ struct ConvPlanes {
   /// below it, and it is a whole number of simd::kMacTile tiles.
   i64 positions = 0;
   i64 plane_len = 0;  ///< elements per plane, reads included
+  /// Planes from one channel's first plane to the next's: phases² for a
+  /// conv's own planes, the sibling's phases² for a sibling_view.
+  i64 channel_planes = 1;
+  /// Added to every row offset but the K tail's: 0 for a conv's own
+  /// planes; for a sibling_view, where its tap sits in a channel's planes.
+  i64 tap_offset = 0;
 
   static ConvPlanes make(i64 batch, i64 channels, i64 height, i64 width,
                          i64 kernel, i64 stride, i64 padding);
 
+  /// The layout `own` (a 1x1, padding-0 conv) reads `host`'s planes
+  /// through, when both convs read the same input with the same stride
+  /// and output grid: host's plane grid and buffer, one tap per channel
+  /// at the plane and shift where host holds input (s * oy, s * ox).
+  /// nullopt when the geometries do not fit.
+  static std::optional<ConvPlanes> sibling_view(const ConvPlanes& host,
+                                                const ConvPlanes& own);
+
+  bool operator==(const ConvPlanes&) const = default;
+
   /// Logical reduction length C * k * k.
   i64 k() const { return channels * kernel * kernel; }
   /// Elements of the whole plane buffer.
-  i64 size() const { return (1 + channels * phases * phases) * plane_len; }
+  i64 size() const { return (1 + channels * channel_planes) * plane_len; }
   /// Lane of output (image, oy, ox) in every output channel's row.
   i64 position(i64 image, i64 oy, i64 ox) const {
     return (image * plane_h + oy) * plane_w + ox;
@@ -91,12 +114,14 @@ struct EpilogueSteps {
   EpilogueRelu relu = EpilogueRelu::kNone;
 };
 
-/// Where a conv epilogue writes its finished values: as f32 NCHW, or as
-/// the code planes of the next conv's input. Exactly one is set.
+/// Where a conv epilogue writes its finished values: as f32 NCHW, as
+/// the code planes of the next conv's input, or both in one pass (an
+/// output some consumer adds in f32 and a conv reads). At least one is
+/// set.
 struct EpilogueOutputs {
   f32* y = nullptr;  ///< [batch, channels, out_h, out_w], or null
-  /// The next conv's input planes (next->size() elements), or null. The
-  /// next conv reads this conv's output: stride 1, next->batch and
+  /// The next conv's own input planes (next->size() elements), or null.
+  /// The next conv reads this conv's output: stride 1, next->batch and
   /// next->channels equal to this conv's, its height and width this
   /// conv's out_h and out_w.
   i16* planes = nullptr;
@@ -107,14 +132,27 @@ struct EpilogueOutputs {
 /// Finishes a conv's accumulators acc[c * layout.positions +
 /// layout.position(n, oy, ox)] through `steps`, one IEEE operation per
 /// step in the order EpilogueSteps gives, and writes each finished value
-/// to out.y or, as next_params.quantize of it, into out.planes at its
-/// input position of the next conv; every other plane element is 0.
+/// to out.y and/or, as next_params.quantize of it, into out.planes at
+/// its input position of the next conv; every other plane element is 0.
 /// Bit-identical to dequantizing, applying the steps and quantizing one
-/// element at a time, on every ISA copy. When the two layouts share
-/// plane_h and plane_w, lane q lands at q + p * (plane_w + 1), p the
-/// next conv's padding, so each channel goes out as one contiguous run.
+/// element at a time, on every ISA copy. When only planes are written
+/// and the two layouts share plane_h and plane_w, lane q lands at q + p
+/// * (plane_w + 1), p the next conv's padding, so each channel goes out
+/// as one contiguous run; otherwise each output row is one run.
 void conv_epilogue(const i32* acc, const ConvPlanes& layout, i64 channels,
                    f32 scale, const EpilogueSteps& steps,
                    const EpilogueOutputs& out);
+
+/// The kernel x kernel, stride `stride` average pool of x [next.batch,
+/// next.channels, height, width], quantized straight into the input
+/// planes of `next`, a stride-1 conv over the pooled size (next.height x
+/// next.width): each code is params.quantize of the pooled value, the
+/// sum from 0.0f of the window's elements in row-major order times 1 /
+/// (kernel * kernel) (the FP32 operations of the executor's
+/// avg_pool_eval), and every other plane element is 0. No f32 pooled
+/// tensor is made.
+void avg_pool_planes(const f32* x, i64 height, i64 width, i64 kernel,
+                     i64 stride, const ConvPlanes& next,
+                     const QuantParams& params, i16* planes);
 
 }  // namespace msh

@@ -155,7 +155,12 @@ void count_tap_bits(const i16* planes, const ConvPlanes& g,
   std::fill(tap_bits.begin(), tap_bits.end(), 0);
   i16* bits = plane_bits.data();
   const i64 blocks_end = g.plane_len / kWalkLanes * kWalkLanes;
-  for (i64 p = 1; p < 1 + g.channels * g.phases * g.phases; ++p) {
+  for (i64 p = 1; p < 1 + g.channels * g.channel_planes; ++p) {
+    // A sibling view reads one of each channel's phase planes.
+    if (std::none_of(row_off.begin(), row_off.end(),
+                     [&](i64 off) { return off / g.plane_len == p; })) {
+      continue;
+    }
     const i16* plane = planes + p * g.plane_len;
     for (i64 i = 0; i < blocks_end; i += kWalkLanes) {
       const Codes v = code_bits(load_block(plane + i));

@@ -57,11 +57,11 @@ struct LaneView {
 /// tap r (plane offset row_off[r], ConvPlanes::row_offsets) reads over
 /// the valid lanes layout.position(n, oy, ox), oy < out_h, ox < out_w;
 /// the padding ring's lanes are not counted. The k * k taps of a conv
-/// read each plane at fixed shifts, so each plane is popcounted once,
-/// into `plane_bits` (layout.plane_len elements), and each tap sums its
-/// shifted slice of it under the valid-lane mask it builds in
-/// `lane_mask` (layout.positions elements). Rows in the zero plane (the
-/// K tail) count 0.
+/// read each plane at fixed shifts, so each plane a tap reads is
+/// popcounted once, into `plane_bits` (layout.plane_len elements), and
+/// each tap sums its shifted slice of it under the valid-lane mask it
+/// builds in `lane_mask` (layout.positions elements). Rows in the zero
+/// plane (the K tail) count 0.
 void count_tap_bits(const i16* planes, const ConvPlanes& layout,
                     std::span<const i64> row_off, std::span<i16> plane_bits,
                     std::span<i16> lane_mask, std::span<i64> tap_bits);

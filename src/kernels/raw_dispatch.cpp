@@ -47,6 +47,13 @@ void conv_epilogue(const i32* acc, const ConvPlanes& layout, i64 channels,
   raw_kernels().conv_epilogue(acc, layout, channels, scale, steps, out);
 }
 
+void avg_pool_planes(const f32* x, i64 height, i64 width, i64 kernel,
+                     i64 stride, const ConvPlanes& next,
+                     const QuantParams& params, i16* planes) {
+  raw_kernels().avg_pool_planes(x, height, width, kernel, stride, next,
+                                params, planes);
+}
+
 void raw_csc_matmul(const FlatCsc& w, std::span<const i8> acts, i64 batch,
                     std::span<i32> out, KernelArena& arena, std::nullptr_t) {
   raw_kernels().raw_csc_matmul(w, acts, batch, out, arena);

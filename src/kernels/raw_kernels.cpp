@@ -30,6 +30,7 @@ void quantize_activations(const f32* x, i64 batch, i64 k, i64 padded_k,
 void quantize_conv_planes(const f32* x, const ConvPlanes& g,
                           const QuantParams& params, i16* planes) {
   const i64 s = g.stride, phases = g.phases;
+  MSH_REQUIRE(g.channel_planes == phases * phases && g.tap_offset == 0);
   const i64 image_len = g.plane_h * g.plane_w;
   const i64 channel_len = phases * phases * g.plane_len;
   const i64 area = g.height * g.width;
@@ -176,6 +177,11 @@ void direct_conv(const FlatCsc& w, const i16* planes, const ConvPlanes& g,
 struct Scalar {
   f32 v;
   static Scalar load(const f32* p) { return {*p}; }
+  /// p[0] and p[1]: one column pair of a stride-2 row.
+  static void load_pairs(const f32* p, Scalar& even, Scalar& odd) {
+    even = {p[0]};
+    odd = {p[1]};
+  }
   static Scalar convert(const i32* p) { return {static_cast<f32>(*p)}; }
   static Scalar set(f32 x) { return {x}; }
 #if defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
@@ -216,6 +222,12 @@ struct F32x4 {
   static constexpr i64 kWidth = 4;
   __m128 v;
   static F32x4 load(const f32* p) { return {_mm_loadu_ps(p)}; }
+  /// even lane i = p[2i], odd lane i = p[2i + 1], for i < 4.
+  static void load_pairs(const f32* p, F32x4& even, F32x4& odd) {
+    const __m128 lo = _mm_loadu_ps(p), hi = _mm_loadu_ps(p + 4);
+    even = {_mm_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0))};
+    odd = {_mm_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1))};
+  }
   static F32x4 convert(const i32* p) {
     return {_mm_cvtepi32_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))};
@@ -249,6 +261,18 @@ struct F32x8 {
   static constexpr i64 kWidth = 8;
   __m256 v;
   static F32x8 load(const f32* p) { return {_mm256_loadu_ps(p)}; }
+  /// even lane i = p[2i], odd lane i = p[2i + 1], for i < 8.
+  static void load_pairs(const f32* p, F32x8& even, F32x8& odd) {
+    const __m256 lo = _mm256_loadu_ps(p), hi = _mm256_loadu_ps(p + 8);
+    // In-lane shuffles leave the 128-bit halves as [lo0 lo2 hi0 hi2 |
+    // lo4 lo6 hi4 hi6]; the 64-bit permute puts them in order.
+    auto ordered = [](__m256 v) {
+      return _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(v),
+                                                    _MM_SHUFFLE(3, 1, 2, 0)));
+    };
+    even = {ordered(_mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)))};
+    odd = {ordered(_mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1)))};
+  }
   static F32x8 convert(const i32* p) {
     return {_mm256_cvtepi32_ps(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)))};
@@ -314,9 +338,9 @@ struct EpilogueLanes {
         q_max(V::low(w.q_max.v)) {}
 };
 
-/// Lanes [j, j + V::kWidth) of one row, into `codes` when kCodes and
-/// into `y` otherwise.
-template <typename V, bool kBn, bool kResidual, EpilogueRelu kRelu,
+/// Lanes [j, j + V::kWidth) of one row, into `y` when kY and into
+/// `codes` when kCodes.
+template <typename V, bool kBn, bool kResidual, EpilogueRelu kRelu, bool kY,
           bool kCodes>
 [[gnu::always_inline]] inline void finish_group(const EpilogueLanes<V>& k,
                                                 const i32* acc,
@@ -330,11 +354,8 @@ template <typename V, bool kBn, bool kResidual, EpilogueRelu kRelu,
   } else if constexpr (kRelu == EpilogueRelu::kMax) {
     v = v.relu_max();
   }
-  if constexpr (kCodes) {
-    v.store_codes(codes + j, k.q_scale, k.q_min, k.q_max);
-  } else {
-    v.store(y + j);
-  }
+  if constexpr (kY) v.store(y + j);
+  if constexpr (kCodes) v.store_codes(codes + j, k.q_scale, k.q_min, k.q_max);
 }
 
 /// One channel's runs of `len` lanes: `rows` of them per image, over
@@ -354,7 +375,7 @@ struct EpilogueRuns {
   Strides image, row;
 };
 
-template <bool kBn, bool kResidual, EpilogueRelu kRelu, bool kCodes>
+template <bool kBn, bool kResidual, EpilogueRelu kRelu, bool kY, bool kCodes>
 void finish_runs(const EpilogueRuns& r, const EpilogueChannel& c) {
   // Each narrower group's constants are the low lanes of the widest's.
 #if defined(__AVX2__)
@@ -370,40 +391,37 @@ void finish_runs(const EpilogueRuns& r, const EpilogueChannel& c) {
   for (i64 n = 0; n < r.images; ++n) {
     const i32* acc = r.acc + n * r.image.acc;
     const f32* residual = kResidual ? r.residual + n * r.image.y : nullptr;
-    f32* y = kCodes ? nullptr : r.y + n * r.image.y;
+    f32* y = kY ? r.y + n * r.image.y : nullptr;
     i16* codes = kCodes ? r.codes + n * r.image.codes : nullptr;
     for (i64 i = 0; i < r.rows; ++i) {
       i64 j = 0;
 #if defined(__AVX2__)
       for (; j + F32x8::kWidth <= r.len; j += F32x8::kWidth) {
-        finish_group<F32x8, kBn, kResidual, kRelu, kCodes>(
+        finish_group<F32x8, kBn, kResidual, kRelu, kY, kCodes>(
             k8, acc, residual, y, codes, j);
       }
 #endif
 #if defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
       for (; j + F32x4::kWidth <= r.len; j += F32x4::kWidth) {
-        finish_group<F32x4, kBn, kResidual, kRelu, kCodes>(
+        finish_group<F32x4, kBn, kResidual, kRelu, kY, kCodes>(
             k4, acc, residual, y, codes, j);
       }
       // A short tail is the last group, again: its overlap with the group
       // before is finished twice, to the same bytes.
       if (j < r.len && r.len >= F32x4::kWidth) {
-        finish_group<F32x4, kBn, kResidual, kRelu, kCodes>(
+        finish_group<F32x4, kBn, kResidual, kRelu, kY, kCodes>(
             k4, acc, residual, y, codes, r.len - F32x4::kWidth);
         j = r.len;
       }
 #endif
       for (; j < r.len; ++j) {
-        finish_group<Scalar, kBn, kResidual, kRelu, kCodes>(
+        finish_group<Scalar, kBn, kResidual, kRelu, kY, kCodes>(
             k1, acc, residual, y, codes, j);
       }
       acc += r.row.acc;
       if constexpr (kResidual) residual += r.row.y;
-      if constexpr (kCodes) {
-        codes += r.row.codes;
-      } else {
-        y += r.row.y;
-      }
+      if constexpr (kY) y += r.row.y;
+      if constexpr (kCodes) codes += r.row.codes;
     }
   }
 }
@@ -428,24 +446,25 @@ void conv_epilogue_body(const i32* acc, const ConvPlanes& g, i64 channels,
   // Shared plane geometry and planes only: each channel's lanes are one
   // run, shifted by the next conv's padding. Ring lanes land on its
   // padding, so they are zeroed after the run.
-  if (out.planes != nullptr && !kResidual && next->plane_h == g.plane_h &&
-      next->plane_w == g.plane_w) {
+  if (out.planes != nullptr && out.y == nullptr && !kResidual &&
+      next->plane_h == g.plane_h && next->plane_w == g.plane_w) {
     const i64 shift = next->padding * (next->plane_w + 1);
     const i64 last = g.position(g.batch - 1, g.out_h - 1, g.out_w - 1) + 1;
     for (i64 c = 0; c < channels; ++c) {
       i16* plane = out.planes + (1 + c) * next->plane_len;
       std::memset(plane, 0, static_cast<size_t>(shift) * sizeof(i16));
       i16* codes = plane + shift;
-      finish_runs<kBn, kResidual, kRelu, true>({.acc = acc + c * g.positions,
-                                                .residual = nullptr,
-                                                .y = nullptr,
-                                                .codes = codes,
-                                                .images = 1,
-                                                .rows = 1,
-                                                .len = last,
-                                                .image = {},
-                                                .row = {}},
-                                               channel(c));
+      finish_runs<kBn, kResidual, kRelu, false, true>(
+          {.acc = acc + c * g.positions,
+           .residual = nullptr,
+           .y = nullptr,
+           .codes = codes,
+           .images = 1,
+           .rows = 1,
+           .len = last,
+           .image = {},
+           .row = {}},
+          channel(c));
       std::memset(codes + last, 0,
                   static_cast<size_t>(next->plane_len - shift - last) *
                       sizeof(i16));
@@ -459,7 +478,7 @@ void conv_epilogue_body(const i32* acc, const ConvPlanes& g, i64 channels,
     }
     return;
   }
-  // Otherwise row by row, a channel at a time.
+  // Otherwise row by row, a channel at a time, to y, the planes or both.
   if (out.planes != nullptr) {
     std::memset(out.planes + next->plane_len, 0,
                 static_cast<size_t>(channels * next->plane_len) * sizeof(i16));
@@ -476,14 +495,18 @@ void conv_epilogue_body(const i32* acc, const ConvPlanes& g, i64 channels,
         .len = g.out_w,
         .image = {.acc = g.plane_h * g.plane_w, .y = channels * spatial},
         .row = {.acc = g.plane_w, .y = g.out_w}};
-    if (out.planes != nullptr) {
-      runs.codes = out.planes + (1 + c) * next->plane_len +
-                   next->position(0, next->padding, next->padding);
-      runs.image.codes = next->plane_h * next->plane_w;
-      runs.row.codes = next->plane_w;
-      finish_runs<kBn, kResidual, kRelu, true>(runs, channel(c));
+    if (out.planes == nullptr) {
+      finish_runs<kBn, kResidual, kRelu, true, false>(runs, channel(c));
+      continue;
+    }
+    runs.codes = out.planes + (1 + c) * next->plane_len +
+                 next->position(0, next->padding, next->padding);
+    runs.image.codes = next->plane_h * next->plane_w;
+    runs.row.codes = next->plane_w;
+    if (out.y != nullptr) {
+      finish_runs<kBn, kResidual, kRelu, true, true>(runs, channel(c));
     } else {
-      finish_runs<kBn, kResidual, kRelu, false>(runs, channel(c));
+      finish_runs<kBn, kResidual, kRelu, false, true>(runs, channel(c));
     }
   }
 }
@@ -508,12 +531,12 @@ void conv_epilogue_relu(const i32* acc, const ConvPlanes& g, i64 channels,
 void conv_epilogue(const i32* acc, const ConvPlanes& g, i64 channels,
                    f32 scale, const EpilogueSteps& steps,
                    const EpilogueOutputs& out) {
-  MSH_REQUIRE((out.y == nullptr) != (out.planes == nullptr));
+  MSH_REQUIRE(out.y != nullptr || out.planes != nullptr);
   if (out.planes != nullptr) {
     const ConvPlanes& next = *out.next;
-    MSH_REQUIRE(next.stride == 1 && next.batch == g.batch &&
-                next.channels == channels && next.height == g.out_h &&
-                next.width == g.out_w);
+    MSH_REQUIRE(next.stride == 1 && next.tap_offset == 0 &&
+                next.batch == g.batch && next.channels == channels &&
+                next.height == g.out_h && next.width == g.out_w);
   }
   const bool bn = steps.bn != nullptr, residual = steps.residual != nullptr;
   if (bn && residual) {
@@ -524,6 +547,100 @@ void conv_epilogue(const i32* acc, const ConvPlanes& g, i64 channels,
     conv_epilogue_relu<false, true>(acc, g, channels, scale, steps, out);
   } else {
     conv_epilogue_relu<false, false>(acc, g, channels, scale, steps, out);
+  }
+}
+
+// ---- average pool into code planes ----------------------------------
+//
+// avg_pool_eval's sums, element for element: 0.0f plus each window
+// element in row-major order, each add one IEEE operation with the sum
+// as its first source, then one multiply by 1 / (kernel * kernel); then
+// the code, as the epilogue stores it. The 2 x 2, stride-2 pool of a Rep
+// module runs over lane groups of output columns, the column pairs split
+// out of two loads per input row; any other window goes one element at
+// a time through the same Scalar operations.
+
+/// Output columns [j, j + V::kWidth) of one 2 x 2, stride-2 row: `top`
+/// and `bottom` are the window's two input rows.
+template <typename V>
+[[gnu::always_inline]] inline void pool_2x2_group(const f32* top,
+                                                  const f32* bottom,
+                                                  const EpilogueLanes<V>& k,
+                                                  i16* codes, i64 j) {
+  V a, b, c, d;
+  V::load_pairs(top + 2 * j, a, b);
+  V::load_pairs(bottom + 2 * j, c, d);
+  const V sum = V::set(0.0f) + a + b + c + d;
+  (sum * k.scale).store_codes(codes + j, k.q_scale, k.q_min, k.q_max);
+}
+
+void avg_pool_planes(const f32* x, i64 height, i64 width, i64 kernel,
+                     i64 stride, const ConvPlanes& next,
+                     const QuantParams& params, i16* planes) {
+  MSH_REQUIRE(kernel > 0 && stride > 0);
+  MSH_REQUIRE(next.stride == 1 && next.tap_offset == 0);
+  const i64 ho = next.height, wo = next.width;
+  MSH_REQUIRE(ho == (height - kernel) / stride + 1 &&
+              wo == (width - kernel) / stride + 1 && ho > 0 && wo > 0);
+  std::memset(planes, 0, static_cast<size_t>(next.size()) * sizeof(i16));
+  // Only the multiply's constant and the code's are used.
+  const EpilogueChannel constants{
+      .scale = 1.0f / static_cast<f32>(kernel * kernel),
+      .bias = 0.0f,
+      .bn = {},
+      .next = params};
+#if defined(__AVX2__)
+  const EpilogueLanes<F32x8> k8(constants);
+  const EpilogueLanes<F32x4> k4(k8);
+  const EpilogueLanes<Scalar> k1(k4);
+#elif defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
+  const EpilogueLanes<F32x4> k4(constants);
+  const EpilogueLanes<Scalar> k1(k4);
+#else
+  const EpilogueLanes<Scalar> k1(constants);
+#endif
+  const bool pairs = kernel == 2 && stride == 2;
+  for (i64 c = 0; c < next.channels; ++c) {
+    i16* plane = planes + (1 + c) * next.plane_len;
+    for (i64 n = 0; n < next.batch; ++n) {
+      const f32* image = x + (n * next.channels + c) * height * width;
+      for (i64 oy = 0; oy < ho; ++oy) {
+        const f32* top = image + oy * stride * width;
+        i16* codes = plane + next.position(n, oy + next.padding, next.padding);
+        if (!pairs) {
+          for (i64 ox = 0; ox < wo; ++ox) {
+            const f32* window = top + ox * stride;
+            Scalar sum = Scalar::set(0.0f);
+            for (i64 ky = 0; ky < kernel; ++ky) {
+              for (i64 kx = 0; kx < kernel; ++kx) {
+                sum = sum + Scalar::load(window + ky * width + kx);
+              }
+            }
+            (sum * k1.scale).store_codes(codes + ox, k1.q_scale, k1.q_min,
+                                         k1.q_max);
+          }
+          continue;
+        }
+        const f32* bottom = top + width;
+        i64 j = 0;
+#if defined(__AVX2__)
+        for (; j + F32x8::kWidth <= wo; j += F32x8::kWidth) {
+          pool_2x2_group(top, bottom, k8, codes, j);
+        }
+#endif
+#if defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)
+        for (; j + F32x4::kWidth <= wo; j += F32x4::kWidth) {
+          pool_2x2_group(top, bottom, k4, codes, j);
+        }
+        // A short tail is the last group, again, as in the epilogue.
+        if (j < wo && wo >= F32x4::kWidth) {
+          pool_2x2_group(top, bottom, k4, codes, wo - F32x4::kWidth);
+          j = wo;
+        }
+#endif
+        for (; j < wo; ++j) pool_2x2_group(top, bottom, k1, codes, j);
+      }
+    }
   }
 }
 
@@ -586,6 +703,7 @@ const RawKernels kRawKernels = {
     .quantize_conv_planes = quantize_conv_planes,
     .direct_conv = direct_conv,
     .conv_epilogue = conv_epilogue,
+    .avg_pool_planes = avg_pool_planes,
     .raw_csc_matmul = raw_csc_matmul,
     .pair_mac = pair_mac,
     .quantize_i8 = quantize<i8>,

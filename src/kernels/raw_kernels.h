@@ -1,11 +1,11 @@
 // The raw data path's kernels, one copy per ISA (DESIGN §5i).
 //
 // raw_kernels.cpp holds the bodies of quantize_activations,
-// quantize_conv_planes, direct_conv, conv_epilogue and raw_csc_matmul,
-// with the simd.h primitives they inline. The build compiles it once at
-// the baseline ISA and, on x86-64, once more with -mavx2 (the baseline
-// copy with -mno-avx2, so the two differ even when the build flags
-// enable AVX2). Each copy defines its RawKernels table in the namespace
+// quantize_conv_planes, direct_conv, conv_epilogue, avg_pool_planes and
+// raw_csc_matmul, with the simd.h primitives they inline. The build
+// compiles it once at the baseline ISA and, on x86-64, once more with
+// -mavx2 (the baseline copy with -mno-avx2, so the two differ even when
+// the build flags enable AVX2). Each copy defines its RawKernels table in the namespace
 // simd.h names for the ISA it was compiled for, so the copies never share
 // a mangled name. raw_kernels() picks one table, once, from the CPU; the
 // public entry points (kernels/quant_kernels.h, direct_conv.h,
@@ -29,7 +29,7 @@
 
 namespace msh {
 
-/// One ISA's copy of the raw kernels. The first five have the contracts
+/// One ISA's copy of the raw kernels. The first six have the contracts
 /// of the public entry points of the same names; the rest are the simd.h
 /// bodies this copy inlines, exported so tests can run every body the
 /// CPU supports.
@@ -44,6 +44,9 @@ struct RawKernels {
   void (*conv_epilogue)(const i32* acc, const ConvPlanes& layout,
                         i64 channels, f32 scale, const EpilogueSteps& steps,
                         const EpilogueOutputs& out);
+  void (*avg_pool_planes)(const f32* x, i64 height, i64 width, i64 kernel,
+                          i64 stride, const ConvPlanes& next,
+                          const QuantParams& params, i16* planes);
   void (*raw_csc_matmul)(const FlatCsc& w, std::span<const i8> acts,
                          i64 batch, std::span<i32> out, KernelArena& arena);
   void (*pair_mac)(i32* out, i64 n, const i16* x, const i32* row,

@@ -23,6 +23,8 @@ struct QuantParams {
   /// qmin. The reference every SIMD quantizer is checked against.
   i32 quantize(f32 v) const;
   f32 dequantize(i32 q) const { return scale * static_cast<f32>(q); }
+
+  bool operator==(const QuantParams&) const = default;
 };
 
 /// An integer tensor plus its dequantization scale.

@@ -9,11 +9,18 @@ Tensor::Tensor(Shape shape, f32 fill)
     : shape_(std::move(shape)),
       data_(static_cast<size_t>(shape_.numel()), fill) {}
 
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.data_.resize(static_cast<size_t>(t.shape_.numel()));
+  return t;
+}
+
 Tensor Tensor::from_data(Shape shape, std::vector<f32> data) {
   MSH_REQUIRE(shape.numel() == static_cast<i64>(data.size()));
   Tensor t;
   t.shape_ = std::move(shape);
-  t.data_ = std::move(data);
+  t.data_.assign(data.begin(), data.end());
   return t;
 }
 

@@ -3,7 +3,10 @@
 // simulators consume its buffers through spans.
 #pragma once
 
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -11,10 +14,36 @@
 
 namespace msh {
 
+/// std::allocator whose value-less construct default-initializes, so a
+/// vector sized through it leaves its elements unwritten.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(Shape shape, f32 fill = 0.0f);
+
+  /// A tensor whose elements hold no value yet, for an output every
+  /// element of which is written next (a conv's epilogue, a pooled
+  /// mean): it skips the fill the other constructors make.
+  static Tensor uninitialized(Shape shape);
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, f32 value) {
@@ -68,7 +97,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<f32> data_;
+  std::vector<f32, DefaultInitAllocator<f32>> data_;
 };
 
 /// Max elementwise |a - b|; shapes must match.

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <new>
@@ -22,6 +23,8 @@
 namespace {
 std::atomic<long> g_allocations{0};
 std::atomic<long> g_allocated_bytes{0};
+/// While set, every fresh heap block is filled with 0xA5 bytes.
+std::atomic<bool> g_poison_new{false};
 }  // namespace
 
 // Out of line, so the compiler never pairs an inlined free() with the
@@ -30,7 +33,12 @@ std::atomic<long> g_allocated_bytes{0};
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_allocated_bytes.fetch_add(static_cast<long>(size),
                               std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    if (g_poison_new.load(std::memory_order_relaxed)) {
+      std::memset(p, 0xA5, size);
+    }
+    return p;
+  }
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
@@ -520,15 +528,49 @@ TEST_F(ExecutorEpilogueTest, RepEdgeCodesSaturateAndMapNaNToQmin) {
   }
 }
 
+TEST_F(ExecutorEpilogueTest, SiblingsWithOtherQuantizationQuantizeAlone) {
+  // Codes are shared only between convs whose QuantParams compare equal.
+  // Deployed on calibration ranges where rep0.reduce's and stage1.proj's
+  // differ from their hosts' (stage0.conv1's and stage1.conv1's: 1.5x),
+  // each quantizes its input itself; the logits equal the unfused walk's
+  // on the same scales, and differ from the calibrated executor's.
+  auto& block1 = dynamic_cast<ResidualBlock&>(model_->backbone().stage(1).layer(0));
+  for (const KernelBackend backend :
+       {KernelBackend::kRaw, KernelBackend::kModeled}) {
+    SCOPED_TRACE(to_string(backend));
+    PimExecutorOptions options;
+    options.backend = backend;
+    PimRepNetExecutor calibrated(*model_, data_.train, options);
+    auto amax = calibrated.input_amax();
+    amax.at(&model_->rep_module(0).reduce()) *= 1.5f;
+    amax.at(&block1.projection()) *= 1.5f;
+    const auto executor = PimRepNetExecutor::deploy_from_image(
+        *model_, options, amax,
+        std::make_shared<const DeploymentImage>(calibrated.export_image()));
+    UnfusedDeployment unfused(*model_, *executor, backend, options.nm);
+    for (const i64 batch : {1, 7}) {
+      SCOPED_TRACE("b" + std::to_string(batch));
+      const Tensor images = data_.test.batch_images(0, batch);
+      const Tensor logits = executor->forward(images);
+      expect_bytes_equal(logits, unfused.forward(images));
+      EXPECT_GT(max_abs_diff(logits, calibrated.forward(images)), 0.0f);
+    }
+  }
+}
+
 TEST(RawForwardAllocations, WarmedForwardAllocatesLessThanUnchainedWalk) {
   // The benchmark fixture's geometry (12 x 12 images, stem 8, stages 8
   // and 16). A warmed raw forward allocates only the tensors the walk
   // returns between sites: no f32 tensor for a chained edge's
-  // intermediate (block conv1 -> conv2, Rep reduce -> expand) and no
-  // copy of the stem output. The same forward with every conv unchained
-  // and the stem output copied made 28 allocations, of 39,664 bytes at
-  // batch 1 and 1,256,352 at batch 32; this one makes 22, of 22,352 and
-  // 703,360 bytes.
+  // intermediate (block conv1 -> conv2, Rep reduce -> expand), no pooled
+  // Rep input (the pool writes reduce's codes), no copy of the stem
+  // output and no Shape temporaries for a conv's planes. The same
+  // forward with every conv unchained made 28 allocations, of 39,664
+  // bytes at batch 1 and 1,256,352 at batch 32; with the chains alone it
+  // made 22, of 22,352 and 703,360; this one makes 16, of 21,040 and
+  // 666,336. Its conv outputs and features are not zero-filled first
+  // (Tensor::uninitialized): every fresh heap block is poisoned below,
+  // and the logits stay those of an unpoisoned forward.
   SyntheticSpec spec;
   spec.name = "allocations";
   spec.classes = 4;
@@ -547,8 +589,8 @@ TEST(RawForwardAllocations, WarmedForwardAllocatesLessThanUnchainedWalk) {
       cfg, RepNetConfig{.bottleneck_divisor = 8, .min_bottleneck = 8}, 4,
       rng);
   PimRepNetExecutor executor(model, data.train);
-  for (const auto& [batch, unchained_bytes] :
-       {std::pair<i64, long>{1, 39664}, {32, 1256352}}) {
+  for (const auto& [batch, max_bytes] :
+       {std::pair<i64, long>{1, 21040}, {32, 666336}}) {
     SCOPED_TRACE("b" + std::to_string(batch));
     const Tensor images = data.test.batch_images(0, batch);
     for (int i = 0; i < 3; ++i) executor.forward(images);
@@ -557,8 +599,16 @@ TEST(RawForwardAllocations, WarmedForwardAllocatesLessThanUnchainedWalk) {
     const Tensor logits = executor.forward(images);
     const long forward_bytes = g_allocated_bytes.load() - bytes;
     const long forward_count = g_allocations.load() - count;
-    EXPECT_LT(forward_bytes, unchained_bytes);
-    EXPECT_LT(forward_count, 28);
+    EXPECT_LE(forward_bytes, max_bytes);
+    EXPECT_LE(forward_count, 16);
+
+    g_poison_new.store(true);
+    const Tensor poisoned = executor.forward(images);
+    const Tensor fresh = Tensor::uninitialized(Shape{4});
+    g_poison_new.store(false);
+    expect_bytes_equal(poisoned, logits);
+    // The unwritten tensor still holds the poison: nothing filled it.
+    EXPECT_EQ(std::bit_cast<u32>(fresh[0]), 0xA5A5A5A5u);
   }
 }
 

@@ -850,7 +850,9 @@ TEST_P(RawKernelIsaTest, ConvEpilogueMatchesScalarComposition) {
   // codes saturate at +-127. Output rows of 1 to 13 lanes cover the
   // vector groups, the repeated last group and the scalar tail. A next
   // conv with the producer's plane geometry takes each channel as one
-  // run; the others go row by row.
+  // run; the others go row by row. Each case also writes both outputs in
+  // one pass (the stem's f32 output and the next conv's codes), which
+  // goes row by row: the same bytes as each output alone.
   const f32 inf = std::numeric_limits<f32>::infinity();
   const f32 nan = std::numeric_limits<f32>::quiet_NaN();
   constexpr f32 kEps = 1e-5f;
@@ -875,7 +877,8 @@ TEST_P(RawKernelIsaTest, ConvEpilogueMatchesScalarComposition) {
        {Geometry{3, 4, 5, 3, 1}, Geometry{2, 3, 1, 1, 0},
         Geometry{1, 2, 3, 3, 1}, Geometry{2, 5, 7, 1, 0},
         Geometry{7, 6, 6, 3, 1}, Geometry{2, 3, 12, 3, 1},
-        Geometry{2, 2, 13, 1, 0}, Geometry{32, 4, 8, 3, 1}}) {
+        Geometry{2, 2, 13, 1, 0}, Geometry{32, 4, 8, 3, 1},
+        Geometry{2, 12, 12, 3, 1}}) {
     const ConvPlanes layout =
         ConvPlanes::make(geo.batch, 2, geo.height, geo.width, geo.kernel, 1,
                          geo.padding);
@@ -961,11 +964,94 @@ TEST_P(RawKernelIsaTest, ConvEpilogueMatchesScalarComposition) {
                                      steps, to_planes);
                 ASSERT_EQ(planes, reference_planes(values, next, params))
                     << "next conv k" << kernel << " p" << padding;
+
+                // Both outputs in one pass: the same f32 bytes and codes.
+                Tensor both(out_shape, 123.0f);
+                std::vector<i16> both_planes(planes.size(), 777);
+                EpilogueOutputs to_both = to_planes;
+                to_both.y = both.data();
+                to_both.planes = both_planes.data();
+                copy().conv_epilogue(acc.data(), layout, kChannels, scale,
+                                     steps, to_both);
+                for (i64 i = 0; i < both.numel(); ++i) {
+                  ASSERT_EQ(std::bit_cast<u32>(both[i]),
+                            std::bit_cast<u32>(want[i]))
+                      << "dual output, element " << i << ", next conv k"
+                      << kernel << " p" << padding;
+                }
+                ASSERT_EQ(both_planes, planes)
+                    << "dual output, next conv k" << kernel << " p"
+                    << padding;
               }
             }
           }
         }
       }
+    }
+  }
+}
+
+TEST_P(RawKernelIsaTest, AvgPoolPlanesMatchPoolThenQuantize) {
+  // Each copy's fused pool against its scalar composition: the pool's
+  // FP32 sums (avg_pool_eval's: 0.0f plus the window in row-major order,
+  // times 1 / (k * k)), then QuantParams::quantize laid out as
+  // quantize_conv_planes lays out the next conv's input. The inputs
+  // carry -0.0, NaN, +-inf and values far past the scale, so codes
+  // saturate at +-127 and NaN windows map to qmin. Pooled rows of 1 to
+  // 13 columns cover the 8- and 4-lane groups, the repeated last group
+  // and the scalar tail; the 3 x 3 and stride-1 windows take the
+  // element-at-a-time path; next convs with and without padding.
+  const f32 inf = std::numeric_limits<f32>::infinity();
+  const f32 nan = std::numeric_limits<f32>::quiet_NaN();
+  const f32 specials[] = {-0.0f, nan, inf, -inf, 0.0f, 1e6f, -1e6f};
+  struct Pool {
+    i64 batch, channels, height, width, kernel, stride;
+  };
+  const QuantParams params = params_for(0.05f, 8);
+  Rng rng(53);
+  for (const Pool pool :
+       {Pool{1, 3, 2, 2, 2, 2}, Pool{7, 2, 12, 12, 2, 2},
+        Pool{32, 8, 12, 12, 2, 2}, Pool{2, 3, 6, 15, 2, 2},
+        Pool{3, 2, 9, 26, 2, 2}, Pool{2, 2, 4, 18, 2, 2},
+        Pool{2, 2, 7, 7, 3, 2}, Pool{2, 3, 5, 6, 2, 1}}) {
+    const i64 ho = (pool.height - pool.kernel) / pool.stride + 1;
+    const i64 wo = (pool.width - pool.kernel) / pool.stride + 1;
+    std::vector<f32> x(static_cast<size_t>(pool.batch * pool.channels *
+                                           pool.height * pool.width));
+    for (size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<f32>(rng.gaussian(0.0, 4.0));
+      if (i % 13 == 0) x[i] = specials[(i / 13) % 7];
+    }
+    const f32 inv = 1.0f / static_cast<f32>(pool.kernel * pool.kernel);
+    std::vector<f32> pooled;
+    for (i64 p = 0; p < pool.batch * pool.channels; ++p) {
+      const f32* plane = x.data() + p * pool.height * pool.width;
+      for (i64 oy = 0; oy < ho; ++oy) {
+        for (i64 ox = 0; ox < wo; ++ox) {
+          f32 sum = 0.0f;
+          for (i64 ky = 0; ky < pool.kernel; ++ky) {
+            for (i64 kx = 0; kx < pool.kernel; ++kx) {
+              sum += plane[(oy * pool.stride + ky) * pool.width +
+                           ox * pool.stride + kx];
+            }
+          }
+          pooled.push_back(sum * inv);
+        }
+      }
+    }
+    for (const auto& [kernel, padding] :
+         {std::pair<i64, i64>{1, 0}, {3, 1}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "b" << pool.batch << " " << pool.channels << "x"
+                   << pool.height << "x" << pool.width << " pool k"
+                   << pool.kernel << " s" << pool.stride << ", next conv k"
+                   << kernel << " p" << padding << " on " << copy().isa);
+      const ConvPlanes next = ConvPlanes::make(
+          pool.batch, pool.channels, ho, wo, kernel, 1, padding);
+      std::vector<i16> planes(static_cast<size_t>(next.size()), 777);
+      copy().avg_pool_planes(x.data(), pool.height, pool.width, pool.kernel,
+                             pool.stride, next, params, planes.data());
+      ASSERT_EQ(planes, reference_planes(pooled, next, params));
     }
   }
 }

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -1117,6 +1118,107 @@ TEST(ModeledWalkGolden, CellWrittenBetweenDispatchesIsSeen) {
     EXPECT_NE(after, before);
     d.expect_accounting();
   }
+}
+
+/// conv_into on `d`'s core, the accumulators at layout's valid
+/// positions in (image, oy, ox, channel) order.
+std::vector<i32> valid_outputs(Deployed& d, i64 cols, const ConvPlanes& layout,
+                               const std::vector<i16>& planes) {
+  std::vector<i32> out(static_cast<size_t>(cols * layout.positions));
+  d.core.conv_into(d.handle, planes, layout, out);
+  std::vector<i32> valid;
+  for (i64 n = 0; n < layout.batch; ++n)
+    for (i64 oy = 0; oy < layout.out_h; ++oy)
+      for (i64 ox = 0; ox < layout.out_w; ++ox)
+        for (i64 c = 0; c < cols; ++c)
+          valid.push_back(out[static_cast<size_t>(
+              c * layout.positions + layout.position(n, oy, ox))]);
+  return valid;
+}
+
+TEST(ModeledWalkGolden, SiblingViewMatchesOwnPlanes) {
+  // A 1x1, padding-0 conv reading a 3x3, padding-1 sibling's planes
+  // (ConvPlanes::sibling_view) against the same conv reading its own:
+  // stride 1 reads the one phase at the centre tap's shift, stride 2
+  // phase (1, 1) at shift 0. Batch 1 / 7 / 32, SRAM with faults in its
+  // cells (flipped index bits, and every seventh weight inverted) and
+  // MRAM. The view walks the sibling's larger lane grid, whose ring
+  // lanes read real codes; only its valid lanes are rows. Modeled: the
+  // accumulators, every PeEventCounts field, the bus and buffer bits,
+  // last_makespan() and the reference walk's accounting. Raw: the
+  // accumulators at every valid position.
+  const QuantParams params{1.0f, -128, 127};
+  for (const i64 stride : {1, 2}) {
+    for (const i64 batch : {1, 7, 32}) {
+      const ConvPlanes host =
+          ConvPlanes::make(batch, 5, 12, 12, 3, stride, 1);
+      const ConvPlanes own = ConvPlanes::make(batch, 5, 12, 12, 1, stride, 0);
+      const std::optional<ConvPlanes> view =
+          ConvPlanes::sibling_view(host, own);
+      ASSERT_TRUE(view.has_value());
+      EXPECT_GT(view->plane_w, own.plane_w);
+      Rng rng(static_cast<u64>(100 * stride + batch));
+      const ConvInput mine_in = conv_input(own, rng);
+      ConvInput host_in{mine_in.x, std::vector<i16>(
+                                       static_cast<size_t>(host.size()))};
+      quantize_conv_planes(host_in.x.data(), host, params,
+                           host_in.planes.data());
+      const QuantizedNmMatrix w = random_matrix(8, 7, kSparse1of4, 61);
+      for (const bool sram : {true, false}) {
+        SCOPED_TRACE(testing::Message() << (sram ? "sram" : "mram") << " s"
+                                        << stride << " b" << batch);
+        Deployed mine(w, sram), shared(w, sram);
+        if (sram) {
+          for (Deployed* d : {&mine, &shared}) {
+            HybridCore::NvmCodeView cells = d->core.nvm_codes(d->handle);
+            const auto copies = d->reference_cells();
+            for (size_t at = 0; at < copies.size(); at += 7) {
+              const i8 weight = static_cast<i8>(~*cells.weights[at]);
+              *cells.weights[at] = weight;
+              *copies[at].first = weight;
+            }
+          }
+        }
+        expect_conv_matches_reference(mine, w, own, mine_in);
+        expect_conv_matches_reference(shared, w, *view, host_in);
+        expect_events_equal(shared.core.pe_events(), mine.core.pe_events());
+        EXPECT_EQ(shared.core.bus().bits_moved(), mine.core.bus().bits_moved());
+        EXPECT_EQ(shared.core.buffer().bytes_read(),
+                  mine.core.buffer().bytes_read());
+        EXPECT_EQ(shared.core.last_makespan(), mine.core.last_makespan());
+        EXPECT_EQ(valid_outputs(shared, w.cols(), *view, host_in.planes),
+                  valid_outputs(mine, w.cols(), own, mine_in.planes));
+
+        mine.core.set_backend(KernelBackend::kRaw);
+        shared.core.set_backend(KernelBackend::kRaw);
+        EXPECT_EQ(valid_outputs(shared, w.cols(), *view, host_in.planes),
+                  valid_outputs(mine, w.cols(), own, mine_in.planes));
+      }
+    }
+  }
+}
+
+TEST(ModeledWalk, SiblingViewFitsOnlyMatchingGeometry) {
+  // The view exists for a 1x1, padding-0 conv with the sibling's input,
+  // stride and output grid, and nowhere else.
+  const ConvPlanes host = ConvPlanes::make(2, 4, 12, 12, 3, 2, 1);
+  EXPECT_TRUE(ConvPlanes::sibling_view(
+                  host, ConvPlanes::make(2, 4, 12, 12, 1, 2, 0))
+                  .has_value());
+  for (const ConvPlanes& other :
+       {ConvPlanes::make(2, 4, 12, 12, 1, 1, 0),    // stride
+        ConvPlanes::make(2, 4, 12, 12, 3, 2, 1),    // not 1x1
+        ConvPlanes::make(2, 4, 12, 12, 1, 2, 1),    // padded
+        ConvPlanes::make(1, 4, 12, 12, 1, 2, 0),    // batch
+        ConvPlanes::make(2, 3, 12, 12, 1, 2, 0),    // channels
+        ConvPlanes::make(2, 4, 11, 12, 1, 2, 0)}) {  // input size
+    EXPECT_FALSE(ConvPlanes::sibling_view(host, other).has_value());
+  }
+  // A 3x3 stride-2 conv without padding has an output grid one smaller.
+  EXPECT_FALSE(ConvPlanes::sibling_view(
+                   ConvPlanes::make(2, 4, 12, 12, 3, 2, 0),
+                   ConvPlanes::make(2, 4, 12, 12, 1, 2, 0))
+                   .has_value());
 }
 
 TEST(ModeledWalk, SramTileHeightsServeOnBothBackends) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <thread>
@@ -690,13 +691,22 @@ TEST_F(ServingEngineTest, UnmeetableDeadlineShedsWithAttribution) {
   const f64 service_us = warm.total_us - warm.queue_us;
   ASSERT_GT(service_us, 0.0);
 
-  // 16 rows need ~16x the per-row estimate; a deadline of 4 single-row
-  // service times is comfortably in the future at pickup (no expiry) yet
-  // provably unmeetable, so the shed path — not the timeout path — fires.
+  // A 20 ms deadline is far above a contended worker's pickup delay, so
+  // the request is not expired at pickup. Its rows need 8x that deadline
+  // at the warmed per-row estimate (at most service_us, the dispatch part
+  // of the warm request), so it is provably unmeetable and the shed path
+  // — not the timeout path — fires. Shed at pickup, it never runs; the
+  // default admission and class budgets count requests, not rows.
+  constexpr f64 kDeadlineUs = 20000.0;
+  const i64 rows =
+      static_cast<i64>(std::ceil(8.0 * kDeadlineUs / service_us));
+  const Shape image = data_.test.batch_images(0, 1).shape();
   const SubmitOptions doomed{.priority = Priority::kBestEffort,
-                             .deadline_us = 4.0 * service_us};
+                             .deadline_us = kDeadlineUs};
   const InferenceResponse shed =
-      engine.submit(data_.test.batch_images(0, 16), doomed).get();
+      engine
+          .submit(Tensor(Shape{rows, image[1], image[2], image[3]}), doomed)
+          .get();
   EXPECT_EQ(shed.status, RequestStatus::kShed);
   EXPECT_NE(shed.error.find("deadline unmeetable"), std::string::npos)
       << shed.error;
