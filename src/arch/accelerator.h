@@ -90,18 +90,20 @@ class HybridCore {
   void conv_into(i64 handle, std::span<const i16> planes,
                  const ConvPlanes& layout, std::span<i32> out);
 
-  /// Per-dispatch scratch for the layer wrappers that feed this core
-  /// (code planes, quantized inputs, accumulators). The caller resets it
-  /// at the start of each layer dispatch; the core itself never does, so
-  /// spans taken from it stay valid across matmul_into() and
-  /// conv_into(). Same single-thread contract as the core.
+  /// Scratch for one layer dispatch's temporaries in the wrappers that
+  /// feed this core (a conv's own input planes, quantized inputs,
+  /// accumulators). Each layer dispatch resets it at its start; the core
+  /// itself never does, so spans taken from it stay valid across
+  /// matmul_into() and conv_into(). Nothing in it outlives the dispatch.
+  /// Same single-thread contract as the core.
   KernelArena& io_scratch() { return io_arena_; }
 
-  /// Scratch for code planes that outlive one dispatch: an activation
-  /// quantized once and read by every conv it feeds (pim_layer.h,
-  /// ActivationCodes). Whoever runs the whole forward resets it at the
-  /// start of each; layer dispatches never do. Same single-thread
-  /// contract as the core.
+  /// Scratch for every code plane that outlives one dispatch: an
+  /// activation quantized once and read by every conv it feeds, or a
+  /// conv's output written as its reader's codes (pim_layer.h,
+  /// ActivationCodes, PimConv::forward_codes). Whoever runs the whole
+  /// forward resets it at the start of each; layer dispatches never do.
+  /// Same single-thread contract as the core.
   KernelArena& activation_scratch() { return activation_arena_; }
 
   /// Heap bytes held by the core's kernel, I/O and activation arenas:

@@ -105,4 +105,22 @@ u8 parity_bit(u8 word, i32 nbits) {
   return static_cast<u8>(std::popcount(static_cast<u8>(word & mask)) & 1);
 }
 
+u8 weight_check_word(EccMode mode, u8 data) {
+  switch (mode) {
+    case EccMode::kNone: return 0;
+    case EccMode::kParity: return parity_bit(data, 8);
+    case EccMode::kSecDed: return secded_encode(data);
+  }
+  return 0;
+}
+
+i32 weight_check_bits(EccMode mode) {
+  switch (mode) {
+    case EccMode::kNone: return 0;
+    case EccMode::kParity: return 1;
+    case EccMode::kSecDed: return kSecDedCheckBits;
+  }
+  return 0;
+}
+
 }  // namespace msh

@@ -64,4 +64,12 @@ SecDedOutcome secded_decode(u8& data, u8& check);
 /// Even parity bit over the low `nbits` bits of `word`.
 u8 parity_bit(u8 word, i32 nbits);
 
+/// The check word stored beside weight byte `data` under `mode`:
+/// secded_encode(data) for kSecDed, parity_bit(data, 8) for kParity, 0
+/// for kNone (no check cells).
+u8 weight_check_word(EccMode mode, u8 data);
+
+/// Cells per weight check word under `mode`: kSecDedCheckBits, 1 or 0.
+i32 weight_check_bits(EccMode mode);
+
 }  // namespace msh

@@ -208,14 +208,11 @@ void PimRepNetExecutor::program_nvm_wear(WearPath path) {
       desired.resize(p.golden_weights.size());
       achieved.resize(desired.size());
       for (size_t i = 0; i < desired.size(); ++i) {
-        desired[i] = options_.ecc == EccMode::kSecDed
-                         ? secded_encode(static_cast<u8>(p.golden_weights[i]))
-                         : parity_bit(static_cast<u8>(p.golden_weights[i]), 8);
+        desired[i] = weight_check_word(options_.ecc,
+                                       static_cast<u8>(p.golden_weights[i]));
       }
-      const i32 check_bits =
-          options_.ecc == EccMode::kSecDed ? kSecDedCheckBits : 1;
-      wear.program(wear_key_checks(name), desired, achieved, check_bits,
-                   path);
+      wear.program(wear_key_checks(name), desired, achieved,
+                   weight_check_bits(options_.ecc), path);
       p.weight_checks.assign(achieved.begin(), achieved.end());
 
       desired.resize(p.golden_indices.size());
@@ -318,9 +315,8 @@ void PimRepNetExecutor::protect_arrays() {
     if (options_.ecc != EccMode::kNone) {
       p.weight_checks.reserve(view.weights.size());
       for (const i8* w : view.weights) {
-        p.weight_checks.push_back(options_.ecc == EccMode::kSecDed
-                                      ? secded_encode(static_cast<u8>(*w))
-                                      : parity_bit(static_cast<u8>(*w), 8));
+        p.weight_checks.push_back(
+            weight_check_word(options_.ecc, static_cast<u8>(*w)));
       }
       p.index_parity.reserve(view.indices.size());
       for (const u8* idx : view.indices)
@@ -342,10 +338,8 @@ FaultStats PimRepNetExecutor::inject_nvm_faults(const MtjFaultModel& model,
     if (options_.ecc != EccMode::kNone) {
       // Check cells occupy spare columns of the same imperfect array.
       ArrayProtection& p = protections_[static_cast<size_t>(h)];
-      const i32 check_bits =
-          options_.ecc == EccMode::kSecDed ? kSecDedCheckBits : 1;
       total += inject_bit_errors(std::span<u8>(p.weight_checks), model, rng,
-                                 check_bits);
+                                 weight_check_bits(options_.ecc));
       total += inject_bit_errors(std::span<u8>(p.index_parity), model, rng, 1);
     }
     // Faults change what the cells hold without write pulses; keep the
@@ -391,10 +385,9 @@ PimRepNetExecutor::PowerLossStats PimRepNetExecutor::power_fail(
       stats.mram_drift += inject_bit_errors(view.indices, drift, rng,
                                             idx_bits);
       if (options_.ecc != EccMode::kNone) {
-        const i32 check_bits =
-            options_.ecc == EccMode::kSecDed ? kSecDedCheckBits : 1;
-        stats.mram_drift += inject_bit_errors(
-            std::span<u8>(p.weight_checks), drift, rng, check_bits);
+        stats.mram_drift +=
+            inject_bit_errors(std::span<u8>(p.weight_checks), drift, rng,
+                              weight_check_bits(options_.ecc));
         stats.mram_drift += inject_bit_errors(std::span<u8>(p.index_parity),
                                               drift, rng, 1);
       }
@@ -420,10 +413,8 @@ PimRepNetExecutor::WarmRestartStats PimRepNetExecutor::warm_restart() {
       *view.indices[i] = p.golden_indices[i];
     if (options_.ecc != EccMode::kNone) {
       for (size_t i = 0; i < p.weight_checks.size(); ++i) {
-        p.weight_checks[i] =
-            options_.ecc == EccMode::kSecDed
-                ? secded_encode(static_cast<u8>(p.golden_weights[i]))
-                : parity_bit(static_cast<u8>(p.golden_weights[i]), 8);
+        p.weight_checks[i] = weight_check_word(
+            options_.ecc, static_cast<u8>(p.golden_weights[i]));
       }
       for (size_t i = 0; i < p.index_parity.size(); ++i)
         p.index_parity[i] = parity_bit(p.golden_indices[i], idx_bits);
@@ -461,13 +452,21 @@ std::vector<PimRepNetExecutor::ScrubReport> PimRepNetExecutor::scrub(
     // free). Without a tracker (or on SRAM) the write is ideal.
     const bool wear_writes = options_.wear != nullptr && !view.is_sram;
     const std::string& lname = handle_names_[static_cast<size_t>(h)];
-    const i32 check_bits =
-        options_.ecc == EccMode::kSecDed ? kSecDedCheckBits : 1;
+    const i32 check_bits = weight_check_bits(options_.ecc);
     auto mram_write = [&](const std::string& key, size_t word, u8 desired,
                           i32 bits) -> u8 {
       if (!wear_writes) return desired;
       return options_.wear->write_word(key, static_cast<i64>(word), desired,
                                        bits, wear_path);
+    };
+    // Re-fetches weight word i and its check word from the golden copy.
+    auto refetch_weight = [&](size_t i) {
+      const u8 golden = static_cast<u8>(p.golden_weights[i]);
+      *view.weights[i] =
+          static_cast<i8>(mram_write(wear_key_weights(lname), i, golden, 8));
+      p.weight_checks[i] =
+          mram_write(wear_key_checks(lname), i,
+                     weight_check_word(options_.ecc, golden), check_bits);
     };
     ScrubReport report;
     report.handle = h;
@@ -485,14 +484,7 @@ std::vector<PimRepNetExecutor::ScrubReport> PimRepNetExecutor::scrub(
               (p.weight_checks[i] & 1u)) {
             detected = true;
             ++report.weights.detected_uncorrectable;
-            if (repair_detected_from_golden) {
-              cell = static_cast<i8>(
-                  mram_write(wear_key_weights(lname), i,
-                             static_cast<u8>(p.golden_weights[i]), 8));
-              p.weight_checks[i] = mram_write(
-                  wear_key_checks(lname), i,
-                  parity_bit(static_cast<u8>(p.golden_weights[i]), 8), 1);
-            }
+            if (repair_detected_from_golden) refetch_weight(i);
           }
           break;
         }
@@ -512,15 +504,7 @@ std::vector<PimRepNetExecutor::ScrubReport> PimRepNetExecutor::scrub(
             case SecDedOutcome::kDetectedDouble:
               detected = true;
               ++report.weights.detected_uncorrectable;
-              if (repair_detected_from_golden) {
-                cell = static_cast<i8>(
-                    mram_write(wear_key_weights(lname), i,
-                               static_cast<u8>(p.golden_weights[i]), 8));
-                p.weight_checks[i] = mram_write(
-                    wear_key_checks(lname), i,
-                    secded_encode(static_cast<u8>(p.golden_weights[i])),
-                    check_bits);
-              }
+              if (repair_detected_from_golden) refetch_weight(i);
               break;
           }
           break;
@@ -557,33 +541,34 @@ std::vector<PimRepNetExecutor::ScrubReport> PimRepNetExecutor::scrub(
   return reports;
 }
 
-Tensor PimRepNetExecutor::apply_conv(Conv2d& conv, const Tensor& x,
+Tensor PimRepNetExecutor::apply_conv(Conv2d& conv, const ConvInput& in,
                                      Mode mode,
-                                     const ConvEpilogue& epilogue,
-                                     const ActivationCodes* codes) {
+                                     const ConvEpilogue& epilogue) {
   if (mode == Mode::kCalibrate) {
+    const Tensor& x = *in.values;
     auto [it, inserted] = input_amax_.emplace(&conv, x.abs_max());
     if (!inserted) it->second = std::max(it->second, x.abs_max());
     Tensor y = conv.forward(x, /*training=*/false);
     epilogue.apply(y);
     return y;
   }
-  return deployed(conv).forward({x, codes}, epilogue);
+  return deployed(conv).forward(in, epilogue);
 }
 
-Tensor PimRepNetExecutor::apply_chain(Conv2d& first, const Tensor& x,
-                                      const ActivationCodes* codes,
+Tensor PimRepNetExecutor::apply_chain(Conv2d& first, const ConvInput& in,
                                       const ConvEpilogue& first_epilogue,
                                       Conv2d& second,
                                       const ConvEpilogue& second_epilogue,
                                       Mode mode) {
   if (mode == Mode::kCalibrate) {
     // Records the second conv's input range from the f32 intermediate.
-    return apply_conv(second, apply_conv(first, x, mode, first_epilogue),
+    return apply_conv(second, apply_conv(first, in, mode, first_epilogue),
                       mode, second_epilogue);
   }
-  return deployed(first).forward_chained({x, codes}, first_epilogue,
-                                         deployed(second), second_epilogue);
+  PimConv& reader = deployed(second);
+  return reader.forward(
+      deployed(first).forward_codes(in, first_epilogue, reader),
+      second_epilogue);
 }
 
 PimConv& PimRepNetExecutor::deployed(const Conv2d& conv) {
@@ -615,8 +600,8 @@ Tensor PimRepNetExecutor::apply_sequential(
     }
     if (mode == Mode::kHardware && next != nullptr && i + 1 == seq.size() &&
         next->geometry().stride == 1) {
-      y = deployed(*conv).forward(*in, epilogue, deployed(*next),
-                                  next_codes->emplace());
+      *next_codes =
+          deployed(*conv).forward_codes(*in, epilogue, deployed(*next), &y);
     } else {
       y = apply_conv(*conv, *in, mode, epilogue);
     }
@@ -625,49 +610,41 @@ Tensor PimRepNetExecutor::apply_sequential(
   return y;
 }
 
-Tensor PimRepNetExecutor::apply_residual(
-    ResidualBlock& block, const Tensor& x,
-    std::optional<ActivationCodes>* codes, Mode mode) {
+Tensor PimRepNetExecutor::apply_residual(ResidualBlock& block,
+                                         const Tensor& x,
+                                         const ActivationCodes* codes,
+                                         Mode mode) {
   using Relu = ConvEpilogue::Relu;
-  // conv1's planes of x, made once for every conv that reads x.
-  std::optional<ActivationCodes> own;
-  std::optional<ActivationCodes>& shared = codes != nullptr ? *codes : own;
-  if (mode == Mode::kHardware && !shared &&
-      (codes != nullptr || block.has_projection())) {
-    shared = deployed(block.conv1()).quantize(x);
-  }
-  const ActivationCodes* in = shared ? &*shared : nullptr;
   // The shortcut first, so conv1's output can go straight to conv2.
   const Tensor projected =
       block.has_projection()
-          ? apply_conv(block.projection(), x, mode,
-                       {.bn = &block.projection_bn()}, in)
+          ? apply_conv(block.projection(), {x, codes}, mode,
+                       {.bn = &block.projection_bn()})
           : Tensor();
   const Tensor& shortcut = block.has_projection() ? projected : x;
   return apply_chain(
-      block.conv1(), x, in, {.bn = &block.bn1(), .relu = Relu::kMax},
+      block.conv1(), {x, codes}, {.bn = &block.bn1(), .relu = Relu::kMax},
       block.conv2(),
       {.bn = &block.bn2(), .residual = &shortcut, .relu = Relu::kMax}, mode);
 }
 
 Tensor PimRepNetExecutor::apply_rep(RepModule& rep, const Tensor& x,
-                                    const std::optional<ActivationCodes>& codes,
-                                    Mode mode) {
+                                    const ActivationCodes* codes, Mode mode) {
   const ConvEpilogue reduce_epilogue{.relu = ConvEpilogue::Relu::kMax};
   if (!rep.has_pool()) {
-    return apply_chain(rep.reduce(), x, codes ? &*codes : nullptr,
-                       reduce_epilogue, rep.expand(), {}, mode);
+    return apply_chain(rep.reduce(), {x, codes}, reduce_epilogue,
+                       rep.expand(), {}, mode);
   }
   const i64 kernel = rep.pool().kernel(), stride = rep.pool().stride();
+  // Calibration records reduce's input range from the f32 pooled tensor;
+  // on the hardware the pool writes reduce's input codes straight from x.
   if (mode == Mode::kCalibrate) {
-    // Records reduce's input range from the f32 pooled tensor.
     return apply_chain(rep.reduce(), avg_pool_eval(x, kernel, stride),
-                       nullptr, reduce_epilogue, rep.expand(), {}, mode);
+                       reduce_epilogue, rep.expand(), {}, mode);
   }
-  // The pool writes reduce's input codes straight from x.
-  PimConv& reduce = deployed(rep.reduce());
-  return reduce.forward_chained(reduce.quantize_pooled(x, kernel, stride),
-                                reduce_epilogue, deployed(rep.expand()), {});
+  return apply_chain(rep.reduce(),
+                     deployed(rep.reduce()).quantize_pooled(x, kernel, stride),
+                     reduce_epilogue, rep.expand(), {}, mode);
 }
 
 Tensor PimRepNetExecutor::apply_classifier(const Tensor& x, Mode mode) {
@@ -689,9 +666,9 @@ Tensor PimRepNetExecutor::walk(const Tensor& images, Mode mode) {
     return *found;
   };
   if (mode == Mode::kHardware) core_.activation_scratch().reset();
-  // A stage input is quantized once for every conv that reads it: the
-  // stem's epilogue writes stage 0's codes for its first conv, in the
-  // same pass as the f32 output; apply_residual makes the others'.
+  // Each stage input becomes codes once, for every conv that reads it:
+  // the stem's epilogue writes stage 0's in the same pass as its f32
+  // output; a stage input the codes lack is quantized here.
   std::optional<ActivationCodes> codes;
   MSH_ENSURE(backbone.stage(0).size() > 0);
   Tensor a = apply_sequential(backbone.stem(), images, mode,
@@ -704,11 +681,15 @@ Tensor PimRepNetExecutor::walk(const Tensor& images, Mode mode) {
       codes.reset();
     }
     MSH_ENSURE(backbone.stage(s).size() > 0);
+    if (mode == Mode::kHardware && !codes) {
+      codes = deployed(block(s, 0).conv1()).quantize(u);
+    }
+    const ActivationCodes* in = codes ? &*codes : nullptr;
     for (i64 b = 0; b < backbone.stage(s).size(); ++b) {
-      a = b == 0 ? apply_residual(block(s, b), u, &codes, mode)
+      a = b == 0 ? apply_residual(block(s, b), u, in, mode)
                  : apply_residual(block(s, b), a, nullptr, mode);
     }
-    r = apply_rep(model_.rep_module(s), u, codes, mode);
+    r = apply_rep(model_.rep_module(s), u, in, mode);
   }
   a += r;  // merge
 

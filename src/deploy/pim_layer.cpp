@@ -149,20 +149,17 @@ ConvPlanes PimConv::input_layout(i64 batch, i64 channels, i64 height,
                           geom_.stride, geom_.padding);
 }
 
-ActivationCodes PimConv::activation_codes(i64 batch, i64 height,
-                                          i64 width) {
-  ActivationCodes codes{
-      .layout = input_layout(batch, geom_.in_channels, height, width),
-      .params = matmul_.activation_params(),
-      .planes = {}};
-  codes.planes = core_.activation_scratch().alloc<i16>(codes.layout.size());
-  return codes;
+ActivationCodes PimConv::activation_codes(const ConvPlanes& layout) {
+  return {.layout = layout,
+          .params = matmul_.activation_params(),
+          .planes = core_.activation_scratch().alloc<i16>(layout.size())};
 }
 
 ActivationCodes PimConv::quantize(const Tensor& x) {
   const Shape& s = x.shape();
-  MSH_REQUIRE(s.rank() == 4 && s[1] == geom_.in_channels);
-  ActivationCodes codes = activation_codes(s[0], s[2], s[3]);
+  MSH_REQUIRE(s.rank() == 4);
+  ActivationCodes codes =
+      activation_codes(input_layout(s[0], s[1], s[2], s[3]));
   quantize_conv_planes(x.data(), codes.layout, codes.params,
                        codes.planes.data());
   return codes;
@@ -171,10 +168,11 @@ ActivationCodes PimConv::quantize(const Tensor& x) {
 ActivationCodes PimConv::quantize_pooled(const Tensor& x, i64 kernel,
                                          i64 stride) {
   const Shape& s = x.shape();
-  MSH_REQUIRE(s.rank() == 4 && s[1] == geom_.in_channels);
+  MSH_REQUIRE(s.rank() == 4);
   MSH_REQUIRE(kernel > 0 && stride > 0 && s[2] >= kernel && s[3] >= kernel);
   ActivationCodes codes = activation_codes(
-      s[0], (s[2] - kernel) / stride + 1, (s[3] - kernel) / stride + 1);
+      input_layout(s[0], s[1], (s[2] - kernel) / stride + 1,
+                   (s[3] - kernel) / stride + 1));
   avg_pool_planes(x.data(), s[2], s[3], kernel, stride, codes.layout,
                   codes.params, codes.planes.data());
   return codes;
@@ -209,67 +207,40 @@ std::pair<ConvPlanes, std::span<const i16>> PimConv::input_planes(
   return {own, planes};
 }
 
-std::span<i32> PimConv::accumulate(std::span<const i16> planes,
-                                   const ConvPlanes& layout) {
-  const std::span<i32> acc = core_.io_scratch().alloc<i32>(
-      geom_.out_channels * layout.positions);
+ActivationCodes PimConv::dispatch(const ConvInput& in,
+                                  const ConvEpilogue& epilogue, Tensor* y,
+                                  PimConv* reader) {
+  KernelArena& scratch = core_.io_scratch();
+  scratch.reset();
+  const auto [layout, planes] = input_planes(in);
+  const std::span<i32> acc =
+      scratch.alloc<i32>(geom_.out_channels * layout.positions);
   core_.conv_into(matmul_.handle(), planes, layout, acc);
-  return acc;
-}
-
-Tensor PimConv::output(const ConvPlanes& layout) const {
-  return Tensor::uninitialized(
-      Shape{layout.batch, geom_.out_channels, layout.out_h, layout.out_w});
+  ActivationCodes codes;
+  if (reader != nullptr) {
+    codes = reader->activation_codes(reader->input_layout(
+        layout.batch, geom_.out_channels, layout.out_h, layout.out_w));
+  }
+  if (y != nullptr) {
+    *y = Tensor::uninitialized(
+        Shape{layout.batch, geom_.out_channels, layout.out_h, layout.out_w});
+  }
+  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(), y,
+                            reader != nullptr ? &codes : nullptr, scratch);
+  return codes;
 }
 
 Tensor PimConv::forward(const ConvInput& in, const ConvEpilogue& epilogue) {
-  KernelArena& scratch = core_.io_scratch();
-  scratch.reset();
-  const auto [layout, planes] = input_planes(in);
-  const std::span<i32> acc = accumulate(planes, layout);
-  Tensor y = output(layout);
-  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(), &y,
-                            nullptr, scratch);
+  Tensor y;
+  dispatch(in, epilogue, &y, nullptr);
   return y;
 }
 
-Tensor PimConv::forward(const ConvInput& in, const ConvEpilogue& epilogue,
-                        PimConv& next, ActivationCodes& next_codes) {
-  MSH_REQUIRE(&next.core_ == &core_);
-  KernelArena& scratch = core_.io_scratch();
-  scratch.reset();
-  const auto [layout, planes] = input_planes(in);
-  const std::span<i32> acc = accumulate(planes, layout);
-  next_codes = next.activation_codes(layout.batch, layout.out_h, layout.out_w);
-  Tensor y = output(layout);
-  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(), &y,
-                            &next_codes, scratch);
-  return y;
-}
-
-Tensor PimConv::forward_chained(const ConvInput& in,
-                                const ConvEpilogue& epilogue, PimConv& next,
-                                const ConvEpilogue& next_epilogue) {
-  MSH_REQUIRE(&next.core_ == &core_ && next.geom_.stride == 1);
-  // Both convs' buffers share one reset of the core's I/O scratch.
-  KernelArena& scratch = core_.io_scratch();
-  scratch.reset();
-  const auto [layout, planes] = input_planes(in);
-  const std::span<i32> acc = accumulate(planes, layout);
-  ActivationCodes mid{
-      .layout = next.input_layout(layout.batch, geom_.out_channels,
-                                  layout.out_h, layout.out_w),
-      .params = next.matmul_.activation_params(),
-      .planes = {}};
-  mid.planes = scratch.alloc<i16>(mid.layout.size());
-  epilogue.dequantize_apply(acc.data(), layout, output_scale(), bias(),
-                            nullptr, &mid, scratch);
-  const std::span<i32> next_acc = next.accumulate(mid.planes, mid.layout);
-  Tensor y = next.output(mid.layout);
-  next_epilogue.dequantize_apply(next_acc.data(), mid.layout,
-                                 next.output_scale(), next.bias(), &y,
-                                 nullptr, scratch);
-  return y;
+ActivationCodes PimConv::forward_codes(const ConvInput& in,
+                                       const ConvEpilogue& epilogue,
+                                       PimConv& reader, Tensor* values) {
+  MSH_REQUIRE(&reader.core_ == &core_ && reader.geom_.stride == 1);
+  return dispatch(in, epilogue, values, &reader);
 }
 
 namespace {
@@ -279,6 +250,20 @@ namespace {
 BnConstants bn_channel(const BatchNorm2d& bn, i64 ch) {
   return {bn.gamma()[ch], bn.beta()[ch], bn.running_mean()[ch],
           1.0f / std::sqrt(bn.running_var()[ch] + bn.eps())};
+}
+
+/// v + r as one instruction whose first source is v: of two NaNs, x86
+/// keeps the first source's, and a compiler may commute a plain `+`. The
+/// conv_epilogue kernel pins the same order (kernels/raw_kernels.cpp).
+f32 add_first_source(f32 v, f32 r) {
+#if defined(__AVX__)
+  asm("vaddss %2, %1, %0" : "=x"(v) : "x"(v), "x"(r));
+#elif defined(__SSE2__)
+  asm("addss %1, %0" : "+x"(v) : "x"(r));
+#else
+  v += r;
+#endif
+  return v;
 }
 
 }  // namespace
@@ -341,7 +326,7 @@ void ConvEpilogue::apply_plane(f32* v, i64 plane, i64 channels,
   }
   if (residual != nullptr) {
     const f32* r = residual->data() + plane * spatial;
-    for (i64 s = 0; s < spatial; ++s) v[s] += r[s];
+    for (i64 s = 0; s < spatial; ++s) v[s] = add_first_source(v[s], r[s]);
   }
   switch (relu) {
     case Relu::kNone:

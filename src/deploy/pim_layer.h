@@ -141,12 +141,6 @@ struct ConvEpilogue {
                         const f32* bias, Tensor* y,
                         const ActivationCodes* next,
                         KernelArena& scratch) const;
-  /// dequantize_apply into y alone.
-  void dequantize_apply(const i32* acc, const ConvPlanes& layout, f32 scale,
-                        const f32* bias, Tensor& y,
-                        KernelArena& scratch) const {
-    dequantize_apply(acc, layout, scale, bias, &y, nullptr, scratch);
-  }
 };
 
 /// A conv's input on the hardware: its f32 values, codes already made
@@ -190,20 +184,18 @@ class PimConv {
   /// conv output).
   Tensor forward(const ConvInput& in, const ConvEpilogue& epilogue = {});
 
-  /// forward(in, epilogue) that also writes the output's codes for
-  /// `next` (a stride-1 conv reading it, on the same core) in the same
-  /// epilogue pass, into the core's activation scratch: `next_codes`
-  /// receives them, equal to next.quantize(output).
-  Tensor forward(const ConvInput& in, const ConvEpilogue& epilogue,
-                 PimConv& next, ActivationCodes& next_codes);
-
-  /// next.forward(forward(in, epilogue), next_epilogue), for a conv whose
-  /// output feeds only `next` (a stride-1 conv on the same core), with no
-  /// f32 tensor in between: this conv's epilogue quantizes each finished
-  /// value with next's input scale straight into next's code planes.
-  /// Bit-identical to the two calls.
-  Tensor forward_chained(const ConvInput& in, const ConvEpilogue& epilogue,
-                         PimConv& next, const ConvEpilogue& next_epilogue);
+  /// forward(in, epilogue) for a conv whose output `reader` (a stride-1
+  /// conv on the same core, with this conv's out_channels as its
+  /// in_channels) reads: the epilogue quantizes each finished
+  /// value with reader's input scale straight into reader's code planes,
+  /// in the core's activation scratch, and writes the f32 output to
+  /// `*values` in the same pass when `values` is given (it may be the
+  /// tensor `in` reads). The codes equal reader.quantize(forward(in,
+  /// epilogue)), so reader.forward of them is bit-identical to reading
+  /// the f32 output.
+  ActivationCodes forward_codes(const ConvInput& in,
+                                const ConvEpilogue& epilogue,
+                                PimConv& reader, Tensor* values = nullptr);
 
   /// x quantized into this conv's input planes in the core's activation
   /// scratch, where the conv and its siblings can read them until the
@@ -222,18 +214,20 @@ class PimConv {
   /// The planes layout of an input [batch, channels, height, width].
   ConvPlanes input_layout(i64 batch, i64 channels, i64 height,
                           i64 width) const;
-  /// Input planes for [batch, C, height, width] in the core's activation
-  /// scratch, not yet written.
-  ActivationCodes activation_codes(i64 batch, i64 height, i64 width);
-  /// An unwritten output tensor for input layout `layout`.
-  Tensor output(const ConvPlanes& layout) const;
+  /// Planes for `layout` in the core's activation scratch, not yet
+  /// written.
+  ActivationCodes activation_codes(const ConvPlanes& layout);
   /// The layout and planes this conv reads `in` through: its codes when
   /// they serve, else its values quantized into the core's I/O scratch.
   std::pair<ConvPlanes, std::span<const i16>> input_planes(
       const ConvInput& in);
-  /// The conv over input planes, accumulators in the core's I/O scratch.
-  std::span<i32> accumulate(std::span<const i16> planes,
-                            const ConvPlanes& layout);
+  /// The one conv dispatch behind forward and forward_codes: resets the
+  /// core's I/O scratch, which holds only this dispatch's temporaries,
+  /// picks the input planes, runs conv_into and finishes the output by
+  /// `epilogue` into `*y` when `y` is given and into `reader`'s input
+  /// codes, which it returns, when `reader` is.
+  ActivationCodes dispatch(const ConvInput& in, const ConvEpilogue& epilogue,
+                           Tensor* y, PimConv* reader);
   f32 output_scale() const {
     return matmul_.activation_scale() * matmul_.weight_scale();
   }

@@ -249,8 +249,8 @@ TEST(ConvEpilogue, DequantizeApplyMatchesDequantizeThenApplyPlane) {
             Tensor got(out_shape);
             KernelArena scratch;
             epilogue.dequantize_apply(acc.data(), layout, scale,
-                                      with_bias ? bias.data() : nullptr, got,
-                                      scratch);
+                                      with_bias ? bias.data() : nullptr, &got,
+                                      nullptr, scratch);
             expect_bytes_equal(got, want);
           }
         }
@@ -261,7 +261,9 @@ TEST(ConvEpilogue, DequantizeApplyMatchesDequantizeThenApplyPlane) {
 
 TEST(ConvEpilogue, PimConvFusedPassMatchesPlainForwardThenLayers) {
   // PimConv's in-scatter epilogue against its own plain output finished
-  // by the unfused layers, NaN-producing BN channel included.
+  // by the unfused layers, NaN-producing BN channel included. The same
+  // pass through forward_codes, for a 3x3 padding-1 and a 1x1 reader,
+  // gives the reader the codes of that output and the same f32 values.
   const Conv2dGeometry geom{.in_channels = 4,
                             .out_channels = 6,
                             .kernel = 3,
@@ -275,6 +277,24 @@ TEST(ConvEpilogue, PimConvFusedPassMatchesPlainForwardThenLayers) {
   Tensor var = bn.running_var();
   var[4] = -2.0f;
   bn.set_running_stats(bn.running_mean(), var);
+  Conv2d reader3(Conv2dGeometry{.in_channels = 6,
+                                .out_channels = 5,
+                                .kernel = 3,
+                                .stride = 1,
+                                .padding = 1},
+                 rng, /*bias=*/true);
+  Conv2d reader1(Conv2dGeometry{.in_channels = 6,
+                                .out_channels = 3,
+                                .kernel = 1,
+                                .stride = 1,
+                                .padding = 0},
+                 rng, /*bias=*/false);
+  Conv2d other(Conv2dGeometry{.in_channels = 5,
+                              .out_channels = 3,
+                              .kernel = 1,
+                              .stride = 1,
+                              .padding = 0},
+               rng, /*bias=*/false);
 
   for (const i64 batch : {1, 7}) {
     const Tensor x = Tensor::randn(Shape{batch, 4, 5, 6}, rng);
@@ -286,15 +306,27 @@ TEST(ConvEpilogue, PimConvFusedPassMatchesPlainForwardThenLayers) {
       options.backend = backend;
       HybridCore core(options);
       PimConv pim(core, conv, kSparse1of4, PeKind::kSram, 0.03f);
+      PimConv readers[] = {
+          PimConv(core, reader3, kSparse1of4, PeKind::kMram, 0.05f),
+          PimConv(core, reader1, kSparse1of4, PeKind::kSram, 0.02f)};
       const Tensor plain = pim.forward(x);
       for (const ReluForm relu : {ReluForm::kNone, ReluForm::kPositive, ReluForm::kMax}) {
         SCOPED_TRACE("b" + std::to_string(batch) + " " + to_string(backend) +
                      " relu " + std::to_string(static_cast<int>(relu)));
         const ConvEpilogue epilogue{
             .bn = &bn, .residual = &residual, .relu = relu};
-        expect_bytes_equal(pim.forward(x, epilogue),
-                           unfused(plain, &bn, &residual, relu));
+        const Tensor fused = pim.forward(x, epilogue);
+        expect_bytes_equal(fused, unfused(plain, &bn, &residual, relu));
+        for (PimConv& reader : readers) {
+          Tensor values;
+          const Tensor read =
+              reader.forward(pim.forward_codes(x, epilogue, reader, &values));
+          expect_bytes_equal(read, reader.forward(fused));
+          expect_bytes_equal(values, fused);
+        }
       }
+      PimConv mismatched(core, other, kSparse1of4, PeKind::kSram, 0.02f);
+      EXPECT_THROW(pim.forward_codes(x, {}, mismatched), ContractError);
     }
   }
 }

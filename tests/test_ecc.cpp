@@ -106,6 +106,22 @@ TEST(EccStats, AccumulateAndClean) {
   EXPECT_FALSE(a.clean());
 }
 
+TEST(EccMode, WeightCheckWordForEveryByte) {
+  EXPECT_EQ(weight_check_bits(EccMode::kNone), 0);
+  EXPECT_EQ(weight_check_bits(EccMode::kParity), 1);
+  EXPECT_EQ(weight_check_bits(EccMode::kSecDed), kSecDedCheckBits);
+  for (i32 value = 0; value < 256; ++value) {
+    const u8 data = static_cast<u8>(value);
+    EXPECT_EQ(weight_check_word(EccMode::kNone, data), 0);
+    EXPECT_EQ(weight_check_word(EccMode::kParity, data), parity_bit(data, 8));
+    EXPECT_EQ(weight_check_word(EccMode::kSecDed, data), secded_encode(data));
+    for (const EccMode mode : {EccMode::kParity, EccMode::kSecDed}) {
+      EXPECT_EQ(weight_check_word(mode, data) >> weight_check_bits(mode), 0)
+          << ecc_mode_name(mode) << " word of " << value;
+    }
+  }
+}
+
 TEST(EccMode, Names) {
   EXPECT_STREQ(ecc_mode_name(EccMode::kNone), "none");
   EXPECT_STREQ(ecc_mode_name(EccMode::kParity), "parity");
